@@ -55,7 +55,7 @@ from .oracle import (
     solve_limiting_dual,
     tilde_r,
 )
-from .quadrature import QuadratureGrid, gauss_legendre_box, sobol_box
+from .quadrature import QuadratureGrid, gauss_legendre_box
 from .simulation import (
     ESTIMATOR_NAMES,
     GridResult,

@@ -103,15 +103,13 @@ class CovariateFunction:
             out += term.evaluate(X)
         return out
 
-    def max_index(self) -> int:
-        idx = -1
+    def indices(self) -> frozenset[int]:
+        """0-based indices of the covariates the function reads."""
+        used = set()
         for t in self.terms:
-            for candidate in (t.index, t.index2):
-                if candidate is not None:
-                    idx = max(idx, candidate)
-            for i, _ in t.slopes:
-                idx = max(idx, i)
-        return idx
+            used.update(i for i in (t.index, t.index2) if i is not None)
+            used.update(i for i, _ in t.slopes)
+        return frozenset(used)
 
     def to_dict(self) -> dict:
         return {"terms": [t.to_dict() for t in self.terms]}

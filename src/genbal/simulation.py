@@ -80,16 +80,25 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "h_names", tuple(self.h_names))
         object.__setattr__(self, "g_names", tuple(self.g_names))
-        max_idx = max(
-            self.propensity_logit.max_index(),
-            self.cate.max_index(),
-            self.baseline.max_index(),
-            self.participation_logit.max_index(),
-            self.basis().max_index(),
-        )
+        problems = []
+        if self.p < 1:
+            problems.append(f"p={self.p} must be >= 1")
+        if not self.low < self.high:
+            problems.append(f"low={self.low} must be below high={self.high}")
+        if self.n < 2:
+            problems.append(f"n={self.n} must be >= 2")
+        if self.replicates < 1:
+            problems.append(f"replicates={self.replicates} must be >= 1")
+        if not self.noise_sd >= 0:
+            problems.append(f"noise_sd={self.noise_sd} must be >= 0")
+        if problems:
+            raise ValidationError(f"scenario {self.name!r}: " + "; ".join(problems))
+        models = (self.propensity_logit, self.cate, self.baseline, self.participation_logit)
+        used = frozenset().union(*(m.indices() for m in models))
+        max_idx = max(max(used, default=-1), self.basis().max_index())
         if max_idx >= self.p:
             raise ValidationError(
-                f"scenario references covariate x{max_idx + 1} but p={self.p}"
+                f"scenario {self.name!r} references covariate x{max_idx + 1} but p={self.p}"
             )
 
     def basis(self) -> BasisSpec:
@@ -173,10 +182,19 @@ def builtin_grid(**overrides) -> tuple[ScenarioConfig, ...]:
 
 
 def true_target_ate(config: ScenarioConfig, nodes: int = 16) -> float:
-    """Target-population mean treatment contrast, by quadrature."""
-    grid = gauss_legendre_box(config.p, config.low, config.high, nodes)
-    rho = sigmoid(config.participation_logit(grid.points))
-    tau = config.cate(grid.points)
+    """Target-population mean treatment contrast E[(1-rho) tau] / E[1-rho].
+
+    Integrates by tensor Gauss-Legendre quadrature over only the
+    covariates the participation and CATE models read: summing out any
+    other axis multiplies numerator and denominator alike by that axis's
+    weight total, which is 1. Columns of unread covariates stay zero.
+    """
+    used = sorted(config.participation_logit.indices() | config.cate.indices())
+    grid = gauss_legendre_box(len(used), config.low, config.high, nodes)
+    points = np.zeros((grid.size, config.p))
+    points[:, used] = grid.points
+    rho = sigmoid(config.participation_logit(points))
+    tau = config.cate(points)
     wt = grid.weights * (1.0 - rho)
     return float(wt @ tau / wt.sum())
 
@@ -397,9 +415,10 @@ def run_grid(configs, methods=ESTIMATOR_NAMES, jobs: int = 1, nodes: int = 16,
              options: SolverOptions | None = None) -> GridResult:
     """Run every scenario x method cell and aggregate estimation errors.
 
-    Failed solves are excluded from the aggregates and counted. Results
-    are deterministic for a given list of configs, independent of
-    ``jobs``.
+    Failed solves are excluded from the aggregates and counted. The true
+    target ATE is computed once per distinct (participation, CATE, p,
+    low, high) among the configs. Results are deterministic for a given
+    list of configs, independent of ``jobs``.
     """
     methods = tuple(methods)
     if not methods:
@@ -408,8 +427,12 @@ def run_grid(configs, methods=ESTIMATOR_NAMES, jobs: int = 1, nodes: int = 16,
     if unknown:
         raise ValidationError(f"unknown methods {unknown}; known: {ESTIMATOR_NAMES}")
     scenario_results = []
+    tau_stars = {}
     for config in configs:
-        tau_star = true_target_ate(config, nodes)
+        key = (config.participation_logit, config.cate, config.p, config.low, config.high)
+        if key not in tau_stars:
+            tau_stars[key] = true_target_ate(config, nodes)
+        tau_star = tau_stars[key]
         rows = _run_scenario(config, methods, jobs, options)
         per_method = {}
         for method in methods:

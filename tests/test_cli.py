@@ -281,3 +281,16 @@ def test_cli_oracle_report(tmp_path):
     }))
     code = main(["oracle", "--scenario", str(scen_bad), "--nodes", "6"])
     assert code == 2
+
+
+def test_cli_oracle_over_quadrature_budget_is_validation_error(tmp_path, capsys):
+    scen = tmp_path / "p9.json"
+    scen.write_text(json.dumps({
+        "scenarios": [{
+            "name": "P2-T1-M1", "propensity": "P2", "cate": "T1", "baseline": "M1",
+            "p": 9,
+        }]
+    }))
+    code = main(["oracle", "--scenario", str(scen), "--nodes", "16"])
+    assert code == 2
+    assert "p=9, nodes=16" in capsys.readouterr().err

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import genbal as gb
+import genbal.simulation as simulation
 from genbal.errors import ValidationError
+from genbal.mathutil import sigmoid
 from genbal.models import CovariateFunction, FunctionTerm
 
 # Frozen value from an independent 1e7-draw Monte Carlo of the target-arm
@@ -48,6 +50,106 @@ def test_true_ate_matches_frozen_monte_carlo_oracle():
     assert abs(quad - TAU_STAR_T1_MC) <= 3.0 * TAU_STAR_T1_MC_SE
     # quadrature is node-converged well past the contract accuracy
     assert gb.true_target_ate(config, nodes=24) == pytest.approx(quad, abs=1e-8)
+
+
+def _full_tensor_tau_star(config, nodes):
+    # reference: the same ratio over the full p-dimensional tensor grid
+    grid = gb.gauss_legendre_box(config.p, config.low, config.high, nodes)
+    rho = sigmoid(config.participation_logit(grid.points))
+    wt = grid.weights * (1.0 - rho)
+    return float(wt @ config.cate(grid.points) / wt.sum())
+
+
+@pytest.mark.parametrize("config", gb.builtin_grid(), ids=lambda c: c.name)
+def test_true_ate_matches_full_tensor_grid(config):
+    assert abs(gb.true_target_ate(config, nodes=8) - _full_tensor_tau_star(config, 8)) <= 1e-13
+
+
+def test_true_ate_matches_full_tensor_grid_custom_cell():
+    # participation reads x5 only through max2, the CATE only through an
+    # expaffine slope; x4 and x6 are never read
+    participation = CovariateFunction((
+        FunctionTerm("linear", 0.4, index=0),
+        FunctionTerm("max2", -0.5, index=1, index2=4),
+    ))
+    cate = CovariateFunction((
+        FunctionTerm("linear", 1.0, index=2),
+        FunctionTerm("expaffine", -0.5, offset=0.2, slopes=((0, 0.3), (4, -0.7))),
+    ))
+    config = gb.ScenarioConfig(
+        name="custom",
+        propensity_logit=gb.PROPENSITY_MODELS["P1"],
+        cate=cate,
+        baseline=gb.BASELINE_MODELS["M1"],
+        participation_logit=participation,
+        p=6,
+        low=-1.5,
+        high=2.5,
+    )
+    assert participation.indices() == {0, 1, 4}
+    assert cate.indices() == {0, 2, 4}
+    assert abs(gb.true_target_ate(config, nodes=8) - _full_tensor_tau_star(config, 8)) <= 1e-13
+
+
+def test_true_ate_constant_participation_and_effect():
+    config = gb.ScenarioConfig(
+        name="constant",
+        propensity_logit=gb.PROPENSITY_MODELS["P1"],
+        cate=_const_cate(-1.75),
+        baseline=gb.BASELINE_MODELS["M1"],
+        participation_logit=_const_cate(0.3),
+    )
+    assert gb.true_target_ate(config) == pytest.approx(-1.75, abs=1e-15)
+
+
+def test_run_grid_computes_true_ate_once_per_integrand(monkeypatch):
+    calls = []
+    real = simulation.true_target_ate
+
+    def counting(config, nodes=16):
+        calls.append(config.name)
+        return real(config, nodes)
+
+    monkeypatch.setattr(simulation, "true_target_ate", counting)
+    configs = gb.builtin_grid(n=200, replicates=2) + (
+        gb.builtin_scenario("P1", "T1", "M1", n=200, replicates=2, low=-1.0, high=1.0),
+    )
+    result = gb.run_grid(configs, ["ipw"], nodes=8)
+    # T1 and T2 on the default box, plus T1 on the narrower box
+    assert len(calls) == 3
+    by_key = {}
+    for config, scen in zip(configs, result.scenarios):
+        key = (config.cate, config.low, config.high)
+        by_key.setdefault(key, set()).add(scen.tau_star)
+    assert len(by_key) == 3
+    assert all(len(values) == 1 for values in by_key.values())
+    assert result.scenarios[0].tau_star == real(configs[0], nodes=8)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("low", 2.0, "low=2.0 must be below high=-2.0"),
+        ("n", 1, "n=1 must be >= 2"),
+        ("replicates", 0, "replicates=0 must be >= 1"),
+        ("noise_sd", -0.5, "noise_sd=-0.5 must be >= 0"),
+        ("noise_sd", float("nan"), "noise_sd=nan must be >= 0"),
+        ("p", 0, "p=0 must be >= 1"),
+    ],
+)
+def test_scenario_config_rejects_bad_fields(field, value, message):
+    overrides = {field: value}
+    if field == "low":
+        overrides["high"] = -2.0
+    with pytest.raises(ValidationError) as info:
+        gb.builtin_scenario("P2", "T1", "M1", **overrides)
+    assert "'P2-T1-M1'" in str(info.value)
+    assert message in str(info.value)
+
+
+def test_scenario_config_rejects_covariate_beyond_p():
+    with pytest.raises(ValidationError, match=r"'P2-T1-M1' references covariate x5 but p=4"):
+        gb.builtin_scenario("P2", "T1", "M1", p=4, g_names=("x4",))
 
 
 def test_draw_replicate_deterministic():
