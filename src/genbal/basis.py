@@ -112,10 +112,6 @@ class BasisTerm:
         return TRANSFORMS[self.transform](X[:, self.index])
 
 
-def constant() -> BasisTerm:
-    return BasisTerm("constant", "h")
-
-
 def identity(index: int, side: str = "h") -> BasisTerm:
     return BasisTerm("identity", side, index=index)
 
@@ -243,14 +239,6 @@ class BasisSpec:
     @classmethod
     def from_names(cls, h, g=()) -> "BasisSpec":
         terms = [parse_term(t, "h") for t in h] + [parse_term(t, "g") for t in g]
-        return cls(tuple(terms))
-
-    @classmethod
-    def first_moments(cls, h_indices, g_indices=()) -> "BasisSpec":
-        """Constant plus identity terms at the given 0-based indices."""
-        terms = [constant()]
-        terms += [identity(i, "h") for i in h_indices]
-        terms += [identity(i, "g") for i in g_indices]
         return cls(tuple(terms))
 
 

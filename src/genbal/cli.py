@@ -20,6 +20,7 @@ from .errors import (
     ValidationError,
     HypothesisViolationError,
 )
+from .estimators import ESTIMATOR_NAMES, ESTIMATORS, check_methods
 from .fileio import (
     ColumnSchema,
     emit_report,
@@ -31,7 +32,7 @@ from .fileio import (
 )
 from .oracle import TruthFunctions, asymptotic_variance
 from .quadrature import gauss_legendre_box
-from .simulation import ESTIMATOR_NAMES, run_grid
+from .simulation import run_grid
 from .solver import (
     SolverOptions,
     solve_att,
@@ -186,39 +187,17 @@ def _cmd_weights(args) -> int:
 
 
 def _parse_methods(text):
-    methods = tuple(m.strip() for m in text.split(",") if m.strip())
-    if not methods:
-        raise ValidationError("method list must be non-empty")
-    return methods
+    return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
 def _cmd_estimate(args) -> int:
-    from .estimators import (
-        estimate_ebal,
-        estimate_extended,
-        estimate_ipw,
-        estimate_ipw_et,
-    )
-
     schema = _schema_from_args(args, args.source)
     sample, _ = load_source_csv(args.source, schema)
     spec = load_basis_json(args.basis)
     raw, n_t = load_target_summary(args.target_summary, spec)
-    methods = _parse_methods(args.methods)
-    unknown = [m for m in methods if m not in ESTIMATOR_NAMES]
-    if unknown:
-        raise ValidationError(f"unknown methods {unknown}; known: {ESTIMATOR_NAMES}")
+    methods = check_methods(_parse_methods(args.methods))
     opts = _solver_options(args)
-    reports = []
-    for method in methods:
-        if method == "ipw":
-            reports.append(estimate_ipw(sample))
-        elif method == "ipw_et":
-            reports.append(estimate_ipw_et(sample, spec, raw, options=opts, n_t=n_t))
-        elif method == "ebal":
-            reports.append(estimate_ebal(sample, spec, raw, options=opts, n_t=n_t))
-        else:
-            reports.append(estimate_extended(sample, spec, raw, options=opts, n_t=n_t))
+    reports = [ESTIMATORS[m](sample, spec, raw, opts, n_t) for m in methods]
     text = emit_report(reports, fmt=args.format, path=args.out)
     if args.out is None:
         sys.stdout.write(text)

@@ -22,12 +22,15 @@ from .solver import (
     Method,
     SolverOptions,
     WeightSet,
+    _normalize_per_arm,
     solve_ebal,
     solve_et_calibration,
     solve_extended,
 )
 
 __all__ = [
+    "ESTIMATORS",
+    "ESTIMATOR_NAMES",
     "LogisticModel",
     "EstimateReport",
     "fit_logistic_irls",
@@ -36,6 +39,7 @@ __all__ = [
     "estimate_ipw_et",
     "estimate_ebal",
     "estimate_extended",
+    "check_methods",
 ]
 
 COEF_NORM_LIMIT = 1e3
@@ -114,9 +118,7 @@ def _ate_from_weights(sample: SourceSample, weights: WeightSet):
     if w.shape[0] != sample.n_s:
         raise ValidationError("weights misaligned with the sample")
     t = sample.treated
-    wn = w.copy()
-    wn[t] *= sample.n_s / wn[t].sum()
-    wn[~t] *= sample.n_s / wn[~t].sum()
+    wn = _normalize_per_arm(w, t, sample.n_s)
     tau = float((wn[t] @ sample.Y[t] - wn[~t] @ sample.Y[~t]) / sample.n_s)
     return tau, wn
 
@@ -136,13 +138,9 @@ def estimate_weighted_ate(sample: SourceSample, weights: WeightSet) -> EstimateR
     )
 
 
-def estimate_ipw(sample: SourceSample, columns=None, clip=None) -> EstimateReport:
-    """Inverse propensity weighting with a fitted logistic model.
-
-    Regressors default to all raw covariates. Does not use any target
-    information, so covariate shift is left unadjusted. ``clip`` optionally
-    bounds the fitted propensities, e.g. (0.01, 0.99); off by default.
-    """
+def _inverse_propensity_weights(sample: SourceSample, columns, clip, numerator):
+    """Fit the treatment logit; weights numerator / p on the treated arm
+    and numerator / (1 - p) on the control arm."""
     model = fit_logistic_irls(sample, columns)
     if not model.converged:
         raise NonConvergenceError(
@@ -151,8 +149,17 @@ def estimate_ipw(sample: SourceSample, columns=None, clip=None) -> EstimateRepor
     p = model.propensities
     if clip is not None:
         p = np.clip(p, clip[0], clip[1])
-    t = sample.treated
-    w = np.where(t, 1.0 / p, 1.0 / (1.0 - p))
+    return model, np.where(sample.treated, numerator / p, numerator / (1.0 - p))
+
+
+def estimate_ipw(sample: SourceSample, columns=None, clip=None) -> EstimateReport:
+    """Inverse propensity weighting with a fitted logistic model.
+
+    Regressors default to all raw covariates. Does not use any target
+    information, so covariate shift is left unadjusted. ``clip`` optionally
+    bounds the fitted propensities, e.g. (0.01, 0.99); off by default.
+    """
+    model, w = _inverse_propensity_weights(sample, columns, clip, 1.0)
     report = estimate_weighted_ate(sample, WeightSet(w, Method.IPW, normalized=False))
     return dataclasses.replace(
         report, solver_info={"logit_score_norm": model.score_norm}
@@ -177,16 +184,7 @@ def estimate_ipw_et(
     design = evaluate_basis(spec, sample)
     target = align_target_summary(spec, target_raw, design, n_t=n_t)
     et_solution, q_set = solve_et_calibration(design, target, options)
-    model = fit_logistic_irls(sample, columns)
-    if not model.converged:
-        raise NonConvergenceError(
-            f"logistic fit did not converge (score sup-norm {model.score_norm:.3g})"
-        )
-    p = model.propensities
-    if clip is not None:
-        p = np.clip(p, clip[0], clip[1])
-    t = sample.treated
-    w = np.where(t, q_set.w / p, q_set.w / (1.0 - p))
+    model, w = _inverse_propensity_weights(sample, columns, clip, q_set.w)
     report = estimate_weighted_ate(sample, WeightSet(w, Method.IPW_ET, normalized=False))
     return dataclasses.replace(
         report,
@@ -198,6 +196,17 @@ def estimate_ipw_et(
     )
 
 
+def _estimate_balanced(solve, sample, spec, target_raw, options, n_t) -> EstimateReport:
+    design = evaluate_basis(spec, sample)
+    target = align_target_summary(spec, target_raw, design, n_t=n_t)
+    solution, ws = solve(design, target, sample.treated, options, normalize=True)
+    report = estimate_weighted_ate(sample, ws)
+    return dataclasses.replace(
+        report,
+        solver_info={"iterations": solution.iterations, "grad_norm": solution.grad_norm},
+    )
+
+
 def estimate_ebal(
     sample: SourceSample,
     spec: BasisSpec,
@@ -206,14 +215,7 @@ def estimate_ebal(
     n_t=None,
 ) -> EstimateReport:
     """Per-arm entropy balancing of the H terms onto the target summary."""
-    design = evaluate_basis(spec, sample)
-    target = align_target_summary(spec, target_raw, design, n_t=n_t)
-    solution, ws = solve_ebal(design, target, sample.treated, options, normalize=True)
-    report = estimate_weighted_ate(sample, ws)
-    return dataclasses.replace(
-        report,
-        solver_info={"iterations": solution.iterations, "grad_norm": solution.grad_norm},
-    )
+    return _estimate_balanced(solve_ebal, sample, spec, target_raw, options, n_t)
 
 
 def estimate_extended(
@@ -224,11 +226,33 @@ def estimate_extended(
     n_t=None,
 ) -> EstimateReport:
     """Extended balancing: H per arm to the target, G equalized across arms."""
-    design = evaluate_basis(spec, sample)
-    target = align_target_summary(spec, target_raw, design, n_t=n_t)
-    solution, ws = solve_extended(design, target, sample.treated, options, normalize=True)
-    report = estimate_weighted_ate(sample, ws)
-    return dataclasses.replace(
-        report,
-        solver_info={"iterations": solution.iterations, "grad_norm": solution.grad_norm},
-    )
+    return _estimate_balanced(solve_extended, sample, spec, target_raw, options, n_t)
+
+
+# Method name -> call (sample, spec, target_raw, options, n_t). The calls
+# name each estimate_* function when they run, so a rebound module
+# attribute (a tracing wrapper, say) is what every caller reaches.
+ESTIMATORS = {
+    "ipw": lambda sample, spec, raw, options, n_t: estimate_ipw(sample),
+    "ipw_et": lambda sample, spec, raw, options, n_t: estimate_ipw_et(
+        sample, spec, raw, options=options, n_t=n_t
+    ),
+    "ebal": lambda sample, spec, raw, options, n_t: estimate_ebal(
+        sample, spec, raw, options=options, n_t=n_t
+    ),
+    "extended": lambda sample, spec, raw, options, n_t: estimate_extended(
+        sample, spec, raw, options=options, n_t=n_t
+    ),
+}
+ESTIMATOR_NAMES = tuple(ESTIMATORS)
+
+
+def check_methods(methods) -> tuple[str, ...]:
+    """The method names as a tuple; rejects an empty list or unknown names."""
+    methods = tuple(methods)
+    if not methods:
+        raise ValidationError("method list must be non-empty")
+    unknown = [m for m in methods if m not in ESTIMATORS]
+    if unknown:
+        raise ValidationError(f"unknown methods {unknown}; known: {ESTIMATOR_NAMES}")
+    return methods

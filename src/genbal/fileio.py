@@ -2,8 +2,9 @@
 
 Rectangular data travels as CSV, summaries and configs as JSON. Loaders
 fail with typed errors naming the offending cell; nothing is imputed or
-silently dropped. Emitters build the full output in memory first, so no
-partial files are left behind on error.
+silently dropped. Writers build the full output in memory first and
+write it to a temporary file beside the destination, which then replaces
+the destination in one step, so no partial files are left behind.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import csv
 import dataclasses
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 
-from .basis import BasisSpec, SourceSample, parse_term
+from .basis import BasisSpec, SourceSample
 from .errors import ValidationError
 from .estimators import EstimateReport
 from .oracle import AsymptoticReport
@@ -138,6 +140,19 @@ def load_source_csv(path, schema: ColumnSchema):
     return sample, {"columns": list(schema.covariates), "category_codes": codes}
 
 
+def _write_atomic(path, text: str) -> None:
+    """Write text to a temporary file beside the destination, then move it
+    over the destination, so readers see the old file or the new one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_source_csv(path, sample: SourceSample, schema: ColumnSchema) -> None:
     """Write a source sample; floats use shortest round-trip repr."""
     if len(schema.covariates) != sample.p:
@@ -147,7 +162,7 @@ def write_source_csv(path, sample: SourceSample, schema: ColumnSchema) -> None:
         cells = [str(int(sample.A[i])), repr(float(sample.Y[i]))]
         cells += [repr(float(v)) for v in sample.X[i]]
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_target_summary(path, spec: BasisSpec):
@@ -199,10 +214,13 @@ def load_basis_json(path) -> BasisSpec:
         data = json.load(fh)
     if not isinstance(data, dict) or "h" not in data:
         raise ValidationError(f"{path}: basis file needs an 'h' term list")
-    h = data["h"]
-    g = data.get("g", [])
-    terms = [parse_term(t, "h") for t in h] + [parse_term(t, "g") for t in g]
-    return BasisSpec(tuple(terms))
+    for side in ("h", "g"):
+        names = data.get(side, [])
+        if not isinstance(names, list) or not all(isinstance(t, str) for t in names):
+            raise ValidationError(
+                f"{path}: {side!r} must be a list of term names", code="UNKNOWN_TERM"
+            )
+    return BasisSpec.from_names(data["h"], data.get("g", []))
 
 
 def load_scenarios_json(path) -> list[ScenarioConfig]:
@@ -238,7 +256,7 @@ def write_weights_csv(path, sample: SourceSample, weights) -> None:
         lines.append(
             f"{i},{int(sample.A[i])},{repr(float(weights.w[i]))},{weights.method.value}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 _EST_COLUMNS = ("method", "tau_hat", "weight_min", "weight_max", "ess_treated", "ess_control")
@@ -369,5 +387,5 @@ def emit_report(report, fmt: str = "human", path=None, scale_100: bool = False) 
         else:
             text = _estimates_human(reports)
     if path is not None:
-        Path(path).write_text(text)
+        _write_atomic(path, text)
     return text

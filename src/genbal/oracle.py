@@ -28,6 +28,7 @@ from .errors import HypothesisViolationError, NonConvergenceError, RankDeficienc
 from .mathutil import sigmoid
 from .models import CovariateFunction, basis_coefficients, in_h_span
 from .quadrature import QuadratureGrid
+from .solver import SolverOptions, _GroupDual, _newton_minimize
 
 __all__ = [
     "TruthFunctions",
@@ -115,8 +116,11 @@ def solve_limiting_dual(
     """Root of the population moment equation defining lambda0*.
 
     Solves E[r(X) H(X) | source] = E[H(X) | target] for the H-block
-    coefficient of the limiting tilt, by damped Newton on a smooth map
-    with positive-definite Jacobian.
+    coefficient of the limiting tilt. This is the entropy-balancing dual
+    on the quadrature grid: the group dual over F = H with base weights
+    w_s exp(G'gamma_pi / 2) / (1 + exp(H'lambda_pi + G'gamma_pi)), solved
+    by the same damped-Newton loop as every sample-level solve, with no
+    cap on the linear scores.
     """
     _require_decomposition(truth)
     H = spec.evaluate_h(grid.points)
@@ -126,33 +130,17 @@ def solve_limiting_dual(
     ws = ws / ws.sum()
     wt = grid.weights * (1.0 - rho)
     wt = wt / wt.sum()
-    target = H.T @ wt
-    denom = 1.0 + np.exp(H @ truth.lambda_pi + G @ truth.gamma_pi)
-    g_half = G @ (truth.gamma_pi / 2.0)
-    lam = np.zeros(H.shape[1])
-    norm = np.inf
-    resid = None
-    for _ in range(max_iter):
-        r = np.exp(H @ lam + g_half) / denom
-        resid = H.T @ (ws * r) - target
-        norm = float(np.abs(resid).max())
-        if norm <= tol:
-            return lam
-        jac = H.T @ ((ws * r)[:, None] * H)
-        step = np.linalg.solve(jac, resid)
-        t = 1.0
-        cand = lam - step
-        for _ in range(40):
-            cand = lam - t * step
-            r_c = np.exp(H @ cand + g_half) / denom
-            if float(np.abs(H.T @ (ws * r_c) - target).max()) < norm:
-                break
-            t *= 0.5
-        lam = cand
-    raise NonConvergenceError(
-        f"limiting dual did not converge (residual sup-norm {norm:.3g})",
-        residuals=resid,
+    base = ws * np.exp(G @ (truth.gamma_pi / 2.0)) / (
+        1.0 + np.exp(H @ truth.lambda_pi + G @ truth.gamma_pi)
     )
+    problem = _GroupDual(H, base, H.T @ wt, n_s=1, score_cap=np.inf)
+    res = _newton_minimize(problem, SolverOptions(tol=tol, max_iter=max_iter))
+    if not res.converged:
+        raise NonConvergenceError(
+            f"limiting dual did not converge (residual sup-norm {res.grad_norm:.3g})",
+            residuals=res.grad,
+        )
+    return res.theta
 
 
 def tilde_r(truth: TruthFunctions, spec: BasisSpec, lambda0_star: np.ndarray) -> Callable:

@@ -21,13 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .basis import BasisSpec, SourceSample
-from .errors import NonConvergenceError, SeparationError, ValidationError
-from .estimators import (
-    estimate_ebal,
-    estimate_extended,
-    estimate_ipw,
-    estimate_ipw_et,
-)
+from .errors import NonConvergenceError, RankDeficiencyError, SeparationError, ValidationError
+from .estimators import ESTIMATOR_NAMES, ESTIMATORS, check_methods
 from .mathutil import sigmoid
 from .models import (
     BASELINE_MODELS,
@@ -52,8 +47,6 @@ __all__ = [
     "draw_replicate",
     "run_grid",
 ]
-
-ESTIMATOR_NAMES = ("ipw", "ipw_et", "ebal", "extended")
 
 _MAX_REDRAWS = 100
 
@@ -248,19 +241,6 @@ def draw_replicate(config: ScenarioConfig, rep_index: int) -> ReplicateDraw:
     )
 
 
-def _estimate_one(method: str, draw: ReplicateDraw, spec: BasisSpec, options):
-    s = draw.sample
-    if method == "ipw":
-        return estimate_ipw(s)
-    if method == "ipw_et":
-        return estimate_ipw_et(s, spec, draw.target_means, options=options, n_t=draw.n_t)
-    if method == "ebal":
-        return estimate_ebal(s, spec, draw.target_means, options=options, n_t=draw.n_t)
-    if method == "extended":
-        return estimate_extended(s, spec, draw.target_means, options=options, n_t=draw.n_t)
-    raise ValidationError(f"unknown method {method!r}; known: {ESTIMATOR_NAMES}")
-
-
 def _one_replicate(config: ScenarioConfig, rep_index: int, methods, options):
     draw = draw_replicate(config, rep_index)
     spec = config.basis()
@@ -268,8 +248,9 @@ def _one_replicate(config: ScenarioConfig, rep_index: int, methods, options):
     failures = {}
     for method in methods:
         try:
-            estimates[method] = _estimate_one(method, draw, spec, options).tau_hat
-        except (NonConvergenceError, SeparationError) as exc:
+            report = ESTIMATORS[method](draw.sample, spec, draw.target_means, options, draw.n_t)
+            estimates[method] = report.tau_hat
+        except (NonConvergenceError, RankDeficiencyError, SeparationError) as exc:
             failures[method] = type(exc).__name__
     return {
         "n_s": draw.sample.n_s,
@@ -415,17 +396,13 @@ def run_grid(configs, methods=ESTIMATOR_NAMES, jobs: int = 1, nodes: int = 16,
              options: SolverOptions | None = None) -> GridResult:
     """Run every scenario x method cell and aggregate estimation errors.
 
-    Failed solves are excluded from the aggregates and counted. The true
+    Failed solves (non-convergence, a rank-deficient design, separated
+    treatment) are excluded from the aggregates and counted. The true
     target ATE is computed once per distinct (participation, CATE, p,
     low, high) among the configs. Results are deterministic for a given
     list of configs, independent of ``jobs``.
     """
-    methods = tuple(methods)
-    if not methods:
-        raise ValidationError("method list must be non-empty")
-    unknown = [m for m in methods if m not in ESTIMATOR_NAMES]
-    if unknown:
-        raise ValidationError(f"unknown methods {unknown}; known: {ESTIMATOR_NAMES}")
+    methods = check_methods(methods)
     scenario_results = []
     tau_stars = {}
     for config in configs:

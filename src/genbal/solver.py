@@ -10,7 +10,13 @@ weights
     w_i = exp(lambda1'H_i + gamma'G_i)   on the treated arm,
     w_i = exp(lambda0'H_i - gamma'G_i)   on the control arm.
 
-The dual gradient equals the primal balance residuals, which is what the
+Every problem here, the joint one included, is one form: minimize
+(1/n_s) sum_i base_i exp(theta'F_i) - theta'target over a design F. The
+joint dual is that form over the block design F = [H 1{A=1} | H 1{A=0} |
++-G] with base 1 and target (hbar, hbar, 0); the per-group calibrations
+use their arm's H columns; the population oracle in :mod:`genbal.oracle`
+uses the quadrature grid. One damped-Newton loop solves them all. The
+dual gradient equals the primal balance residuals, which is what the
 convergence test monitors. All solves run in the coordinates of the
 supplied design (standardized by default); weights are invariant to that
 choice and :meth:`DualSolution.unstandardized` maps parameters back to
@@ -173,82 +179,6 @@ def balance_residuals(design: DesignMatrices, target: TargetSummary, treated, w)
     return BalanceReport(r1, r0, rg)
 
 
-class _JointDual:
-    """Packed objective over theta = (lambda1, lambda0, gamma)."""
-
-    def __init__(self, design, target, treated, score_cap):
-        t = np.asarray(treated, dtype=bool)
-        if t.shape[0] != design.n:
-            raise ValidationError("treated mask misaligned with design rows")
-        if t.sum() == 0 or (~t).sum() == 0:
-            raise ValidationError("both arms must be non-empty")
-        self.treated = t
-        self.h1, self.h0 = design.h[t], design.h[~t]
-        self.g1, self.g0 = design.g[t], design.g[~t]
-        self.hbar = target.values
-        self.n_s = design.n
-        self.kh = design.h.shape[1]
-        self.kg = design.g.shape[1]
-        self.dim = 2 * self.kh + self.kg
-        self.cap = score_cap
-        self.b1 = np.hstack([self.h1, self.g1])
-        self.b0 = np.hstack([self.h0, -self.g0])
-
-    def split(self, theta):
-        kh, kg = self.kh, self.kg
-        return theta[:kh], theta[kh:2 * kh], theta[2 * kh:2 * kh + kg]
-
-    def scores(self, theta):
-        l1, l0, g = self.split(theta)
-        s1 = self.h1 @ l1 + (self.g1 @ g if self.kg else 0.0)
-        s0 = self.h0 @ l0 - (self.g0 @ g if self.kg else 0.0)
-        return s1, s0
-
-    def max_score(self, theta):
-        s1, s0 = self.scores(theta)
-        return max(float(s1.max()), float(s0.max()))
-
-    def value(self, theta):
-        s1, s0 = self.scores(theta)
-        if max(float(s1.max()), float(s0.max())) > self.cap:
-            return np.inf
-        l1, l0, _ = self.split(theta)
-        return float(
-            (np.exp(s1).sum() + np.exp(s0).sum()) / self.n_s - (l1 + l0) @ self.hbar
-        )
-
-    def value_grad_hess(self, theta, with_hess=True):
-        s1, s0 = self.scores(theta)
-        if max(float(s1.max()), float(s0.max())) > self.cap:
-            return np.inf, None, None
-        w1, w0 = np.exp(s1), np.exp(s0)
-        l1, l0, _ = self.split(theta)
-        val = float((w1.sum() + w0.sum()) / self.n_s - (l1 + l0) @ self.hbar)
-        grad = np.concatenate([
-            self.h1.T @ w1 / self.n_s - self.hbar,
-            self.h0.T @ w0 / self.n_s - self.hbar,
-            (self.g1.T @ w1 - self.g0.T @ w0) / self.n_s,
-        ])
-        if not with_hess:
-            return val, grad, None
-        m1 = self.b1.T @ (self.b1 * w1[:, None]) / self.n_s
-        m0 = self.b0.T @ (self.b0 * w0[:, None]) / self.n_s
-        kh, kg = self.kh, self.kg
-        hess = np.zeros((self.dim, self.dim))
-        idx1 = np.r_[0:kh, 2 * kh:2 * kh + kg]
-        idx0 = np.r_[kh:2 * kh, 2 * kh:2 * kh + kg]
-        hess[np.ix_(idx1, idx1)] += m1
-        hess[np.ix_(idx0, idx0)] += m0
-        return val, grad, hess
-
-    def weights(self, theta):
-        s1, s0 = self.scores(theta)
-        w = np.empty(self.n_s)
-        w[self.treated] = np.exp(s1)
-        w[~self.treated] = np.exp(s0)
-        return w
-
-
 class _GroupDual:
     """min (1/n_s) sum_i base_i exp(beta'F_i) - beta'target over one group."""
 
@@ -283,6 +213,22 @@ class _GroupDual:
 
     def weights(self, beta):
         return self.base * np.exp(self.F @ beta)
+
+
+def _JointDual(design, target, treated, score_cap):
+    """The joint problem as a group dual over the block design
+    F = [H 1{A=1} | H 1{A=0} | +-G] (G enters treated rows with a plus
+    sign, control rows with a minus), base 1 and target (hbar, hbar, 0),
+    so theta packs (lambda1, lambda0, gamma)."""
+    t = np.asarray(treated, dtype=bool)
+    if t.shape[0] != design.n:
+        raise ValidationError("treated mask misaligned with design rows")
+    if t.all() or not t.any():
+        raise ValidationError("both arms must be non-empty")
+    arm = t[:, None]
+    F = np.hstack([design.h * arm, design.h * ~arm, np.where(arm, design.g, -design.g)])
+    target_vals = np.concatenate([target.values, target.values, np.zeros(design.g.shape[1])])
+    return _GroupDual(F, np.ones(design.n), target_vals, design.n, score_cap)
 
 
 @dataclasses.dataclass
@@ -367,31 +313,18 @@ def _normalize_per_arm(w, treated, n_s):
     return out
 
 
-def _require_full_rank(matrix, what):
-    rep = matrix_rank_report(matrix)
-    if rep.deficient:
+def _solve_dual(problem, rank, what, opts, make_solution):
+    """Rank check, damped Newton and score-cap test shared by every
+    exponential-tilt solve; returns the solution and the fitted weights."""
+    if rank.deficient:
         raise RankDeficiencyError(
-            f"{what} is rank deficient: rank {rep.rank} < {rep.n_columns} columns "
-            f"(condition number {rep.condition_number:.3g})"
+            f"{what} is rank deficient: rank {rank.rank} < {rank.n_columns} columns "
+            f"(condition number {rank.condition_number:.3g})"
         )
-
-
-def _solve_joint(design, target, treated, options, normalize, method):
-    opts = options or SolverOptions()
-    rep = check_design_rank(design)
-    if rep.deficient:
-        raise RankDeficiencyError(
-            f"[H|G] is rank deficient: rank {rep.rank} < {rep.n_columns} columns "
-            f"(condition number {rep.condition_number:.3g})"
-        )
-    problem = _JointDual(design, target, treated, opts.score_cap)
     res = _newton_minimize(problem, opts)
     at_cap = problem.max_score(res.theta) >= opts.score_cap
-    l1, l0, g = problem.split(res.theta)
-    solution = DualSolution(
-        lambda1=l1,
-        lambda0=l0,
-        gamma=g,
+    solution = make_solution(
+        res.theta,
         iterations=res.iterations,
         grad_norm=res.grad_norm,
         converged=res.converged and not at_cap,
@@ -399,15 +332,26 @@ def _solve_joint(design, target, treated, options, normalize, method):
     )
     if not solution.converged:
         raise NonConvergenceError(
-            f"dual solve stalled after {res.iterations} iterations "
+            f"dual solve over {what} stalled after {res.iterations} iterations "
             f"(residual sup-norm {res.grad_norm:.3g}); the target may be "
             "infeasible or overlap too weak",
             solution=solution,
             residuals=res.grad,
         )
-    w = problem.weights(res.theta)
+    return solution, problem.weights(res.theta)
+
+
+def _solve_joint(design, target, treated, options, normalize, method):
+    opts = options or SolverOptions()
+    rank = check_design_rank(design)
+    problem = _JointDual(design, target, treated, opts.score_cap)
+    kh = design.h.shape[1]
+    solution, w = _solve_dual(
+        problem, rank, "[H|G]", opts,
+        lambda theta, **diag: DualSolution(theta[:kh], theta[kh:2 * kh], theta[2 * kh:], **diag),
+    )
     if normalize:
-        w = _normalize_per_arm(w, problem.treated, design.n)
+        w = _normalize_per_arm(w, np.asarray(treated, dtype=bool), design.n)
     return solution, WeightSet(w, method, normalize)
 
 
@@ -418,32 +362,15 @@ def solve_extended(design, target, treated, options=None, normalize=False):
 
 def solve_ebal(design, target, treated, options=None, normalize=False):
     """H-only special case: drop the G columns and balance per arm."""
-    solution, ws = _solve_joint(
-        design.h_only(), target, treated, options, normalize, Method.EBAL
-    )
-    return solution, ws
+    return _solve_joint(design.h_only(), target, treated, options, normalize, Method.EBAL)
 
 
 def _calibrate_group(F, base, target_vals, n_s, opts, what):
-    _require_full_rank(F, what)
     problem = _GroupDual(F, base, target_vals, n_s, opts.score_cap)
-    res = _newton_minimize(problem, opts)
-    at_cap = problem.max_score(res.theta) >= opts.score_cap
-    solution = CalibrationSolution(
-        beta=res.theta,
-        iterations=res.iterations,
-        grad_norm=res.grad_norm,
-        converged=res.converged and not at_cap,
-        objective=res.value,
+    return _solve_dual(
+        problem, matrix_rank_report(F), what, opts,
+        lambda theta, **diag: CalibrationSolution(theta, **diag),
     )
-    if not solution.converged:
-        raise NonConvergenceError(
-            f"calibration of {what} stalled after {res.iterations} iterations "
-            f"(residual sup-norm {res.grad_norm:.3g})",
-            solution=solution,
-            residuals=res.grad,
-        )
-    return solution, problem.weights(res.theta)
 
 
 def solve_et_calibration(design, target, options=None, normalize=False):

@@ -1,6 +1,7 @@
 """File ingestion, report emission, CLI exit codes and round trips."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from genbal.fileio import (
     load_source_csv,
     load_target_summary,
     write_source_csv,
+    write_weights_csv,
 )
 from genbal.mathutil import sigmoid
 
@@ -126,6 +128,66 @@ def test_basis_json_loader(tmp_path):
     spec = load_basis_json(path)
     assert spec.h_names == ("const", "x1", "x2^2")
     assert spec.g_names == ("log1p(x3)",)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [{"h": ["const", 1]}, {"h": ["const", "x1"], "g": None}, {"h": "const"}],
+    ids=["non-string-term", "null-g", "h-not-a-list"],
+)
+def test_cli_malformed_basis_json_is_validation_error(tmp_path, capsys, content):
+    _, _, source, basis, target = _write_inputs(tmp_path)
+    basis.write_text(json.dumps(content))
+    with pytest.raises(ValidationError):
+        load_basis_json(basis)
+    code = main([
+        "estimate", "--source", str(source), "--basis", str(basis),
+        "--target-summary", str(target),
+    ])
+    assert code == 2
+    assert "must be a list of term names" in capsys.readouterr().err
+
+
+def test_unknown_method_same_message_in_run_grid_and_cli(tmp_path, capsys):
+    config = gb.builtin_scenario("P1", "T1", "M1", replicates=2)
+    with pytest.raises(ValidationError) as err:
+        gb.run_grid([config], ["ipw", "bogus"])
+    _, _, source, basis, target = _write_inputs(tmp_path)
+    code = main([
+        "estimate", "--source", str(source), "--basis", str(basis),
+        "--target-summary", str(target), "--methods", "ipw,bogus",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"genbal: validation error: {err.value}\n"
+
+
+@pytest.mark.parametrize("writer", ["source", "weights", "report"])
+def test_failed_write_keeps_destination_and_leaves_no_temp_file(tmp_path, monkeypatch, writer):
+    sample, schema, _, _, _ = _write_inputs(tmp_path)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    dest = out_dir / "dest.txt"
+    dest.write_text("previous contents\n")
+    weights = gb.WeightSet(np.ones(sample.n_s), gb.Method.IPW, normalized=False)
+    report = gb.estimate_weighted_ate(sample, weights)
+    write = {
+        "source": lambda: write_source_csv(dest, sample, schema),
+        "weights": lambda: write_weights_csv(dest, sample, weights),
+        "report": lambda: emit_report([report], fmt="json", path=dest),
+    }[writer]
+
+    def failing_replace(src, dst):
+        raise OSError("simulated failure while replacing the destination")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="simulated failure"):
+        write()
+    assert dest.read_text() == "previous contents\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["dest.txt"]
+    monkeypatch.undo()
+    write()
+    assert dest.read_text() != "previous contents\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["dest.txt"]
 
 
 def test_scenarios_loader_builtin_grid(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import genbal as gb
-from genbal.errors import HypothesisViolationError
+from genbal.errors import HypothesisViolationError, NonConvergenceError
 from genbal.mathutil import sigmoid
 from genbal.models import CATE_MODELS, PROPENSITY_MODELS, CovariateFunction, FunctionTerm
 
@@ -240,3 +240,12 @@ def test_condition_abc_scenario_attains_bound():
     rho_v = truth.participation(grid.points)
     closed = report.rho_marginal * (1 - rho_v) / ((1 - report.rho_marginal) * rho_v)
     np.testing.assert_allclose(rv, closed, atol=1e-9)
+
+
+def test_limiting_dual_iteration_cap_raises_with_residuals(p2_truth):
+    grid = gb.gauss_legendre_box(5, -2.0, 2.0, 6)
+    with pytest.raises(NonConvergenceError) as err:
+        gb.solve_limiting_dual(p2_truth, _SPEC5, grid, max_iter=1)
+    residuals = np.asarray(err.value.residuals)
+    assert residuals.shape == (len(_SPEC5.h_terms),)
+    assert np.abs(residuals).max() > 1e-8

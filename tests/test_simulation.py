@@ -293,3 +293,12 @@ def test_built_in_model_values():
         0.5 * 0.5 + 0.3 * 1.0 + 0.2 * np.exp(2.0 - 1.5 - 1.0) - 0.5 * -0.5
     )
     assert gb.PARTICIPATION_LOGIT(x)[0] == pytest.approx(0.4 * 0.5 + 0.3 * -1.0 - 0.2 * 1.5)
+
+
+def test_rank_deficient_replicates_count_as_failures_not_abort():
+    # at n=20 some replicates keep fewer source rows than [H|G] has columns
+    config = gb.builtin_scenario("P1", "T1", "M1", n=20, replicates=40)
+    serial = gb.run_grid([config], jobs=1)
+    assert sum(agg.failures for agg in serial.scenarios[0].methods.values()) > 0
+    assert serial.cell("P1-T1-M1", "extended").failures > 0
+    assert serial.to_json() == gb.run_grid([config], jobs=2).to_json()
