@@ -480,6 +480,7 @@ def matrix_rank_report(m: np.ndarray, tol: float = 1e-10) -> RankReport:
     if smax == 0.0:
         return RankReport(sv, 0, m.shape[1], np.inf, True, tol)
     rank = int((sv > smax * tol).sum())
-    smin = float(sv[-1])
+    # fewer rows than columns: the missing singular values are zero
+    smin = float(sv[-1]) if m.shape[0] >= m.shape[1] else 0.0
     cond = np.inf if smin == 0.0 else smax / smin
     return RankReport(sv, rank, m.shape[1], cond, rank < m.shape[1], tol)

@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
     HypothesisViolationError,
 )
-from .estimators import ESTIMATOR_NAMES, ESTIMATORS, check_methods
+from .estimators import ESTIMATOR_NAMES, ESTIMATORS, _SharedWork, check_methods
 from .fileio import (
     ColumnSchema,
     emit_report,
@@ -197,7 +197,8 @@ def _cmd_estimate(args) -> int:
     raw, n_t = load_target_summary(args.target_summary, spec)
     methods = check_methods(_parse_methods(args.methods))
     opts = _solver_options(args)
-    reports = [ESTIMATORS[m](sample, spec, raw, opts, n_t) for m in methods]
+    shared = _SharedWork(sample, spec, raw, n_t)
+    reports = [ESTIMATORS[m](shared, opts) for m in methods]
     text = emit_report(reports, fmt=args.format, path=args.out)
     if args.out is None:
         sys.stdout.write(text)

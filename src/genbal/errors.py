@@ -35,7 +35,8 @@ class NonConvergenceError(GenbalError):
 
 
 class SeparationError(GenbalError):
-    """A logistic fit diverged, indicating (quasi-)separated data."""
+    """A logistic fit diverged, or fitted a propensity of exactly 0 on a
+    treated row or 1 on a control row: (quasi-)separated data."""
 
 
 class HypothesisViolationError(GenbalError):

@@ -7,11 +7,17 @@ extended problem that additionally balances G terms across arms
 (extended). Every estimator normalizes each arm's weights to sum to n_s
 before taking the weighted outcome difference, so estimates are
 invariant to outcome location shifts.
+
+All four read one data set's basis design and aligned target, and both
+IPW variants read one treatment logit. :data:`ESTIMATORS` runs the
+methods on a shared per-data-set object that computes each of these
+once; every public ``estimate_*`` builds its own such object.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -113,43 +119,102 @@ def fit_logistic_irls(sample: SourceSample, columns=None, tol: float = 1e-8, max
     )
 
 
-def _ate_from_weights(sample: SourceSample, weights: WeightSet):
-    w = weights.w
-    if w.shape[0] != sample.n_s:
-        raise ValidationError("weights misaligned with the sample")
-    t = sample.treated
-    wn = _normalize_per_arm(w, t, sample.n_s)
-    tau = float((wn[t] @ sample.Y[t] - wn[~t] @ sample.Y[~t]) / sample.n_s)
-    return tau, wn
+@dataclasses.dataclass
+class _SharedWork:
+    """One data set's work that every estimator reads, done on first use.
+
+    The basis design, the aligned target and the treatment logit are
+    cached, so ipw, ipw_et, ebal and extended evaluate the basis once and
+    fit the logit once per data set. A property that raises is not cached:
+    each method that reads it raises again and fails on its own.
+    """
+
+    sample: SourceSample
+    spec: BasisSpec | None = None
+    target_raw: object = None
+    n_t: int | None = None
+    columns: object = None
+
+    @functools.cached_property
+    def design(self):
+        return evaluate_basis(self.spec, self.sample)
+
+    @functools.cached_property
+    def target(self):
+        return align_target_summary(self.spec, self.target_raw, self.design, n_t=self.n_t)
+
+    @functools.cached_property
+    def logit(self) -> LogisticModel:
+        model = fit_logistic_irls(self.sample, self.columns)
+        if not model.converged:
+            raise NonConvergenceError(
+                f"logistic fit did not converge (score sup-norm {model.score_norm:.3g})"
+            )
+        return model
 
 
 def estimate_weighted_ate(sample: SourceSample, weights: WeightSet) -> EstimateReport:
     """Weighted outcome difference after per-arm normalization to n_s."""
-    tau, wn = _ate_from_weights(sample, weights)
-    t = sample.treated
+    if weights.w.shape[0] != sample.n_s:
+        raise ValidationError("weights misaligned with the sample")
+    s1, s0 = sample.s1, sample.s0
+    wn = _normalize_per_arm(weights.w, (s1, s0), sample.n_s)
+    w1, w0 = wn[s1], wn[s0]
     return EstimateReport(
         method=weights.method.value,
-        tau_hat=tau,
+        tau_hat=float((w1 @ sample.Y[s1] - w0 @ sample.Y[s0]) / sample.n_s),
         weight_min=float(wn.min()),
         weight_max=float(wn.max()),
-        ess_treated=effective_sample_size(wn[t]),
-        ess_control=effective_sample_size(wn[~t]),
+        ess_treated=effective_sample_size(w1),
+        ess_control=effective_sample_size(w0),
         solver_info={},
     )
 
 
-def _inverse_propensity_weights(sample: SourceSample, columns, clip, numerator):
-    """Fit the treatment logit; weights numerator / p on the treated arm
-    and numerator / (1 - p) on the control arm."""
-    model = fit_logistic_irls(sample, columns)
-    if not model.converged:
-        raise NonConvergenceError(
-            f"logistic fit did not converge (score sup-norm {model.score_norm:.3g})"
-        )
+def _propensity_weighted(shared, numerator, clip, method, solver_info) -> EstimateReport:
+    """Report for weights numerator / p on the treated arm and
+    numerator / (1 - p) on the control arm, p the fitted propensity."""
+    model = shared.logit
     p = model.propensities
     if clip is not None:
         p = np.clip(p, clip[0], clip[1])
-    return model, np.where(sample.treated, numerator / p, numerator / (1.0 - p))
+    s1, s0 = shared.sample.s1, shared.sample.s0
+    w = np.empty(shared.sample.n_s)
+    with np.errstate(divide="ignore", over="ignore"):
+        w[s1] = numerator[s1] / p[s1]
+        w[s0] = numerator[s0] / (1.0 - p[s0])
+    if not np.isfinite(w).all():
+        raise SeparationError(
+            "infinite inverse propensity weight: a fitted propensity of 0 on a "
+            "treated row or 1 on a control row; treatment looks separated"
+        )
+    report = estimate_weighted_ate(shared.sample, WeightSet(w, method, normalized=False))
+    return dataclasses.replace(
+        report, solver_info={"logit_score_norm": model.score_norm, **solver_info}
+    )
+
+
+def _ipw(shared: _SharedWork, options=None, clip=None) -> EstimateReport:
+    return _propensity_weighted(shared, np.ones(shared.sample.n_s), clip, Method.IPW, {})
+
+
+def _ipw_et(shared: _SharedWork, options=None, clip=None) -> EstimateReport:
+    et_solution, q_set = solve_et_calibration(shared.design, shared.target, options)
+    return _propensity_weighted(
+        shared, q_set.w, clip, Method.IPW_ET,
+        {"et_iterations": et_solution.iterations, "et_grad_norm": et_solution.grad_norm},
+    )
+
+
+def _balanced(solve, shared: _SharedWork, options) -> EstimateReport:
+    solution, ws = solve(
+        shared.design, shared.target, shared.sample.treated, options, normalize=True
+    )
+    report = estimate_weighted_ate(shared.sample, ws)
+    return dataclasses.replace(
+        report,
+        solver_info={"iterations": solution.iterations, "grad_norm": solution.grad_norm},
+    )
 
 
 def estimate_ipw(sample: SourceSample, columns=None, clip=None) -> EstimateReport:
@@ -159,11 +224,7 @@ def estimate_ipw(sample: SourceSample, columns=None, clip=None) -> EstimateRepor
     information, so covariate shift is left unadjusted. ``clip`` optionally
     bounds the fitted propensities, e.g. (0.01, 0.99); off by default.
     """
-    model, w = _inverse_propensity_weights(sample, columns, clip, 1.0)
-    report = estimate_weighted_ate(sample, WeightSet(w, Method.IPW, normalized=False))
-    return dataclasses.replace(
-        report, solver_info={"logit_score_norm": model.score_norm}
-    )
+    return _ipw(_SharedWork(sample, columns=columns), clip=clip)
 
 
 def estimate_ipw_et(
@@ -181,30 +242,7 @@ def estimate_ipw_et(
     source H means to the target summary; weights are q / p on the
     treated arm and q / (1 - p) on the control arm.
     """
-    design = evaluate_basis(spec, sample)
-    target = align_target_summary(spec, target_raw, design, n_t=n_t)
-    et_solution, q_set = solve_et_calibration(design, target, options)
-    model, w = _inverse_propensity_weights(sample, columns, clip, q_set.w)
-    report = estimate_weighted_ate(sample, WeightSet(w, Method.IPW_ET, normalized=False))
-    return dataclasses.replace(
-        report,
-        solver_info={
-            "logit_score_norm": model.score_norm,
-            "et_iterations": et_solution.iterations,
-            "et_grad_norm": et_solution.grad_norm,
-        },
-    )
-
-
-def _estimate_balanced(solve, sample, spec, target_raw, options, n_t) -> EstimateReport:
-    design = evaluate_basis(spec, sample)
-    target = align_target_summary(spec, target_raw, design, n_t=n_t)
-    solution, ws = solve(design, target, sample.treated, options, normalize=True)
-    report = estimate_weighted_ate(sample, ws)
-    return dataclasses.replace(
-        report,
-        solver_info={"iterations": solution.iterations, "grad_norm": solution.grad_norm},
-    )
+    return _ipw_et(_SharedWork(sample, spec, target_raw, n_t, columns), options, clip)
 
 
 def estimate_ebal(
@@ -215,7 +253,7 @@ def estimate_ebal(
     n_t=None,
 ) -> EstimateReport:
     """Per-arm entropy balancing of the H terms onto the target summary."""
-    return _estimate_balanced(solve_ebal, sample, spec, target_raw, options, n_t)
+    return _balanced(solve_ebal, _SharedWork(sample, spec, target_raw, n_t), options)
 
 
 def estimate_extended(
@@ -226,23 +264,18 @@ def estimate_extended(
     n_t=None,
 ) -> EstimateReport:
     """Extended balancing: H per arm to the target, G equalized across arms."""
-    return _estimate_balanced(solve_extended, sample, spec, target_raw, options, n_t)
+    return _balanced(solve_extended, _SharedWork(sample, spec, target_raw, n_t), options)
 
 
-# Method name -> call (sample, spec, target_raw, options, n_t). The calls
-# name each estimate_* function when they run, so a rebound module
-# attribute (a tracing wrapper, say) is what every caller reaches.
+# Method name -> call (shared, options) on one data set's _SharedWork, so
+# every method in a run reads the same design, target and logit fit. The
+# bodies name solve_* and fit_logistic_irls when they run, so a rebound
+# module attribute (a tracing wrapper, say) is what every caller reaches.
 ESTIMATORS = {
-    "ipw": lambda sample, spec, raw, options, n_t: estimate_ipw(sample),
-    "ipw_et": lambda sample, spec, raw, options, n_t: estimate_ipw_et(
-        sample, spec, raw, options=options, n_t=n_t
-    ),
-    "ebal": lambda sample, spec, raw, options, n_t: estimate_ebal(
-        sample, spec, raw, options=options, n_t=n_t
-    ),
-    "extended": lambda sample, spec, raw, options, n_t: estimate_extended(
-        sample, spec, raw, options=options, n_t=n_t
-    ),
+    "ipw": _ipw,
+    "ipw_et": _ipw_et,
+    "ebal": lambda shared, options: _balanced(solve_ebal, shared, options),
+    "extended": lambda shared, options: _balanced(solve_extended, shared, options),
 }
 ESTIMATOR_NAMES = tuple(ESTIMATORS)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .basis import BasisSpec, SourceSample
 from .errors import NonConvergenceError, RankDeficiencyError, SeparationError, ValidationError
-from .estimators import ESTIMATOR_NAMES, ESTIMATORS, check_methods
+from .estimators import ESTIMATOR_NAMES, ESTIMATORS, _SharedWork, check_methods
 from .mathutil import sigmoid
 from .models import (
     BASELINE_MODELS,
@@ -243,12 +243,12 @@ def draw_replicate(config: ScenarioConfig, rep_index: int) -> ReplicateDraw:
 
 def _one_replicate(config: ScenarioConfig, rep_index: int, methods, options):
     draw = draw_replicate(config, rep_index)
-    spec = config.basis()
+    shared = _SharedWork(draw.sample, config.basis(), draw.target_means, draw.n_t)
     estimates = {}
     failures = {}
     for method in methods:
         try:
-            report = ESTIMATORS[method](draw.sample, spec, draw.target_means, options, draw.n_t)
+            report = ESTIMATORS[method](shared, options)
             estimates[method] = report.tau_hat
         except (NonConvergenceError, RankDeficiencyError, SeparationError) as exc:
             failures[method] = type(exc).__name__

@@ -194,13 +194,16 @@ class _GroupDual:
         return float((self.F @ beta).max())
 
     def value(self, beta):
-        s = self.F @ beta
+        # line-search candidates may overflow; the score cap makes them +inf
+        with np.errstate(over="ignore"):
+            s = self.F @ beta
         if float(s.max()) > self.cap:
             return np.inf
         return float((self.base * np.exp(s)).sum() / self.n_s - beta @ self.target)
 
     def value_grad_hess(self, beta, with_hess=True):
-        s = self.F @ beta
+        with np.errstate(over="ignore"):
+            s = self.F @ beta
         if float(s.max()) > self.cap:
             return np.inf, None, None
         w = self.base * np.exp(s)
@@ -306,10 +309,16 @@ def dual_objective(lambda1, lambda0, gamma, design, target, treated, score_cap=3
     return val, grad, hess
 
 
-def _normalize_per_arm(w, treated, n_s):
+def _arms(treated):
+    """Row indices of the treated arm and of the control arm."""
+    return np.flatnonzero(treated), np.flatnonzero(~treated)
+
+
+def _normalize_per_arm(w, arms, n_s):
+    """Scale the weights of each arm (an index array) to sum to n_s."""
     out = w.copy()
-    out[treated] *= n_s / out[treated].sum()
-    out[~treated] *= n_s / out[~treated].sum()
+    for arm in arms:
+        out[arm] *= n_s / out[arm].sum()
     return out
 
 
@@ -351,7 +360,7 @@ def _solve_joint(design, target, treated, options, normalize, method):
         lambda theta, **diag: DualSolution(theta[:kh], theta[kh:2 * kh], theta[2 * kh:], **diag),
     )
     if normalize:
-        w = _normalize_per_arm(w, np.asarray(treated, dtype=bool), design.n)
+        w = _normalize_per_arm(w, _arms(np.asarray(treated, dtype=bool)), design.n)
     return solution, WeightSet(w, method, normalize)
 
 
@@ -417,7 +426,7 @@ def solve_two_step(design, target, treated, options=None, normalize=False, q_wei
         )
         w[arm_mask] = w_arm
     if normalize:
-        w = _normalize_per_arm(w, t, design.n)
+        w = _normalize_per_arm(w, _arms(t), design.n)
     return WeightSet(w, Method.TWO_STEP, normalize)
 
 
@@ -440,5 +449,5 @@ def solve_att(design, treated, options=None, normalize=False):
     w[~t] = w0
     w[t] = design.n / t.sum()
     if normalize:
-        w = _normalize_per_arm(w, t, design.n)
+        w = _normalize_per_arm(w, _arms(t), design.n)
     return WeightSet(w, Method.ATT, normalize)

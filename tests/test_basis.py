@@ -197,3 +197,12 @@ def test_standardize_then_align_commutes_with_raw_solve():
     res_std = gb.balance_residuals(design_raw, target_raw_aligned, sample.treated, ws_std.w)
     res_raw = gb.balance_residuals(design_raw, target_raw_aligned, sample.treated, ws_raw.w)
     np.testing.assert_allclose(res_std.stacked(), res_raw.stacked(), atol=1e-12)
+
+
+def test_rank_wide_matrix_reports_infinite_condition_number():
+    # 5 rows cannot span 6 columns: the sixth singular value is zero
+    m = np.random.default_rng(2).normal(size=(5, 6))
+    report = matrix_rank_report(m)
+    assert report.rank == 5
+    assert report.deficient
+    assert report.condition_number == np.inf

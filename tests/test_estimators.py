@@ -1,9 +1,12 @@
 """Estimator point values, reductions between methods, equivariance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import genbal as gb
+import genbal.estimators as estimators
 from genbal.errors import SeparationError, ValidationError
 from genbal.mathutil import sigmoid
 from genbal.solver import Method, WeightSet
@@ -231,3 +234,52 @@ def test_report_diagnostics_populated():
     assert report.ess_treated > 0
     assert report.weight_min > 0
     assert report.solver_info["grad_norm"] <= 1e-10
+
+
+def _degenerate_fit(monkeypatch, arm, value):
+    real = estimators.fit_logistic_irls
+
+    def fit(sample, columns=None, **kwargs):
+        model = real(sample, columns, **kwargs)
+        p = model.propensities.copy()
+        p[getattr(sample, arm)[0]] = value
+        return dataclasses.replace(model, propensities=p)
+
+    monkeypatch.setattr(estimators, "fit_logistic_irls", fit)
+
+
+@pytest.mark.parametrize("arm, value", [("s1", 0.0), ("s0", 1.0)])
+def test_degenerate_propensity_raises_separation_error(monkeypatch, arm, value):
+    rng = np.random.default_rng(23)
+    sample = _shifted_confounded_sample(rng)
+    _degenerate_fit(monkeypatch, arm, value)
+    with pytest.raises(SeparationError):
+        gb.estimate_ipw(sample)
+    with pytest.raises(SeparationError):
+        gb.estimate_ipw_et(sample, _SPEC, _TARGET)
+
+
+def test_degenerate_propensity_fails_one_method_not_the_grid(monkeypatch):
+    _degenerate_fit(monkeypatch, "s1", 0.0)
+    config = gb.builtin_scenario("P1", "T1", "M1", n=300, replicates=4, seed=24)
+    result = gb.run_grid([config])
+    for method in ("ipw", "ipw_et"):
+        assert result.cell("P1-T1-M1", method).failures == 4
+    for method in ("ebal", "extended"):
+        assert result.cell("P1-T1-M1", method).failures == 0
+
+
+def test_estimator_table_matches_public_functions():
+    config = gb.builtin_scenario("P2", "T1", "M1", n=400, seed=25)
+    draw = gb.draw_replicate(config, 0)
+    sample, spec, raw, n_t = draw.sample, config.basis(), draw.target_means, draw.n_t
+    public = {
+        "ipw": gb.estimate_ipw(sample),
+        "ipw_et": gb.estimate_ipw_et(sample, spec, raw, n_t=n_t),
+        "ebal": gb.estimate_ebal(sample, spec, raw, n_t=n_t),
+        "extended": gb.estimate_extended(sample, spec, raw, n_t=n_t),
+    }
+    shared = estimators._SharedWork(sample, spec, raw, n_t)
+    assert set(estimators.ESTIMATORS) == set(public)
+    for name, estimate in estimators.ESTIMATORS.items():
+        assert estimate(shared, None) == public[name]

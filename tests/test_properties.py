@@ -6,6 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import genbal as gb
+from genbal.errors import GenbalError
+from genbal.estimators import ESTIMATORS, _SharedWork
 
 from helpers import random_instance
 
@@ -52,3 +54,27 @@ def test_balancing_invariants_on_random_feasible_instances(instance, perm_seed):
     assert (no_g.weight_min, no_g.weight_max) == pytest.approx(
         (ebal.weight_min, ebal.weight_max), rel=1e-12
     )
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(instance=instances, shift=st.floats(-100.0, 100.0))
+def test_every_estimate_invariant_to_outcome_location_shift(instance, shift):
+    sample, spec, _, _, raw_target = instance
+    shifted = gb.SourceSample(sample.X, sample.A, sample.Y + shift)
+    base = _SharedWork(sample, spec, raw_target)
+    moved = _SharedWork(shifted, spec, raw_target)
+    for name, estimate in ESTIMATORS.items():
+        try:
+            tau = estimate(base, None).tau_hat
+        except GenbalError as exc:
+            # a failing fit or solve does not read Y, so it fails again
+            with pytest.raises(type(exc)):
+                estimate(moved, None)
+            continue
+        assert estimate(moved, None).tau_hat == pytest.approx(tau, rel=0, abs=1e-10), name

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import genbal as gb
+import genbal.estimators as estimators
 import genbal.simulation as simulation
 from genbal.errors import ValidationError
 from genbal.mathutil import sigmoid
@@ -302,3 +303,19 @@ def test_rank_deficient_replicates_count_as_failures_not_abort():
     assert sum(agg.failures for agg in serial.scenarios[0].methods.values()) > 0
     assert serial.cell("P1-T1-M1", "extended").failures > 0
     assert serial.to_json() == gb.run_grid([config], jobs=2).to_json()
+
+
+def test_run_grid_evaluates_basis_and_fits_logit_once_per_replicate(monkeypatch):
+    calls = {"evaluate_basis": 0, "fit_logistic_irls": 0}
+    for name in calls:
+        real = getattr(estimators, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, name, counting)
+    config = gb.builtin_scenario("P2", "T1", "M1", n=300, replicates=6, seed=26)
+    result = gb.run_grid([config], jobs=1)
+    assert calls == {"evaluate_basis": 6, "fit_logistic_irls": 6}
+    assert all(agg.failures == 0 for agg in result.scenarios[0].methods.values())
