@@ -173,8 +173,8 @@ class BasisSpec:
 
     Invariants: exactly one constant term, on the H side and first among
     the H terms; no term (by name) appears twice. Linear independence of
-    the union is a numerical matter, checked on data by
-    :func:`check_design_rank`.
+    the union is a numerical matter, checked on data by each solve in
+    :mod:`genbal.solver` for the design it solves.
     """
 
     terms: tuple[BasisTerm, ...]
@@ -468,7 +468,11 @@ class RankReport:
 
 
 def check_design_rank(design: DesignMatrices, tol: float = 1e-10) -> RankReport:
-    """Diagnose (near-)collinearity of the union basis on the data."""
+    """Diagnose (near-)collinearity of the union basis on the data.
+
+    A diagnostic only: the solvers check the rank of the design they
+    solve, which for the joint problem splits H by treatment arm.
+    """
     return matrix_rank_report(design.stacked(), tol)
 
 

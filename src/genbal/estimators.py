@@ -171,13 +171,11 @@ def estimate_weighted_ate(sample: SourceSample, weights: WeightSet) -> EstimateR
     )
 
 
-def _propensity_weighted(shared, numerator, clip, method, solver_info) -> EstimateReport:
+def _propensity_weighted(shared, numerator, method, solver_info) -> EstimateReport:
     """Report for weights numerator / p on the treated arm and
     numerator / (1 - p) on the control arm, p the fitted propensity."""
     model = shared.logit
     p = model.propensities
-    if clip is not None:
-        p = np.clip(p, clip[0], clip[1])
     s1, s0 = shared.sample.s1, shared.sample.s0
     w = np.empty(shared.sample.n_s)
     with np.errstate(divide="ignore", over="ignore"):
@@ -194,14 +192,14 @@ def _propensity_weighted(shared, numerator, clip, method, solver_info) -> Estima
     )
 
 
-def _ipw(shared: _SharedWork, options=None, clip=None) -> EstimateReport:
-    return _propensity_weighted(shared, np.ones(shared.sample.n_s), clip, Method.IPW, {})
+def _ipw(shared: _SharedWork, options=None) -> EstimateReport:
+    return _propensity_weighted(shared, np.ones(shared.sample.n_s), Method.IPW, {})
 
 
-def _ipw_et(shared: _SharedWork, options=None, clip=None) -> EstimateReport:
+def _ipw_et(shared: _SharedWork, options=None) -> EstimateReport:
     et_solution, q_set = solve_et_calibration(shared.design, shared.target, options)
     return _propensity_weighted(
-        shared, q_set.w, clip, Method.IPW_ET,
+        shared, q_set.w, Method.IPW_ET,
         {"et_iterations": et_solution.iterations, "et_grad_norm": et_solution.grad_norm},
     )
 
@@ -217,14 +215,13 @@ def _balanced(solve, shared: _SharedWork, options) -> EstimateReport:
     )
 
 
-def estimate_ipw(sample: SourceSample, columns=None, clip=None) -> EstimateReport:
+def estimate_ipw(sample: SourceSample, columns=None) -> EstimateReport:
     """Inverse propensity weighting with a fitted logistic model.
 
     Regressors default to all raw covariates. Does not use any target
-    information, so covariate shift is left unadjusted. ``clip`` optionally
-    bounds the fitted propensities, e.g. (0.01, 0.99); off by default.
+    information, so covariate shift is left unadjusted.
     """
-    return _ipw(_SharedWork(sample, columns=columns), clip=clip)
+    return _ipw(_SharedWork(sample, columns=columns))
 
 
 def estimate_ipw_et(
@@ -233,7 +230,6 @@ def estimate_ipw_et(
     target_raw,
     columns=None,
     options: SolverOptions | None = None,
-    clip=None,
     n_t=None,
 ) -> EstimateReport:
     """Inverse propensity weights multiplied by a shift-calibration tilt.
@@ -242,7 +238,7 @@ def estimate_ipw_et(
     source H means to the target summary; weights are q / p on the
     treated arm and q / (1 - p) on the control arm.
     """
-    return _ipw_et(_SharedWork(sample, spec, target_raw, n_t, columns), options, clip)
+    return _ipw_et(_SharedWork(sample, spec, target_raw, n_t, columns), options)
 
 
 def estimate_ebal(

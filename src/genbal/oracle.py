@@ -24,11 +24,11 @@ from typing import Callable
 import numpy as np
 
 from .basis import BasisSpec
-from .errors import HypothesisViolationError, NonConvergenceError, RankDeficiencyError
+from .errors import HypothesisViolationError, RankDeficiencyError
 from .mathutil import sigmoid
 from .models import CovariateFunction, basis_coefficients, in_h_span
 from .quadrature import QuadratureGrid
-from .solver import SolverOptions, _GroupDual, _newton_minimize
+from .solver import CalibrationSolution, SolverOptions, _GroupDual, _solve_dual
 
 __all__ = [
     "TruthFunctions",
@@ -120,7 +120,8 @@ def solve_limiting_dual(
     on the quadrature grid: the group dual over F = H with base weights
     w_s exp(G'gamma_pi / 2) / (1 + exp(H'lambda_pi + G'gamma_pi)), solved
     by the same damped-Newton loop as every sample-level solve, with no
-    cap on the linear scores.
+    cap on the linear scores. An H term that is degenerate on the grid
+    (identically zero, say) raises RankDeficiencyError.
     """
     _require_decomposition(truth)
     H = spec.evaluate_h(grid.points)
@@ -133,14 +134,10 @@ def solve_limiting_dual(
     base = ws * np.exp(G @ (truth.gamma_pi / 2.0)) / (
         1.0 + np.exp(H @ truth.lambda_pi + G @ truth.gamma_pi)
     )
-    problem = _GroupDual(H, base, H.T @ wt, n_s=1, score_cap=np.inf)
-    res = _newton_minimize(problem, SolverOptions(tol=tol, max_iter=max_iter))
-    if not res.converged:
-        raise NonConvergenceError(
-            f"limiting dual did not converge (residual sup-norm {res.grad_norm:.3g})",
-            residuals=res.grad,
-        )
-    return res.theta
+    opts = SolverOptions(tol=tol, max_iter=max_iter, score_cap=np.inf)
+    problem = _GroupDual(H, base, H.T @ wt, n_s=1, score_cap=opts.score_cap)
+    _, theta = _solve_dual(problem, "H on the quadrature grid", opts, CalibrationSolution)
+    return theta
 
 
 def tilde_r(truth: TruthFunctions, spec: BasisSpec, lambda0_star: np.ndarray) -> Callable:

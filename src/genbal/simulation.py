@@ -17,6 +17,7 @@ import dataclasses
 import json
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -260,13 +261,8 @@ def _one_replicate(config: ScenarioConfig, rep_index: int, methods, options):
     }
 
 
-def _worker(payload):
-    config = ScenarioConfig.from_dict(payload["config"])
-    options = SolverOptions(**payload["options"]) if payload["options"] else None
-    return [
-        _one_replicate(config, rep, payload["methods"], options)
-        for rep in payload["reps"]
-    ]
+def _replicates(config, methods, options, reps):
+    return [_one_replicate(config, rep, methods, options) for rep in reps]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -440,20 +436,10 @@ def run_grid(configs, methods=ESTIMATOR_NAMES, jobs: int = 1, nodes: int = 16,
 def _run_scenario(config, methods, jobs, options):
     reps = list(range(config.replicates))
     if jobs <= 1:
-        return [_one_replicate(config, rep, methods, options) for rep in reps]
-    opts_dict = dataclasses.asdict(options) if options is not None else None
-    chunks = [c for c in np.array_split(reps, jobs * 4) if len(c)]
-    payloads = [
-        {
-            "config": config.to_dict(),
-            "methods": list(methods),
-            "reps": [int(r) for r in chunk],
-            "options": opts_dict,
-        }
-        for chunk in chunks
-    ]
+        return _replicates(config, methods, options, reps)
+    chunks = [c.tolist() for c in np.array_split(reps, jobs * 4) if len(c)]
     rows = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_worker, payloads):
+        for part in pool.map(partial(_replicates, config, methods, options), chunks):
             rows.extend(part)
     return rows

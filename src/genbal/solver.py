@@ -15,12 +15,17 @@ Every problem here, the joint one included, is one form: minimize
 joint dual is that form over the block design F = [H 1{A=1} | H 1{A=0} |
 +-G] with base 1 and target (hbar, hbar, 0); the per-group calibrations
 use their arm's H columns; the population oracle in :mod:`genbal.oracle`
-uses the quadrature grid. One damped-Newton loop solves them all. The
-dual gradient equals the primal balance residuals, which is what the
-convergence test monitors. All solves run in the coordinates of the
-supplied design (standardized by default); weights are invariant to that
-choice and :meth:`DualSolution.unstandardized` maps parameters back to
-raw coordinates.
+uses the quadrature grid. One damped-Newton loop, ``_solve_dual``, solves
+them all. Its first Hessian, taken at zero, is the base-weighted Gram
+matrix of the design, so that matrix's eigenvalues are the rank check:
+the dual has a unique solution only when the design's columns are
+linearly independent, and a design that is collinear within one arm is
+rejected before the first step. The dual gradient equals the primal
+balance residuals, which is what the convergence test monitors. All
+solves run in the coordinates of the supplied design (standardized by
+default); weights are invariant to that choice and
+:meth:`DualSolution.unstandardized` maps parameters back to raw
+coordinates.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import enum
 
 import numpy as np
 
-from .basis import DesignMatrices, TargetSummary, check_design_rank, matrix_rank_report
+from .basis import DesignMatrices, TargetSummary
 from .errors import NonConvergenceError, RankDeficiencyError, ValidationError
 
 __all__ = [
@@ -234,59 +239,6 @@ def _JointDual(design, target, treated, score_cap):
     return _GroupDual(F, np.ones(design.n), target_vals, design.n, score_cap)
 
 
-@dataclasses.dataclass
-class _NewtonResult:
-    theta: np.ndarray
-    value: float
-    grad: np.ndarray
-    grad_norm: float
-    iterations: int
-    converged: bool
-
-
-def _newton_minimize(problem, options: SolverOptions) -> _NewtonResult:
-    """Damped Newton with Armijo backtracking, started at zero.
-
-    Falls back to the gradient direction when the Hessian solve fails or
-    does not yield a descent direction.
-    """
-    theta = np.zeros(problem.dim)
-    val, grad, hess = problem.value_grad_hess(theta)
-    iterations = 0
-    while iterations < options.max_iter:
-        grad_norm = float(np.abs(grad).max())
-        if grad_norm <= options.tol:
-            return _NewtonResult(theta, val, grad, grad_norm, iterations, True)
-        step = None
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is not None and (not np.isfinite(step).all() or grad @ step <= 0):
-            step = None
-        direction = -step if step is not None else -grad
-        slope = float(grad @ direction)
-        # Absolute slack keeps the sufficient-decrease test meaningful when
-        # improvements fall below floating-point resolution of the value.
-        floor = 1e-14 * (1.0 + abs(val))
-        t = 1.0
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            cand = theta + t * direction
-            cval = problem.value(cand)
-            if np.isfinite(cval) and cval <= val + ARMIJO_SLOPE * t * slope + floor:
-                accepted = True
-                break
-            t *= ARMIJO_FACTOR
-        if not accepted:
-            return _NewtonResult(theta, val, grad, grad_norm, iterations, False)
-        theta = cand
-        val, grad, hess = problem.value_grad_hess(theta)
-        iterations += 1
-    grad_norm = float(np.abs(grad).max())
-    return _NewtonResult(theta, val, grad, grad_norm, iterations, grad_norm <= options.tol)
-
-
 def dual_objective(lambda1, lambda0, gamma, design, target, treated, score_cap=30.0):
     """Value, gradient and Hessian of the joint dual at the given parameters.
 
@@ -322,43 +274,86 @@ def _normalize_per_arm(w, arms, n_s):
     return out
 
 
-def _solve_dual(problem, rank, what, opts, make_solution):
-    """Rank check, damped Newton and score-cap test shared by every
-    exponential-tilt solve; returns the solution and the fitted weights."""
-    if rank.deficient:
+def _solve_dual(problem, what, opts, make_solution):
+    """Damped Newton from zero, shared by every exponential-tilt solve;
+    returns ``make_solution(theta, **diagnostics)`` and theta.
+
+    At zero the dual Hessian is the base-weighted Gram matrix of the
+    design, so its eigenvalues are the rank check: eigenvalues at or
+    below ``dim * eps * max`` count as zero, and a deficient design
+    raises RankDeficiencyError before the first step. Each step is the
+    Newton direction, or the gradient direction when the Hessian solve
+    fails or does not descend, shortened by Armijo backtracking. A
+    solution that stalls, runs out of iterations or sits at the score cap
+    raises NonConvergenceError.
+    """
+    theta = np.zeros(problem.dim)
+    val, grad, hess = problem.value_grad_hess(theta)
+    eig = np.linalg.eigvalsh(hess)
+    rank = int((eig > problem.dim * np.finfo(float).eps * eig[-1]).sum())
+    if rank < problem.dim:
+        cond = np.sqrt(eig[-1] / eig[0]) if eig[0] > 0 else np.inf
         raise RankDeficiencyError(
-            f"{what} is rank deficient: rank {rank.rank} < {rank.n_columns} columns "
-            f"(condition number {rank.condition_number:.3g})"
+            f"{what} is rank deficient: rank {rank} < {problem.dim} columns "
+            f"(condition number {cond:.3g})"
         )
-    res = _newton_minimize(problem, opts)
-    at_cap = problem.max_score(res.theta) >= opts.score_cap
+    iterations = 0
+    while True:
+        grad_norm = float(np.abs(grad).max())
+        converged = grad_norm <= opts.tol
+        if converged or iterations >= opts.max_iter:
+            break
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = None
+        if step is not None and (not np.isfinite(step).all() or grad @ step <= 0):
+            step = None
+        direction = -step if step is not None else -grad
+        slope = float(grad @ direction)
+        # Absolute slack keeps the sufficient-decrease test meaningful when
+        # improvements fall below floating-point resolution of the value.
+        floor = 1e-14 * (1.0 + abs(val))
+        t = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            cand = theta + t * direction
+            cval = problem.value(cand)
+            if np.isfinite(cval) and cval <= val + ARMIJO_SLOPE * t * slope + floor:
+                break
+            t *= ARMIJO_FACTOR
+        else:  # no step decreases the objective enough: stalled
+            break
+        theta = cand
+        val, grad, hess = problem.value_grad_hess(theta)
+        iterations += 1
     solution = make_solution(
-        res.theta,
-        iterations=res.iterations,
-        grad_norm=res.grad_norm,
-        converged=res.converged and not at_cap,
-        objective=res.value,
+        theta,
+        iterations=iterations,
+        grad_norm=grad_norm,
+        converged=converged and problem.max_score(theta) < problem.cap,
+        objective=val,
     )
     if not solution.converged:
         raise NonConvergenceError(
-            f"dual solve over {what} stalled after {res.iterations} iterations "
-            f"(residual sup-norm {res.grad_norm:.3g}); the target may be "
+            f"dual solve over {what} stalled after {iterations} iterations "
+            f"(residual sup-norm {grad_norm:.3g}); the target may be "
             "infeasible or overlap too weak",
             solution=solution,
-            residuals=res.grad,
+            residuals=grad,
         )
-    return solution, problem.weights(res.theta)
+    return solution, theta
 
 
 def _solve_joint(design, target, treated, options, normalize, method):
     opts = options or SolverOptions()
-    rank = check_design_rank(design)
     problem = _JointDual(design, target, treated, opts.score_cap)
     kh = design.h.shape[1]
-    solution, w = _solve_dual(
-        problem, rank, "[H|G]", opts,
+    what = "block design [H 1{A=1} | H 1{A=0}" + (" | +-G]" if design.g.shape[1] else "]")
+    solution, theta = _solve_dual(
+        problem, what, opts,
         lambda theta, **diag: DualSolution(theta[:kh], theta[kh:2 * kh], theta[2 * kh:], **diag),
     )
+    w = problem.weights(theta)
     if normalize:
         w = _normalize_per_arm(w, _arms(np.asarray(treated, dtype=bool)), design.n)
     return solution, WeightSet(w, method, normalize)
@@ -376,10 +371,8 @@ def solve_ebal(design, target, treated, options=None, normalize=False):
 
 def _calibrate_group(F, base, target_vals, n_s, opts, what):
     problem = _GroupDual(F, base, target_vals, n_s, opts.score_cap)
-    return _solve_dual(
-        problem, matrix_rank_report(F), what, opts,
-        lambda theta, **diag: CalibrationSolution(theta, **diag),
-    )
+    solution, theta = _solve_dual(problem, what, opts, CalibrationSolution)
+    return solution, problem.weights(theta)
 
 
 def solve_et_calibration(design, target, options=None, normalize=False):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import genbal as gb
-from genbal.errors import HypothesisViolationError, NonConvergenceError
+from genbal.errors import HypothesisViolationError, NonConvergenceError, RankDeficiencyError
 from genbal.mathutil import sigmoid
 from genbal.models import CATE_MODELS, PROPENSITY_MODELS, CovariateFunction, FunctionTerm
 
@@ -57,6 +57,14 @@ def test_limiting_dual_requires_logistic_structure(grid5):
     assert truth.lambda_pi is None
     with pytest.raises(HypothesisViolationError):
         gb.solve_limiting_dual(truth, _SPEC5, gb.gauss_legendre_box(5, -2, 2, 6))
+
+
+def test_limiting_dual_rejects_h_term_degenerate_on_grid():
+    # no Gauss-Legendre node has x1 == 5, so that indicator column is all zero
+    spec = gb.BasisSpec.from_names(["const", "x1", "x2", "x3", "x1=5"], ["x4", "x5"])
+    truth = gb.TruthFunctions.from_scenario(gb.builtin_scenario("P2", "T1", "M1"), spec)
+    with pytest.raises(RankDeficiencyError, match="rank 4 < 5 columns"):
+        gb.solve_limiting_dual(truth, spec, gb.gauss_legendre_box(5, -2.0, 2.0, 6))
 
 
 def test_tilt_integrates_to_one_over_source(grid5, p2_truth):

@@ -219,6 +219,18 @@ def test_grid_deterministic_under_parallelism():
     assert res_serial.to_json() == res_parallel.to_json()
 
 
+def test_grid_deterministic_under_parallelism_with_unsorted_slopes():
+    # a config built in Python keeps its expaffine slopes in the given order
+    # in every worker, so the exp argument sums in the same order as jobs=1
+    term = FunctionTerm("expaffine", 0.4, offset=0.1, slopes=((2, 0.7), (0, 0.3), (1, -0.5)))
+    cate = CovariateFunction(gb.CATE_MODELS["T1"].terms + (term,))
+    config = gb.ScenarioConfig(
+        "unsorted-slopes", gb.PROPENSITY_MODELS["P2"], cate, gb.BASELINE_MODELS["M1"],
+        n=400, replicates=8, seed=5,
+    )
+    assert gb.run_grid([config], jobs=1).to_json() == gb.run_grid([config], jobs=2).to_json()
+
+
 def test_grid_rejects_empty_or_unknown_methods():
     config = gb.builtin_scenario("P1", "T1", "M1", replicates=2)
     with pytest.raises(ValidationError):
@@ -319,3 +331,17 @@ def test_run_grid_evaluates_basis_and_fits_logit_once_per_replicate(monkeypatch)
     result = gb.run_grid([config], jobs=1)
     assert calls == {"evaluate_basis": 6, "fit_logistic_irls": 6}
     assert all(agg.failures == 0 for agg in result.scenarios[0].methods.values())
+
+
+def test_run_grid_runs_no_svd(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    config = gb.builtin_scenario("P1", "T1", "M1", n=300, replicates=4, seed=27)
+    gb.run_grid([config], jobs=1)
+    assert calls == []

@@ -1,5 +1,7 @@
 """Dual solver: objective correctness, special cases, oracle equivalences."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,32 @@ def test_rank_deficient_design_rejected():
     target = gb.align_target_summary(spec, [1.0, 0.0, 0.0], design)
     with pytest.raises(RankDeficiencyError):
         gb.solve_extended(design, target, sample.treated)
+
+
+@pytest.mark.parametrize(
+    "solve, message",
+    [
+        (gb.solve_extended, "block design [H 1{A=1} | H 1{A=0} | +-G] is rank deficient: "
+         "rank 6 < 7 columns"),
+        (gb.solve_ebal, "block design [H 1{A=1} | H 1{A=0}] is rank deficient: "
+         "rank 5 < 6 columns"),
+    ],
+    ids=["extended", "ebal"],
+)
+def test_design_collinear_within_one_arm_rejected(solve, message):
+    # x2 == x1 on the treated rows only: the pooled [H|G] has full rank,
+    # but the treated block of the joint design does not
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(40, 3))
+    A = np.array([1] * 20 + [0] * 20)
+    X[A == 1, 1] = X[A == 1, 0]
+    sample = gb.SourceSample(X, A, np.zeros(40))
+    spec = gb.BasisSpec.from_names(["const", "x1", "x2"], ["x3"])
+    design = gb.evaluate_basis(spec, sample)
+    assert not gb.check_design_rank(design).deficient
+    target = gb.align_target_summary(spec, [1.0, 0.0, 0.0], design)
+    with pytest.raises(RankDeficiencyError, match=re.escape(message)):
+        solve(design, target, sample.treated)
 
 
 def test_ebal_equals_extended_with_empty_g():
