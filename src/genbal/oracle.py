@@ -14,6 +14,10 @@ participation, and outcome-mean functions), this module evaluates:
 All expectations run over a deterministic quadrature grid for the
 covariate law, so results are exact up to quadrature error; the
 companion Monte Carlo harness provides the stochastic cross-check.
+``asymptotic_variance`` makes one pass over the grid: H, G and each truth
+function are evaluated once, the dual's base q becomes r in place, every
+projection onto a span comes from one Gram matrix, and each grid array is
+dropped after its last use.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from .basis import BasisSpec
 from .errors import HypothesisViolationError, RankDeficiencyError
 from .mathutil import sigmoid
-from .models import CovariateFunction, basis_coefficients, in_h_span
+from .models import basis_coefficients, in_h_span
 from .quadrature import QuadratureGrid
 from .solver import CalibrationSolution, SolverOptions, _GroupDual, _solve_dual
 
@@ -106,6 +110,35 @@ def _require_decomposition(truth: TruthFunctions):
         )
 
 
+def _tilt_base(truth, H, G):
+    """q = exp(G'gamma_pi / 2) / (1 + exp(H'lambda_pi + G'gamma_pi)) per row."""
+    den = 1.0 + np.exp(H @ truth.lambda_pi + G @ truth.gamma_pi)
+    return np.exp(G @ (truth.gamma_pi / 2.0)) / den
+
+
+def _grid_setup(truth, spec, grid):
+    """H, G, participation rho and the source law ws = w rho / E[rho] on the grid."""
+    H = spec.evaluate_h(grid.points)
+    G = spec.evaluate_g(grid.points)
+    rho = truth.participation(grid.points)
+    ws = grid.weights * rho
+    ws /= ws.sum()
+    return H, G, rho, ws
+
+
+def _limiting_tilt(truth, H, G, rho, ws, grid, tol=1e-8, max_iter=100):
+    """lambda0* and r = q exp(H'lambda0*) on the grid, from the dual over F = H
+    with base ws * q and target E[H | target]; q becomes r in place."""
+    _require_decomposition(truth)
+    q = _tilt_base(truth, H, G)
+    opts = SolverOptions(tol=tol, max_iter=max_iter, score_cap=np.inf)
+    wt = grid.weights * (1.0 - rho)
+    problem = _GroupDual(H, ws * q, H.T @ wt / wt.sum(), n_s=1, score_cap=opts.score_cap)
+    _, lam0 = _solve_dual(problem, "H on the quadrature grid", opts, CalibrationSolution)
+    q *= np.exp(H @ lam0)
+    return lam0, q
+
+
 def solve_limiting_dual(
     truth: TruthFunctions,
     spec: BasisSpec,
@@ -123,21 +156,7 @@ def solve_limiting_dual(
     cap on the linear scores. An H term that is degenerate on the grid
     (identically zero, say) raises RankDeficiencyError.
     """
-    _require_decomposition(truth)
-    H = spec.evaluate_h(grid.points)
-    G = spec.evaluate_g(grid.points)
-    rho = truth.participation(grid.points)
-    ws = grid.weights * rho
-    ws = ws / ws.sum()
-    wt = grid.weights * (1.0 - rho)
-    wt = wt / wt.sum()
-    base = ws * np.exp(G @ (truth.gamma_pi / 2.0)) / (
-        1.0 + np.exp(H @ truth.lambda_pi + G @ truth.gamma_pi)
-    )
-    opts = SolverOptions(tol=tol, max_iter=max_iter, score_cap=np.inf)
-    problem = _GroupDual(H, base, H.T @ wt, n_s=1, score_cap=opts.score_cap)
-    _, theta = _solve_dual(problem, "H on the quadrature grid", opts, CalibrationSolution)
-    return theta
+    return _limiting_tilt(truth, *_grid_setup(truth, spec, grid), grid, tol, max_iter)[0]
 
 
 def tilde_r(truth: TruthFunctions, spec: BasisSpec, lambda0_star: np.ndarray) -> Callable:
@@ -146,10 +165,7 @@ def tilde_r(truth: TruthFunctions, spec: BasisSpec, lambda0_star: np.ndarray) ->
 
     def r(X):
         H = spec.evaluate_h(X)
-        G = spec.evaluate_g(X)
-        num = np.exp(H @ lambda0_star + G @ (truth.gamma_pi / 2.0))
-        den = 1.0 + np.exp(H @ truth.lambda_pi + G @ truth.gamma_pi)
-        return num / den
+        return _tilt_base(truth, H, spec.evaluate_g(X)) * np.exp(H @ lambda0_star)
 
     return r
 
@@ -165,21 +181,32 @@ class ProjectedFunction:
         return self.basis_eval(X) @ self.coefficients
 
 
-def _source_tilt_measure(truth, grid, r_values):
-    """Weights for E[r(X) f(X) | source] on the grid."""
-    ws = grid.weights * truth.participation(grid.points)
-    ws = ws / ws.sum()
-    return ws * r_values
-
-
-def _project(basis_values, basis_eval, f_values, measure):
-    gram = basis_values.T @ (basis_values * measure[:, None])
-    rhs = basis_values.T @ (measure * f_values)
+def _project(B, measure, columns, span, names):
+    """Measure-weighted least-squares coefficients of each column (vector
+    or matrix) on span{B}, from one Gram matrix and one multi-column solve;
+    a singular Gram raises RankDeficiencyError naming its null-space terms."""
+    Bm = B * measure[:, None]
+    gram = B.T @ Bm
+    rhs = np.column_stack([Bm.T @ c for c in columns])
     try:
-        coef = np.linalg.solve(gram, rhs)
+        return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
-        raise RankDeficiencyError("singular Gram matrix in projection") from None
-    return ProjectedFunction(coef, basis_eval)
+        null = np.abs(np.linalg.eigh(gram)[1][:, 0])
+        terms = ", ".join(n for n, v in zip(names, null) if v > 1e-6 * null.max())
+        raise RankDeficiencyError(
+            f"singular Gram matrix in projection onto {span}: {terms} degenerate "
+            "under the tilted source law on the quadrature grid"
+        ) from None
+
+
+_G_PERP = "G⊥ (G residualised on H)"
+
+
+def _tilted_measure(truth, spec, grid, r):
+    """H, G and the r-tilted source law ws * r (r=None: the limiting tilt)."""
+    H, G, rho, ws = _grid_setup(truth, spec, grid)
+    tilt = _limiting_tilt(truth, H, G, rho, ws, grid)[1] if r is None else r(grid.points)
+    return H, G, ws * tilt
 
 
 def project_h(
@@ -190,27 +217,9 @@ def project_h(
     r: Callable | None = None,
 ) -> ProjectedFunction:
     """Project f onto span{H} under the r-tilted source covariate law."""
-    if r is None:
-        r = tilde_r(truth, spec, solve_limiting_dual(truth, spec, grid))
-    rv = r(grid.points)
-    measure = _source_tilt_measure(truth, grid, rv)
-    H = spec.evaluate_h(grid.points)
-    return _project(H, spec.evaluate_h, np.asarray(f(grid.points), dtype=float), measure)
-
-
-def _g_perp_eval(spec: BasisSpec, truth, grid, r) -> Callable:
-    """Evaluator for G(x) - proj_H(G(x)), one column per G term."""
-    rv = r(grid.points)
-    measure = _source_tilt_measure(truth, grid, rv)
-    H = spec.evaluate_h(grid.points)
-    G = spec.evaluate_g(grid.points)
-    gram = H.T @ (H * measure[:, None])
-    coefs = np.linalg.solve(gram, H.T @ (G * measure[:, None]))  # (K_h+1, K_g)
-
-    def ev(X):
-        return spec.evaluate_g(X) - spec.evaluate_h(X) @ coefs
-
-    return ev
+    H, _, measure = _tilted_measure(truth, spec, grid, r)
+    coef = _project(H, measure, (np.asarray(f(grid.points), dtype=float),), "H", spec.h_names)
+    return ProjectedFunction(coef[:, 0], spec.evaluate_h)
 
 
 def project_g_perp(
@@ -221,15 +230,11 @@ def project_g_perp(
     r: Callable | None = None,
 ) -> ProjectedFunction:
     """Project f onto the H-orthogonalized G span under the tilted law."""
-    if r is None:
-        r = tilde_r(truth, spec, solve_limiting_dual(truth, spec, grid))
-    if not spec.g_terms:
-        return ProjectedFunction(np.empty(0), lambda X: np.empty((np.atleast_2d(X).shape[0], 0)))
-    gperp = _g_perp_eval(spec, truth, grid, r)
-    rv = r(grid.points)
-    measure = _source_tilt_measure(truth, grid, rv)
-    B = gperp(grid.points)
-    return _project(B, gperp, np.asarray(f(grid.points), dtype=float), measure)
+    H, G, measure = _tilted_measure(truth, spec, grid, r)
+    C = _project(H, measure, (G,), "H", spec.h_names)
+    G -= H @ C
+    coef = _project(G, measure, (np.asarray(f(grid.points), dtype=float),), _G_PERP, spec.g_names)
+    return ProjectedFunction(coef[:, 0], lambda X: spec.evaluate_g(X) - spec.evaluate_h(X) @ C)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -282,38 +287,31 @@ def asymptotic_variance(
     (recorded, not enforced); automated detectors for the special cases
     are reported alongside.
     """
-    _require_decomposition(truth)
-    lam0 = solve_limiting_dual(truth, spec, grid)
-    r = tilde_r(truth, spec, lam0)
-    pts = grid.points
-    w = grid.weights
-    rho = truth.participation(pts)
-    pi = truth.propensity(pts)
-    rv = r(pts)
+    pts, w = grid.points, grid.weights
+    H, G, rho, measure = _grid_setup(truth, spec, grid)
+    lam0, r = _limiting_tilt(truth, H, G, rho, measure, grid)
+    measure *= r
     mu1 = truth.mu1(pts)
     mu0 = truth.mu0(pts)
     tau = mu1 - mu0
-    mbar = 0.5 * (mu1 + mu0)
-    s21 = truth.sigma2_1(pts)
-    s20 = truth.sigma2_0(pts)
+    # the H projections of tau, mu1, mu0 and of each G column share a Gram
+    coef = _project(H, measure, (tau, mu1, mu0, G), "H", spec.h_names)
+    G -= H @ coef[:, 3:]
+    pi_gp_m = G @ _project(G, measure, (0.5 * (mu1 + mu0),), _G_PERP, spec.g_names)[:, 0]
+    res1 = mu1 - H @ coef[:, 1] - pi_gp_m
+    res0 = mu0 - H @ coef[:, 2] - pi_gp_m
+    pi_h_tau = H @ coef[:, 0]
+    # drop what the rest no longer reads: the call's peak memory stays the dual's
+    del H, G, measure, mu1, mu0, pi_gp_m
 
     rho_bar = float(w @ rho)
     tau_star = float(w @ ((1.0 - rho) * tau)) / float(w @ (1.0 - rho))
-
-    pi_h_tau = project_h(truth.tau, truth, spec, grid, r)(pts)
-    pi_h_mu1 = project_h(truth.mu1, truth, spec, grid, r)(pts)
-    pi_h_mu0 = project_h(truth.mu0, truth, spec, grid, r)(pts)
-    pi_gp_m = project_g_perp(truth.m, truth, spec, grid, r)(pts)
-
-    noise = s21 / pi + s20 / (1.0 - pi)
-    v1 = float(w @ (rho * rv ** 2 * noise)) / rho_bar ** 2
+    pi = truth.propensity(pts)
+    noise = truth.sigma2_1(pts) / pi + truth.sigma2_0(pts) / (1.0 - pi)
+    tilt2 = rho * r ** 2
+    v1 = float(w @ (tilt2 * noise)) / rho_bar ** 2
+    v3 = float(w @ (tilt2 * (res1 ** 2 / pi + res0 ** 2 / (1.0 - pi)))) / rho_bar ** 2
     v2 = float(w @ ((1.0 - rho) * (pi_h_tau - tau_star) ** 2)) / (1.0 - rho_bar) ** 2
-    res1 = mu1 - pi_h_mu1 - pi_gp_m
-    res0 = mu0 - pi_h_mu0 - pi_gp_m
-    v3 = float(
-        w @ (rho * rv ** 2 * (res1 ** 2 / pi + res0 ** 2 / (1.0 - pi)))
-    ) / rho_bar ** 2
-
     bound = (
         float(w @ ((1.0 - rho) ** 2 / rho * noise))
         + float(w @ ((1.0 - rho) * (tau - tau_star) ** 2))
@@ -322,7 +320,7 @@ def asymptotic_variance(
     total = v1 + v2 + v3
     return AsymptoticReport(
         lambda0_star=lam0,
-        r_tilde=r,
+        r_tilde=tilde_r(truth, spec, lam0),
         v1=v1,
         v2=v2,
         v3=v3,

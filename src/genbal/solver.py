@@ -198,21 +198,30 @@ class _GroupDual:
     def max_score(self, beta):
         return float((self.F @ beta).max())
 
-    def value(self, beta):
+    def tilt(self, beta):
+        """The tilted weights base * exp(F beta), or None past the score cap."""
         # line-search candidates may overflow; the score cap makes them +inf
         with np.errstate(over="ignore"):
             s = self.F @ beta
         if float(s.max()) > self.cap:
-            return np.inf
-        return float((self.base * np.exp(s)).sum() / self.n_s - beta @ self.target)
+            return None
+        return self.base * np.exp(s)
+
+    def value_at(self, beta, w):
+        """Objective at beta, given w = tilt(beta)."""
+        return np.inf if w is None else float(w.sum() / self.n_s - beta @ self.target)
+
+    def value(self, beta):
+        return self.value_at(beta, self.tilt(beta))
 
     def value_grad_hess(self, beta, with_hess=True):
-        with np.errstate(over="ignore"):
-            s = self.F @ beta
-        if float(s.max()) > self.cap:
+        return self.derivatives(beta, self.tilt(beta), with_hess)
+
+    def derivatives(self, beta, w, with_hess=True):
+        """Value, gradient and Hessian at beta, given w = tilt(beta)."""
+        if w is None:
             return np.inf, None, None
-        w = self.base * np.exp(s)
-        val = float(w.sum() / self.n_s - beta @ self.target)
+        val = self.value_at(beta, w)
         grad = self.F.T @ w / self.n_s - self.target
         if not with_hess:
             return val, grad, None
@@ -317,14 +326,16 @@ def _solve_dual(problem, what, opts, make_solution):
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
             cand = theta + t * direction
-            cval = problem.value(cand)
+            w = problem.tilt(cand)
+            cval = problem.value_at(cand, w)
             if np.isfinite(cval) and cval <= val + ARMIJO_SLOPE * t * slope + floor:
                 break
             t *= ARMIJO_FACTOR
         else:  # no step decreases the objective enough: stalled
             break
+        # the accepted candidate's tilt is reused, not recomputed
         theta = cand
-        val, grad, hess = problem.value_grad_hess(theta)
+        val, grad, hess = problem.derivatives(theta, w)
         iterations += 1
     solution = make_solution(
         theta,

@@ -1,5 +1,8 @@
 """Theory oracle: limiting tilt, projections, variance decomposition."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -257,3 +260,136 @@ def test_limiting_dual_iteration_cap_raises_with_residuals(p2_truth):
     residuals = np.asarray(err.value.residuals)
     assert residuals.shape == (len(_SPEC5.h_terms),)
     assert np.abs(residuals).max() > 1e-8
+
+
+def test_projection_failure_names_the_g_perp_span_and_the_term():
+    # no Gauss-Legendre node has x4 == 5, so that G column is all zero
+    spec = gb.BasisSpec.from_names(["const", "x1", "x2", "x3"], ["x4", "x5", "x4=5"])
+    truth = gb.TruthFunctions.from_scenario(gb.builtin_scenario("P2", "T1", "M1"), spec)
+    with pytest.raises(RankDeficiencyError, match=r"G⊥.*x4=5"):
+        gb.asymptotic_variance(truth, spec, gb.gauss_legendre_box(5, -2.0, 2.0, 6))
+
+
+_REPORT_KEYS = ("v1", "v2", "v3", "total", "efficiency_bound", "gap", "tau_star", "rho_marginal")
+
+# AsymptoticReport.to_dict() on the 8-node grid, computed by the
+# projection-by-projection implementation this module replaced:
+# (lambda0_star, values in _REPORT_KEYS order) per cell
+_PINNED_REPORTS = {
+    "P1-T1-M1": (
+        [0.7975980309076446, -0.39503423083021905, 0.04440811754908466, 0.2356311438134021],
+        [13.417796863033187, 4.015352774563044, 2.5965484866724818e-27, 17.43314963759623,
+         18.96492768165414, -1.5317780440579085, -0.13780522263384987, 0.5],
+    ),
+    "P1-T1-M2": (
+        [0.7975980309076446, -0.39503423083021905, 0.04440811754908466, 0.2356311438134021],
+        [13.417796863033187, 4.015352774563045, 2.9913034388921145, 20.424453076488344,
+         18.96492768165414, 1.4595253948342055, -0.1378052226338498, 0.5],
+    ),
+    "P1-T2-M1": (
+        [0.7975980309076446, -0.39503423083021905, 0.04440811754908466, 0.2356311438134021],
+        [13.417796863033187, 4.884254557057227, 1.4175426282171466, 19.71959404830756,
+         20.895591069585354, -1.1759970212777944, -1.1556264835945183, 0.5],
+    ),
+    "P1-T2-M2": (
+        [0.7975980309076446, -0.39503423083021905, 0.04440811754908466, 0.2356311438134021],
+        [13.417796863033187, 4.884254557057226, 4.226397283047989, 22.5284487031384,
+         20.895591069585354, 1.6328576335530478, -1.1556264835945183, 0.5],
+    ),
+    "P2-T1-M1": (
+        [0.7957997051865938, -0.395106341590886, -0.12483798246430498, 0.12078398545425392],
+        [13.279914120708995, 4.015352774562973, 7.845821100486874e-28, 17.29526689527197,
+         18.605918218609425, -1.3106513233374564, -0.13780522263384987, 0.5],
+    ),
+    "P2-T1-M2": (
+        [0.7957997051865938, -0.395106341590886, -0.12483798246430498, 0.12078398545425392],
+        [13.279914120708995, 4.015352774562973, 2.9792495860314867, 20.274516481303454,
+         18.605918218609425, 1.6685982626940294, -0.1378052226338498, 0.5],
+    ),
+    "P2-T2-M1": (
+        [0.7957997051865938, -0.395106341590886, -0.12483798246430498, 0.12078398545425392],
+        [13.279914120708995, 4.8472672598208915, 1.4012057057907388, 19.528387086320627,
+         20.536581606540643, -1.008194520220016, -1.1556264835945183, 0.5],
+    ),
+    "P2-T2-M2": (
+        [0.7957997051865938, -0.395106341590886, -0.12483798246430498, 0.12078398545425392],
+        [13.279914120708995, 4.8472672598208915, 4.222912783784844, 22.350094164314733,
+         20.536581606540643, 1.8135125577740894, -1.1556264835945183, 0.5],
+    ),
+    # H = [const, x1, x2, x3] with no G terms, on the P1-T1-M1 truth
+    "P1-T1-M1 H-only": (
+        [0.7975980309076446, -0.39503423083021905, 0.04440811754908466, 0.2356311438134021],
+        [13.417796863033187, 4.015352774563044, 7.287547121462314, 24.720696759058544,
+         18.96492768165414, 5.7557690774044055, -0.13780522263384987, 0.5],
+    ),
+}
+
+
+def _assert_pinned(report, cell):
+    lam0, values = _PINNED_REPORTS[cell]
+    d = report.to_dict()
+    got = np.array(d["lambda0_star"] + [d[k] for k in _REPORT_KEYS])
+    want = np.array(lam0 + values)
+    # absolute floor: v3 is ~1e-27 on M1 cells, pure round-off
+    np.testing.assert_array_less(np.abs(got - want), 1e-12 * np.maximum(1.0, np.abs(want)))
+    assert d["conditions"] == {
+        "asserted": [],
+        "logit_in_span": True,
+        "tau_in_span_h": "T1" in cell,
+        "mu_in_span_h": False,
+        "condition_b": "unverified",
+    }
+
+
+@pytest.mark.parametrize("cell", [c for c in _PINNED_REPORTS if "H-only" not in c])
+def test_report_matches_pinned_values(cell):
+    config = gb.builtin_scenario(*cell.split("-"))
+    grid = gb.gauss_legendre_box(config.p, config.low, config.high, 8)
+    report = gb.asymptotic_variance(gb.TruthFunctions.from_scenario(config), config.basis(), grid)
+    _assert_pinned(report, cell)
+
+
+def test_h_only_spec_report_matches_pinned_values():
+    spec = gb.BasisSpec.from_names(["const", "x1", "x2", "x3"])
+    truth = gb.TruthFunctions.from_scenario(gb.builtin_scenario("P1", "T1", "M1"), spec)
+    grid = gb.gauss_legendre_box(5, -2.0, 2.0, 8)
+    _assert_pinned(gb.asymptotic_variance(truth, spec, grid), "P1-T1-M1 H-only")
+    # with no G terms the G-perp projection is empty and evaluates to zero
+    proj = gb.project_g_perp(truth.m, truth, spec, grid)
+    assert proj.coefficients.shape == (0,)
+    np.testing.assert_array_equal(proj(grid.points), 0.0)
+
+
+def _counting(fn, calls, name):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_variance_evaluates_each_grid_function_once(monkeypatch, grid5, p2_truth):
+    calls = dict.fromkeys(
+        ["evaluate_h", "evaluate_g", "participation", "propensity", "mu1", "mu0"], 0
+    )
+    for name in ("evaluate_h", "evaluate_g"):
+        counted = _counting(getattr(gb.BasisSpec, name), calls, name)
+        monkeypatch.setattr(gb.BasisSpec, name, counted)
+    truths = ("participation", "propensity", "mu1", "mu0")
+    truth = dataclasses.replace(
+        p2_truth, **{n: _counting(getattr(p2_truth, n), calls, n) for n in truths}
+    )
+    gb.asymptotic_variance(truth, _SPEC5, grid5)
+    assert calls == dict.fromkeys(calls, 1)
+
+
+def test_variance_peak_memory_stays_within_24_grid_vectors(p2_truth):
+    grid = gb.gauss_legendre_box(5, -2.0, 2.0, 8)
+    gb.asymptotic_variance(p2_truth, _SPEC5, grid)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        gb.asymptotic_variance(p2_truth, _SPEC5, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * grid.size * 8

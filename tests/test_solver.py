@@ -7,7 +7,7 @@ import pytest
 
 import genbal as gb
 from genbal.errors import NonConvergenceError, RankDeficiencyError
-from genbal.solver import _JointDual
+from genbal.solver import _GroupDual, _JointDual
 
 from helpers import (
     finite_difference_gradient,
@@ -331,3 +331,22 @@ def test_normalization_rescales_arm_sums():
 def test_weightset_rejects_nonpositive():
     with pytest.raises(Exception):
         gb.WeightSet(np.array([1.0, 0.0]), gb.Method.EXTENDED, False)
+
+
+def test_newton_step_reuses_the_accepted_candidates_tilt(monkeypatch):
+    # this instance takes a full Newton step every iteration, so the loop
+    # tilts once at zero and once per accepted candidate, never again to
+    # get the gradient and Hessian there
+    rng = np.random.default_rng(1)
+    sample, spec, design, target, _ = random_instance(rng, n_s=200, k_h=2, k_g=1)
+    calls = []
+    real = _GroupDual.tilt
+
+    def counted(self, beta):
+        calls.append(1)
+        return real(self, beta)
+
+    monkeypatch.setattr(_GroupDual, "tilt", counted)
+    solution, _ = gb.solve_extended(design, target, sample.treated)
+    assert solution.iterations == 6
+    assert len(calls) == solution.iterations + 1
