@@ -2,9 +2,17 @@
 
 Rectangular data travels as CSV, summaries and configs as JSON. Loaders
 fail with typed errors naming the offending cell; nothing is imputed or
-silently dropped. Writers build the full output in memory first and
-write it to a temporary file beside the destination, which then replaces
-the destination in one step, so no partial files are left behind.
+silently dropped. The source CSV is read in one column-wise pass: blank
+rows are skipped (they still count in line numbers), the other rows are
+transposed, each numeric column is converted with one float() map, and
+row lengths, finiteness and 0/1 treatment are checked on whole columns.
+Only when a check fails are the rows walked in file order, so the error
+names the first bad cell: the earliest line, and within a line the
+treatment, the outcome, then the covariates in schema order.
+
+Writers build the full output in memory first and write it to a
+temporary file beside the destination, which then replaces the
+destination in one step, so no partial files are left behind.
 """
 
 from __future__ import annotations
@@ -74,6 +82,77 @@ def _parse_float(text: str, line: int, column: str) -> float:
     return value
 
 
+def _float_column(cells):
+    """The cells as a float array, or None if one is not a finite number."""
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        # float() strips less than str.strip() does (not \x1c-\x1f), so
+        # retry on exactly what _parse_float converts before giving up
+        try:
+            values = np.fromiter(map(float, map(str.strip, cells)), float, len(cells))
+        except ValueError:
+            return None
+    return values if np.isfinite(values).all() else None
+
+
+def _parse_columns(data, width, idx, schema: ColumnSchema):
+    """Treatment, outcome, covariate columns and category codes from the
+    non-blank data rows in one column-wise pass, or None if a check fails."""
+    if any(len(row) != width for row in data):
+        return None
+    cells = list(zip(*data))
+    a = _float_column(cells[idx[schema.treatment]])
+    if a is None or not ((a == 0.0) | (a == 1.0)).all():
+        return None
+    y = _float_column(cells[idx[schema.outcome]])
+    if y is None:
+        return None
+    codes = {}
+    columns = []
+    for c in schema.covariates:
+        if c in schema.categorical:
+            labels = [cell.strip() for cell in cells[idx[c]]]
+            if "" in labels:
+                return None
+            mapping = {label: float(code) for code, label in enumerate(sorted(set(labels)))}
+            codes[c] = mapping
+            column = [mapping[v] for v in labels]
+        else:
+            column = _float_column(cells[idx[c]])
+            if column is None:
+                return None
+        columns.append(column)
+    return a, y, columns, codes
+
+
+def _raise_first_bad_cell(rows, idx, schema: ColumnSchema):
+    """Walk the data rows in file order and raise the first bad cell's
+    error. Within a row: length, treatment, outcome, then covariates in
+    schema order."""
+    width = len(rows[0])
+    for line, row in enumerate(rows[1:], start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) != width:
+            raise ValidationError(f"line {line} has {len(row)} cells, header has {width}")
+        a = _parse_float(row[idx[schema.treatment]], line, schema.treatment)
+        if a not in (0.0, 1.0):
+            raise ValidationError(
+                f"non-binary treatment value {a:g} at line {line}, "
+                f"column {schema.treatment!r}",
+                code="NON_BINARY_TREATMENT",
+            )
+        _parse_float(row[idx[schema.outcome]], line, schema.outcome)
+        for c in schema.covariates:
+            if c not in schema.categorical:
+                _parse_float(row[idx[c]], line, c)
+            elif not row[idx[c]].strip():
+                raise ValidationError(
+                    f"empty cell at line {line}, column {c!r}", code="NON_FINITE_CELL"
+                )
+
+
 def load_source_csv(path, schema: ColumnSchema):
     """Read a source sample; returns (SourceSample, metadata).
 
@@ -93,50 +172,15 @@ def load_source_csv(path, schema: ColumnSchema):
             code="MISSING_COLUMN",
         )
     idx = {c: header.index(c) for c in needed}
-    raw_cov: dict[str, list] = {c: [] for c in schema.covariates}
-    treatment: list[int] = []
-    outcome: list[float] = []
-    for line, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ValidationError(
-                f"line {line} has {len(row)} cells, header has {len(header)}"
-            )
-        a = _parse_float(row[idx[schema.treatment]], line, schema.treatment)
-        if a not in (0.0, 1.0):
-            raise ValidationError(
-                f"non-binary treatment value {a:g} at line {line}, "
-                f"column {schema.treatment!r}",
-                code="NON_BINARY_TREATMENT",
-            )
-        treatment.append(int(a))
-        outcome.append(_parse_float(row[idx[schema.outcome]], line, schema.outcome))
-        for c in schema.covariates:
-            cell = row[idx[c]]
-            if c in schema.categorical:
-                label = cell.strip()
-                if not label:
-                    raise ValidationError(
-                        f"empty cell at line {line}, column {c!r}", code="NON_FINITE_CELL"
-                    )
-                raw_cov[c].append(label)
-            else:
-                raw_cov[c].append(_parse_float(cell, line, c))
-    if not treatment:
+    data = [row for row in rows[1:] if "".join(row).strip()]
+    if not data:
         raise ValidationError(f"{path}: no data rows")
-    codes = {}
-    columns = []
-    for c in schema.covariates:
-        if c in schema.categorical:
-            labels = sorted(set(raw_cov[c]))
-            mapping = {label: float(code) for code, label in enumerate(labels)}
-            codes[c] = mapping
-            columns.append([mapping[v] for v in raw_cov[c]])
-        else:
-            columns.append(raw_cov[c])
+    parsed = _parse_columns(data, len(header), idx, schema)
+    if parsed is None:
+        _raise_first_bad_cell(rows, idx, schema)
+    a, y, columns, codes = parsed
     X = np.array(columns, dtype=float).T
-    sample = SourceSample(X, np.array(treatment), np.array(outcome))
+    sample = SourceSample(X, a, y)
     return sample, {"columns": list(schema.covariates), "category_codes": codes}
 
 
@@ -158,10 +202,8 @@ def write_source_csv(path, sample: SourceSample, schema: ColumnSchema) -> None:
     if len(schema.covariates) != sample.p:
         raise ValidationError("schema covariate count does not match the sample")
     lines = [",".join((schema.treatment, schema.outcome, *schema.covariates))]
-    for i in range(sample.n_s):
-        cells = [str(int(sample.A[i])), repr(float(sample.Y[i]))]
-        cells += [repr(float(v)) for v in sample.X[i]]
-        lines.append(",".join(cells))
+    for a, y, x in zip(sample.A.tolist(), sample.Y.tolist(), sample.X.tolist()):
+        lines.append(",".join([str(a), repr(y), *map(repr, x)]))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -251,11 +293,12 @@ def load_scenarios_json(path) -> list[ScenarioConfig]:
 
 def write_weights_csv(path, sample: SourceSample, weights) -> None:
     """Emit per-row weights with arm and provenance columns."""
+    if weights.w.shape[0] != sample.n_s:
+        raise ValidationError("weights misaligned with the sample")
+    method = weights.method.value
     lines = ["row,treatment,weight,method"]
-    for i in range(sample.n_s):
-        lines.append(
-            f"{i},{int(sample.A[i])},{repr(float(weights.w[i]))},{weights.method.value}"
-        )
+    for i, (a, w) in enumerate(zip(sample.A.tolist(), weights.w.tolist())):
+        lines.append(f"{i},{a},{w!r},{method}")
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -16,13 +16,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
 
 from .basis import BasisSpec, SourceSample
-from .errors import NonConvergenceError, RankDeficiencyError, SeparationError, ValidationError
+from .errors import GenbalError, ValidationError
 from .estimators import ESTIMATOR_NAMES, ESTIMATORS, _SharedWork, check_methods
 from .mathutil import sigmoid
 from .models import (
@@ -251,7 +250,7 @@ def _one_replicate(config: ScenarioConfig, rep_index: int, methods, options):
         try:
             report = ESTIMATORS[method](shared, options)
             estimates[method] = report.tau_hat
-        except (NonConvergenceError, RankDeficiencyError, SeparationError) as exc:
+        except GenbalError as exc:
             failures[method] = type(exc).__name__
     return {
         "n_s": draw.sample.n_s,
@@ -392,8 +391,10 @@ def run_grid(configs, methods=ESTIMATOR_NAMES, jobs: int = 1, nodes: int = 16,
              options: SolverOptions | None = None) -> GridResult:
     """Run every scenario x method cell and aggregate estimation errors.
 
-    Failed solves (non-convergence, a rank-deficient design, separated
-    treatment) are excluded from the aggregates and counted. The true
+    A method that raises a GenbalError on a replicate (non-convergence, a
+    rank-deficient design, separated treatment, rejected weights) fails
+    on that replicate only: it is excluded from the aggregates and
+    counted. A config that cannot be drawn still fails the grid. The true
     target ATE is computed once per distinct (participation, CATE, p,
     low, high) among the configs. Results are deterministic for a given
     list of configs, independent of ``jobs``.
@@ -437,6 +438,9 @@ def _run_scenario(config, methods, jobs, options):
     reps = list(range(config.replicates))
     if jobs <= 1:
         return _replicates(config, methods, options, reps)
+    # imported here so that importing genbal does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunks = [c.tolist() for c in np.array_split(reps, jobs * 4) if len(c)]
     rows = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -78,3 +78,30 @@ def test_every_estimate_invariant_to_outcome_location_shift(instance, shift):
                 estimate(moved, None)
             continue
         assert estimate(moved, None).tau_hat == pytest.approx(tau, rel=0, abs=1e-10), name
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(instance=instances, theta_seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 0.5))
+def test_dual_gradient_is_balance_residual_of_tilted_weights(instance, theta_seed, scale):
+    sample, _, design, target, _ = instance
+    k_h, k_g = design.h.shape[1], design.g.shape[1]
+    rng = np.random.default_rng(theta_seed)
+    lambda1, lambda0 = scale * rng.standard_normal((2, k_h))
+    gamma = scale * rng.standard_normal(k_g)
+    _, grad, _ = gb.dual_objective(lambda1, lambda0, gamma, design, target, sample.treated)
+
+    t = sample.treated
+    w = np.where(
+        t,
+        np.exp(design.h @ lambda1 + design.g @ gamma),
+        np.exp(design.h @ lambda0 - design.g @ gamma),
+    )
+    residuals = gb.balance_residuals(design, target, t, w).stacked()
+    scale_of_terms = max(1.0, float(w.mean() * np.abs(np.hstack([design.h, design.g])).max()))
+    np.testing.assert_allclose(grad, residuals, rtol=0, atol=1e-13 * scale_of_terms)

@@ -65,3 +65,16 @@ def test_import_genbal_leaves_scipy_unloaded():
         env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gb.__file__))},
     )
     assert out.stdout.strip() == "False"
+
+
+def test_import_genbal_leaves_process_pool_unloaded():
+    # only run_grid(jobs > 1) starts a pool, and it imports one there
+    code = (
+        "import sys, genbal, genbal.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gb.__file__))},
+    )
+    assert out.stdout.strip() == "[]"

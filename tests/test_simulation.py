@@ -345,3 +345,40 @@ def test_run_grid_runs_no_svd(monkeypatch):
     config = gb.builtin_scenario("P1", "T1", "M1", n=300, replicates=4, seed=27)
     gb.run_grid([config], jobs=1)
     assert calls == []
+
+
+def test_package_error_on_one_replicate_fails_that_method_only(monkeypatch):
+    config = gb.builtin_scenario("P2", "T1", "M1", n=300, replicates=4, seed=28)
+    methods = ["ipw", "ebal", "extended"]
+    baseline = gb.run_grid([config], methods, jobs=1)
+    real = estimators.ESTIMATORS["ebal"]
+    calls = []
+
+    def fails_on_second_replicate(shared, options):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ValidationError("weights must be strictly positive and finite")
+        return real(shared, options)
+
+    monkeypatch.setitem(estimators.ESTIMATORS, "ebal", fails_on_second_replicate)
+    result = gb.run_grid([config], methods, jobs=1)
+    before, after = baseline.cell("P2-T1-M1", "ebal"), result.cell("P2-T1-M1", "ebal")
+    assert (before.failures, after.failures) == (0, 1)
+    assert after.errors == before.errors[:1] + before.errors[2:]
+    for method in ("ipw", "extended"):
+        assert result.cell("P2-T1-M1", method) == baseline.cell("P2-T1-M1", method)
+
+
+def test_config_that_cannot_be_drawn_still_fails_the_grid():
+    # no row joins the source, so no draw has a source sample
+    config = gb.ScenarioConfig(
+        name="no-source",
+        propensity_logit=gb.PROPENSITY_MODELS["P1"],
+        cate=gb.CATE_MODELS["T1"],
+        baseline=gb.BASELINE_MODELS["M1"],
+        participation_logit=_const_cate(-50.0),
+        n=10,
+        replicates=2,
+    )
+    with pytest.raises(ValidationError, match="non-degenerate replicate"):
+        gb.run_grid([config], ["ipw"], jobs=1)
