@@ -93,7 +93,8 @@ def fit_logistic_irls(sample: SourceSample, columns=None, tol: float = 1e-8, max
     for iterations in range(max_iter):
         p = sigmoid(Z @ beta)
         score = Z.T @ (A - p)
-        if float(np.abs(score).max()) <= tol:
+        score_norm = float(np.abs(score).max())
+        if score_norm <= tol:
             break
         wdiag = p * (1.0 - p)
         try:
@@ -108,8 +109,9 @@ def fit_logistic_irls(sample: SourceSample, columns=None, tol: float = 1e-8, max
                 f"logistic coefficients diverged past {COEF_NORM_LIMIT:g}; "
                 "treatment looks perfectly separated"
             )
-    p = sigmoid(Z @ beta)
-    score_norm = float(np.abs(Z.T @ (A - p)).max())
+    else:  # max_iter steps taken: p and the score are stale
+        p = sigmoid(Z @ beta)
+        score_norm = float(np.abs(Z.T @ (A - p)).max())
     return LogisticModel(
         coefficients=beta,
         propensities=p,

@@ -4,13 +4,20 @@ import numpy as np
 
 
 def sigmoid(s):
-    """Numerically stable logistic function 1 / (1 + exp(-s))."""
+    """Numerically stable logistic function 1 / (1 + exp(-s)).
+
+    With e = exp(-|s|) <= 1 this is 1 / (1 + e) for s >= 0 and e / (1 + e)
+    otherwise, so exp never overflows. -|s| is taken as min(s, -s), which
+    keeps the sign bit of a NaN input, and the steps run in place, so the
+    call holds two float arrays the size of ``s``.
+    """
     s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    es = np.exp(s[~pos])
-    out[~pos] = es / (1.0 + es)
+    e = np.negative(s, out=np.empty_like(s))
+    np.minimum(s, e, out=e)
+    np.exp(e, out=e)
+    out = np.where(s >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

@@ -133,7 +133,9 @@ def _limiting_tilt(truth, H, G, rho, ws, grid, tol=1e-8, max_iter=100):
     q = _tilt_base(truth, H, G)
     opts = SolverOptions(tol=tol, max_iter=max_iter, score_cap=np.inf)
     wt = grid.weights * (1.0 - rho)
-    problem = _GroupDual(H, ws * q, H.T @ wt / wt.sum(), n_s=1, score_cap=opts.score_cap)
+    problem = _GroupDual.one_block(
+        H, ws * q, H.T @ wt / wt.sum(), n_s=1, score_cap=opts.score_cap
+    )
     _, lam0 = _solve_dual(problem, "H on the quadrature grid", opts, CalibrationSolution)
     q *= np.exp(H @ lam0)
     return lam0, q

@@ -10,28 +10,35 @@ weights
     w_i = exp(lambda1'H_i + gamma'G_i)   on the treated arm,
     w_i = exp(lambda0'H_i - gamma'G_i)   on the control arm.
 
-Every problem here, the joint one included, is one form: minimize
-(1/n_s) sum_i base_i exp(theta'F_i) - theta'target over a design F. The
-joint dual is that form over the block design F = [H 1{A=1} | H 1{A=0} |
-+-G] with base 1 and target (hbar, hbar, 0); the per-group calibrations
-use their arm's H columns; the population oracle in :mod:`genbal.oracle`
-uses the quadrature grid. One damped-Newton loop, ``_solve_dual``, solves
+Every problem here is one form over a stack of row blocks: minimize
+
+    (1/n_s) sum_b sum_{i in b} base_bi exp(theta[cols_b]'E_bi) - theta'target,
+
+where block b holds rows E_bi that read the theta coordinates cols_b.
+The joint dual is two blocks: the treated rows over [H | G] reading
+(lambda1, gamma) and the control rows over [H | -G] reading (lambda0,
+gamma), with base 1 and target (hbar, hbar, 0). Its Hessian is the two
+per-arm Gram matrices laid into theta coordinates; they overlap only in
+the gamma block. The per-group calibrations are one block of their arm's
+H columns; the population oracle in :mod:`genbal.oracle` is one block
+over the quadrature grid. One damped-Newton loop, ``_solve_dual``, solves
 them all. Its first Hessian, taken at zero, is the base-weighted Gram
-matrix of the design, so that matrix's eigenvalues are the rank check:
-the dual has a unique solution only when the design's columns are
-linearly independent, and a design that is collinear within one arm is
-rejected before the first step. The dual gradient equals the primal
-balance residuals, which is what the convergence test monitors. All
-solves run in the coordinates of the supplied design (standardized by
-default); weights are invariant to that choice and
-:meth:`DualSolution.unstandardized` maps parameters back to raw
-coordinates.
+matrix of the problem, so that matrix's eigenvalues are the rank check:
+the dual has a unique solution only when it is nonsingular, and a design
+that is collinear within one arm is rejected before the first step. The
+dual gradient equals the primal balance residuals, which is what the
+convergence test monitors. All solves run in the coordinates of the
+supplied design (standardized by default); weights are invariant to that
+choice and :meth:`DualSolution.unstandardized` maps parameters back to
+raw coordinates.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import math
+import numbers
 
 import numpy as np
 
@@ -78,12 +85,28 @@ class SolverOptions:
     ``tol`` bounds the sup-norm of the dual gradient (equivalently the
     balance residuals) in design coordinates. ``score_cap`` bounds the
     linear scores fed to exp during the line search; a converged solution
-    must sit strictly below it.
+    must sit strictly below it. A positive cap also keeps the zero scores
+    of pad rows in a block stack below it. Invalid values raise
+    ValidationError naming the field.
     """
 
     tol: float = 1e-10
     max_iter: int = 200
     score_cap: float = 30.0
+
+    def __post_init__(self):
+        if not (isinstance(self.tol, numbers.Real) and math.isfinite(self.tol) and self.tol > 0):
+            raise ValidationError(f"SolverOptions.tol must be finite and > 0, got {self.tol!r}")
+        if not (isinstance(self.max_iter, numbers.Integral) and not isinstance(self.max_iter, bool)
+                and self.max_iter >= 0):
+            raise ValidationError(
+                f"SolverOptions.max_iter must be an integer >= 0, got {self.max_iter!r}"
+            )
+        # a cap of +inf (no cap) is allowed; NaN fails the comparison
+        if not (isinstance(self.score_cap, numbers.Real) and self.score_cap > 0):
+            raise ValidationError(
+                f"SolverOptions.score_cap must be > 0 and not NaN, got {self.score_cap!r}"
+            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,27 +208,57 @@ def balance_residuals(design: DesignMatrices, target: TargetSummary, treated, w)
 
 
 class _GroupDual:
-    """min (1/n_s) sum_i base_i exp(beta'F_i) - beta'target over one group."""
+    """min (1/n_s) sum_b sum_{i in b} base_bi exp(theta[cols_b]'E_bi) - theta'target
+    over a stack of row blocks.
 
-    def __init__(self, F, base, target_vals, n_s, score_cap):
-        self.F = F
+    ``E`` is a zero-padded ``(b, m, k)`` array of rows, ``base`` a
+    ``(b, m)`` array that is 0 on pad rows, and ``cols`` a ``(b, k)``
+    integer map from each block's columns into theta. ``rows`` holds, for
+    each of the n_s source rows in order, its flat position in the
+    ``(b, m)`` stack, so :meth:`weights` returns source order. A pad row
+    scores 0, which never exceeds a positive score cap, and weighs 0.
+    The block Gram matrices and moment vectors are scattered into theta
+    coordinates with one ``bincount`` each.
+    """
+
+    def __init__(self, E, base, cols, rows, target_vals, n_s, score_cap):
+        if not score_cap > 0:  # pad rows score 0 and must stay below the cap
+            raise ValidationError(f"score_cap must be > 0 and not NaN, got {score_cap!r}")
+        self.E = E
         self.base = base
+        self.cols = cols
+        self.rows = rows
         self.target = np.asarray(target_vals, dtype=float)
         self.n_s = n_s
-        self.dim = F.shape[1]
+        self.dim = self.target.shape[0]
         self.cap = score_cap
+        self._grad_at = cols.ravel()
+        self._hess_at = (cols[:, :, None] * self.dim + cols[:, None, :]).ravel()
+
+    @classmethod
+    def one_block(cls, F, base, target_vals, n_s, score_cap):
+        """The group dual over the rows of F, with theta indexing F's columns."""
+        n, k = F.shape
+        return cls(np.ascontiguousarray(F)[None], np.asarray(base)[None],
+                   np.arange(k)[None], np.arange(n), target_vals, n_s, score_cap)
+
+    def scores(self, beta):
+        return np.matmul(self.E, beta[self.cols][:, :, None])[..., 0]
 
     def max_score(self, beta):
-        return float((self.F @ beta).max())
+        return float(self.scores(beta).max())
 
     def tilt(self, beta):
-        """The tilted weights base * exp(F beta), or None past the score cap."""
+        """The tilted weights base * exp(E beta) per block, or None past the
+        score cap."""
         # line-search candidates may overflow; the score cap makes them +inf
         with np.errstate(over="ignore"):
-            s = self.F @ beta
+            s = self.scores(beta)
         if float(s.max()) > self.cap:
             return None
-        return self.base * np.exp(s)
+        np.exp(s, out=s)
+        s *= self.base
+        return s
 
     def value_at(self, beta, w):
         """Objective at beta, given w = tilt(beta)."""
@@ -222,30 +275,53 @@ class _GroupDual:
         if w is None:
             return np.inf, None, None
         val = self.value_at(beta, w)
-        grad = self.F.T @ w / self.n_s - self.target
+        moments = np.matmul(w[:, None, :], self.E)
+        grad = np.bincount(self._grad_at, moments.ravel(), self.dim) / self.n_s - self.target
         if not with_hess:
             return val, grad, None
-        hess = self.F.T @ (self.F * w[:, None]) / self.n_s
-        return val, grad, hess
+        gram = np.matmul(self.E.transpose(0, 2, 1), self.E * w[:, :, None])
+        hess = np.bincount(self._hess_at, gram.ravel(), self.dim * self.dim)
+        return val, grad, hess.reshape(self.dim, self.dim) / self.n_s
 
     def weights(self, beta):
-        return self.base * np.exp(self.F @ beta)
+        """Tilted weights of the source rows, in source order."""
+        return (self.base * np.exp(self.scores(beta))).ravel()[self.rows]
 
 
 def _JointDual(design, target, treated, score_cap):
-    """The joint problem as a group dual over the block design
-    F = [H 1{A=1} | H 1{A=0} | +-G] (G enters treated rows with a plus
-    sign, control rows with a minus), base 1 and target (hbar, hbar, 0),
-    so theta packs (lambda1, lambda0, gamma)."""
+    """The joint problem as a two-block group dual: the treated rows over
+    [H | G] and the control rows over [H | -G], with block columns
+    (lambda1, gamma) and (lambda0, gamma) of theta = (lambda1, lambda0,
+    gamma), base 1 and target (hbar, hbar, 0). The rows are sorted by arm
+    and the control G columns negated once, here."""
     t = np.asarray(treated, dtype=bool)
-    if t.shape[0] != design.n:
+    n = design.n
+    if t.shape[0] != n:
         raise ValidationError("treated mask misaligned with design rows")
-    if t.all() or not t.any():
+    n1 = int(np.count_nonzero(t))
+    if n1 in (0, n):
         raise ValidationError("both arms must be non-empty")
-    arm = t[:, None]
-    F = np.hstack([design.h * arm, design.h * ~arm, np.where(arm, design.g, -design.g)])
-    target_vals = np.concatenate([target.values, target.values, np.zeros(design.g.shape[1])])
-    return _GroupDual(F, np.ones(design.n), target_vals, design.n, score_cap)
+    n0 = n - n1
+    kh, kg = design.h.shape[1], design.g.shape[1]
+    m = max(n1, n0)
+    # flat position of each source row in the (2, m) stack
+    rows = np.empty(n, dtype=np.intp)
+    rows[t] = np.arange(n1)
+    rows[~t] = np.arange(m, m + n0)
+    E = np.zeros((2, m, kh + kg))
+    flat = E.reshape(2 * m, kh + kg)
+    flat[rows, :kh] = design.h
+    flat[rows, kh:] = design.g
+    E[1, :n0, kh:] *= -1.0
+    base = np.zeros((2, m))
+    base[0, :n1] = 1.0
+    base[1, :n0] = 1.0
+    cols = np.empty((2, kh + kg), dtype=np.intp)
+    cols[0, :kh] = np.arange(kh)
+    cols[1, :kh] = np.arange(kh, 2 * kh)
+    cols[:, kh:] = np.arange(2 * kh, 2 * kh + kg)
+    target_vals = np.concatenate([target.values, target.values, np.zeros(kg)])
+    return _GroupDual(E, base, cols, rows, target_vals, n, score_cap)
 
 
 def dual_objective(lambda1, lambda0, gamma, design, target, treated, score_cap=30.0):
@@ -381,7 +457,7 @@ def solve_ebal(design, target, treated, options=None, normalize=False):
 
 
 def _calibrate_group(F, base, target_vals, n_s, opts, what):
-    problem = _GroupDual(F, base, target_vals, n_s, opts.score_cap)
+    problem = _GroupDual.one_block(F, base, target_vals, n_s, opts.score_cap)
     solution, theta = _solve_dual(problem, what, opts, CalibrationSolution)
     return solution, problem.weights(theta)
 

@@ -356,3 +356,14 @@ def test_cli_oracle_over_quadrature_budget_is_validation_error(tmp_path, capsys)
     code = main(["oracle", "--scenario", str(scen), "--nodes", "16"])
     assert code == 2
     assert "p=9, nodes=16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "nan"), ("--max-iter", "-3")])
+def test_cli_invalid_solver_option_is_validation_error(tmp_path, capsys, flag, value):
+    _, _, source, basis, target = _write_inputs(tmp_path)
+    code = main([
+        "estimate", "--source", str(source), "--basis", str(basis),
+        "--target-summary", str(target), "--methods", "ebal", flag, value,
+    ])
+    assert code == 2
+    assert f"SolverOptions.{flag[2:].replace('-', '_')}" in capsys.readouterr().err

@@ -283,3 +283,40 @@ def test_estimator_table_matches_public_functions():
     assert set(estimators.ESTIMATORS) == set(public)
     for name, estimate in estimators.ESTIMATORS.items():
         assert estimate(shared, None) == public[name]
+
+
+def test_converged_logistic_fit_evaluates_the_sigmoid_once_per_iterate(monkeypatch):
+    rng = np.random.default_rng(13)
+    X = rng.uniform(-2, 2, (500, 2))
+    A = (rng.random(500) < sigmoid(0.7 * X[:, 0] - 0.4 * X[:, 1])).astype(int)
+    sample = gb.SourceSample(X, A, np.zeros(500))
+    want = gb.fit_logistic_irls(sample)
+    calls = []
+
+    def counted(s):
+        calls.append(1)
+        return sigmoid(s)
+
+    monkeypatch.setattr(estimators, "sigmoid", counted)
+    model = gb.fit_logistic_irls(sample)
+    assert model.converged
+    # one evaluation at each of the iterations + 1 iterates, none after the loop
+    assert len(calls) == model.iterations + 1
+    np.testing.assert_array_equal(model.coefficients, want.coefficients)
+    np.testing.assert_array_equal(model.propensities, want.propensities)
+    assert model.score_norm == want.score_norm
+
+
+def test_logistic_fit_out_of_iterations_reports_the_final_iterate():
+    rng = np.random.default_rng(14)
+    X = rng.uniform(-2, 2, (300, 2))
+    A = (rng.random(300) < sigmoid(1.5 * X[:, 0])).astype(int)
+    sample = gb.SourceSample(X, A, np.zeros(300))
+    model = gb.fit_logistic_irls(sample, max_iter=2)
+    assert not model.converged
+    # the propensities of the returned coefficients, not of the iterate before
+    p = sigmoid(np.hstack([np.ones((300, 1)), X]) @ model.coefficients)
+    np.testing.assert_allclose(model.propensities, p, rtol=1e-13, atol=0)
+    none = gb.fit_logistic_irls(sample, max_iter=0)
+    np.testing.assert_array_equal(none.propensities, 0.5)
+    assert none.iterations == 0 and not none.converged

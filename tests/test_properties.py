@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import genbal as gb
 from genbal.errors import GenbalError
 from genbal.estimators import ESTIMATORS, _SharedWork
+from genbal.solver import _JointDual
 
 from helpers import random_instance
 
@@ -105,3 +106,67 @@ def test_dual_gradient_is_balance_residual_of_tilted_weights(instance, theta_see
     residuals = gb.balance_residuals(design, target, t, w).stacked()
     scale_of_terms = max(1.0, float(w.mean() * np.abs(np.hstack([design.h, design.g])).max()))
     np.testing.assert_allclose(grad, residuals, rtol=0, atol=1e-13 * scale_of_terms)
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(instance=instances)
+def test_two_step_with_unit_first_step_is_per_arm_ebal(instance):
+    # two one-block per-arm calibrations against the two-block joint dual
+    sample, _, design, target, _ = instance
+    ebal = gb.solve_ebal(design, target, sample.treated)[1].w
+    two_step = gb.solve_two_step(design, target, sample.treated, q_weights=np.ones(sample.n_s)).w
+    np.testing.assert_allclose(two_step, ebal, rtol=1e-9, atol=0)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n1=st.integers(1, 60),
+    n0=st.integers(1, 60),
+    k_h=st.integers(1, 4),
+    k_g=st.integers(0, 3),
+    scale=st.floats(0.0, 0.5),
+)
+@example(seed=1, n1=3, n0=17, k_h=2, k_g=0, scale=0.3)
+@example(seed=2, n1=25, n0=4, k_h=3, k_g=2, scale=0.4)
+def test_joint_dual_matches_the_dense_block_design(seed, n1, n0, k_h, k_g, scale):
+    rng = np.random.default_rng(seed)
+    n = n1 + n0
+    A = np.zeros(n, dtype=int)
+    A[rng.permutation(n)[:n1]] = 1
+    sample = gb.SourceSample(rng.normal(size=(n, k_h + k_g)), A, np.zeros(n))
+    spec = gb.BasisSpec.from_names(
+        ["const"] + [f"x{i + 1}" for i in range(k_h)],
+        [f"x{i + 1}" for i in range(k_h, k_h + k_g)],
+    )
+    design = gb.evaluate_basis(spec, sample)
+    target = gb.align_target_summary(spec, np.r_[1.0, rng.normal(size=k_h)], design)
+    problem = _JointDual(design, target, sample.treated, score_cap=30.0)
+    theta = scale * rng.standard_normal(problem.dim)
+
+    # reference: F = [H 1{A=1} | H 1{A=0} | +-G] over the rows in source order
+    arm = sample.treated[:, None]
+    F = np.hstack([design.h * arm, design.h * ~arm, np.where(arm, design.g, -design.g)])
+    w = np.exp(F @ theta)
+    want_val = w.sum() / n - theta @ problem.target
+    want_grad = F.T @ w / n - problem.target
+    want_hess = F.T @ (F * w[:, None]) / n
+
+    val, grad, hess = problem.value_grad_hess(theta)
+    size = max(1.0, float(w.mean() * np.abs(F).max() ** 2))
+    assert val == pytest.approx(want_val, rel=0, abs=1e-12 * size)
+    np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * size)
+    np.testing.assert_allclose(hess, want_hess, rtol=0, atol=1e-12 * size)
+    np.testing.assert_allclose(problem.weights(theta), w, rtol=1e-12, atol=0)

@@ -350,3 +350,43 @@ def test_newton_step_reuses_the_accepted_candidates_tilt(monkeypatch):
     solution, _ = gb.solve_extended(design, target, sample.treated)
     assert solution.iterations == 6
     assert len(calls) == solution.iterations + 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol", -1.0), ("tol", 0.0), ("tol", float("nan")), ("tol", float("inf")),
+    ("max_iter", -1), ("max_iter", 2.5), ("max_iter", True),
+    ("score_cap", -1.0), ("score_cap", 0.0), ("score_cap", float("nan")),
+])
+def test_solver_options_reject_invalid_values(field, value):
+    with pytest.raises(gb.errors.ValidationError, match=f"SolverOptions.{field}"):
+        gb.SolverOptions(**{field: value})
+
+
+def test_dual_objective_rejects_a_nonpositive_score_cap():
+    # with unequal arms the joint dual has zero-score pad rows
+    rng = np.random.default_rng(9)
+    sample, spec, design, target, _ = random_instance(rng, n_s=30, k_h=2, k_g=1)
+    kh = design.h.shape[1]
+    with pytest.raises(gb.errors.ValidationError, match="score_cap"):
+        gb.dual_objective(np.zeros(kh), np.zeros(kh), np.zeros(1), design, target,
+                          sample.treated, score_cap=0.0)
+
+
+def test_solver_options_allow_an_infinite_score_cap_and_zero_iterations():
+    opts = gb.SolverOptions(score_cap=float("inf"), max_iter=0)
+    assert opts.score_cap == float("inf") and opts.max_iter == 0
+
+
+def test_joint_problem_stores_no_block_design_wide_array():
+    # the joint dual holds per-arm [H | +-G] rows, never the
+    # n x (2 k_h + k_g) block design with its zero half
+    rng = np.random.default_rng(8)
+    sample, spec, design, target, _ = random_instance(rng, n_s=50, k_h=3, k_g=2)
+    problem = _JointDual(design, target, sample.treated, score_cap=30.0)
+    kh, kg = design.h.shape[1], design.g.shape[1]
+    assert problem.dim == 2 * kh + kg
+    arrays = [v for v in vars(problem).values() if isinstance(v, np.ndarray)]
+    assert arrays
+    for a in arrays:
+        assert a.ndim < 2 or a.shape[-1] != 2 * kh + kg, a.shape
+    assert problem.E.shape == (2, max(sample.s1.size, sample.s0.size), kh + kg)
