@@ -8,15 +8,21 @@ collapsed to their H-term means and discarded, so estimators only ever
 see the source sample and the summary vector.
 
 Replicate seeds derive from (scenario seed, scenario name, replicate
-index), so results are bit-identical under any parallelism degree.
+index), so results are bit-identical under any parallelism degree. With
+``jobs > 1``, :func:`run_grid` opens one process pool for the whole call,
+maps every (config, chunk of replicates) task through it and regroups
+the rows per config in replicate order; the pool starts min(jobs, tasks)
+workers. Each replicate is computed alone, so how ``jobs`` cuts the
+chunks never reaches the results.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import zlib
-from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -69,6 +75,8 @@ class ScenarioConfig:
     h_names: tuple[str, ...] = ("const", "x1", "x2", "x3")
     g_names: tuple[str, ...] = ("x4", "x5")
     seed: int = 0
+    # parsed from h_names/g_names once, here, and shared by every replicate
+    _basis: BasisSpec = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h_names", tuple(self.h_names))
@@ -86,16 +94,17 @@ class ScenarioConfig:
             problems.append(f"noise_sd={self.noise_sd} must be >= 0")
         if problems:
             raise ValidationError(f"scenario {self.name!r}: " + "; ".join(problems))
+        object.__setattr__(self, "_basis", BasisSpec.from_names(self.h_names, self.g_names))
         models = (self.propensity_logit, self.cate, self.baseline, self.participation_logit)
         used = frozenset().union(*(m.indices() for m in models))
-        max_idx = max(max(used, default=-1), self.basis().max_index())
+        max_idx = max(max(used, default=-1), self._basis.max_index())
         if max_idx >= self.p:
             raise ValidationError(
                 f"scenario {self.name!r} references covariate x{max_idx + 1} but p={self.p}"
             )
 
     def basis(self) -> BasisSpec:
-        return BasisSpec.from_names(self.h_names, self.g_names)
+        return self._basis
 
     def to_dict(self) -> dict:
         return {
@@ -396,18 +405,25 @@ def run_grid(configs, methods=ESTIMATOR_NAMES, jobs: int = 1, nodes: int = 16,
     on that replicate only: it is excluded from the aggregates and
     counted. A config that cannot be drawn still fails the grid. The true
     target ATE is computed once per distinct (participation, CATE, p,
-    low, high) among the configs. Results are deterministic for a given
-    list of configs, independent of ``jobs``.
+    low, high) among the configs.
+
+    ``jobs`` must be an int >= 1. With ``jobs > 1`` one process pool
+    serves the whole call: each config's replicates are cut into up to
+    ``4 * jobs`` chunks, every chunk of every config is one task, and the
+    pool starts min(jobs, tasks) workers. Results are deterministic for a
+    given list of configs, independent of ``jobs``.
     """
     methods = check_methods(methods)
+    if not (isinstance(jobs, numbers.Integral) and not isinstance(jobs, bool) and jobs >= 1):
+        raise ValidationError(f"run_grid jobs must be an int >= 1, got {jobs!r}")
+    configs = tuple(configs)
     scenario_results = []
     tau_stars = {}
-    for config in configs:
+    for config, rows in zip(configs, _grid_rows(configs, methods, jobs, options)):
         key = (config.participation_logit, config.cate, config.p, config.low, config.high)
         if key not in tau_stars:
             tau_stars[key] = true_target_ate(config, nodes)
         tau_star = tau_stars[key]
-        rows = _run_scenario(config, methods, jobs, options)
         per_method = {}
         for method in methods:
             errors = [
@@ -434,16 +450,25 @@ def run_grid(configs, methods=ESTIMATOR_NAMES, jobs: int = 1, nodes: int = 16,
     return GridResult(tuple(scenario_results))
 
 
-def _run_scenario(config, methods, jobs, options):
-    reps = list(range(config.replicates))
-    if jobs <= 1:
-        return _replicates(config, methods, options, reps)
+def _grid_rows(configs, methods, jobs, options):
+    """Replicate rows of each config, in replicate order: serially when
+    ``jobs == 1``, otherwise through one pool for every config."""
+    if jobs == 1 or not configs:
+        return [_replicates(c, methods, options, range(c.replicates)) for c in configs]
     # imported here so that importing genbal does not load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    chunks = [c.tolist() for c in np.array_split(reps, jobs * 4) if len(c)]
-    rows = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(partial(_replicates, config, methods, options), chunks):
-            rows.extend(part)
+    owners, chunks = [], []
+    for i, config in enumerate(configs):
+        for chunk in np.array_split(np.arange(config.replicates), jobs * 4):
+            if len(chunk):
+                owners.append(i)
+                chunks.append(chunk.tolist())
+    rows = [[] for _ in configs]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+        parts = pool.map(
+            _replicates, [configs[i] for i in owners], repeat(methods), repeat(options), chunks
+        )
+        for i, part in zip(owners, parts):
+            rows[i].extend(part)
     return rows

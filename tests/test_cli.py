@@ -367,3 +367,15 @@ def test_cli_invalid_solver_option_is_validation_error(tmp_path, capsys, flag, v
     ])
     assert code == 2
     assert f"SolverOptions.{flag[2:].replace('-', '_')}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_simulate_nonpositive_jobs_is_validation_error(tmp_path, capsys, jobs):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({
+        "scenarios": [{"name": "cell", "propensity": "P1", "cate": "T1", "baseline": "M1",
+                       "n": 50, "replicates": 2}]
+    }))
+    code = main(["simulate", "--scenario", str(scen), "--methods", "ipw", "--jobs", jobs])
+    assert code == 2
+    assert f"jobs must be an int >= 1, got {jobs}" in capsys.readouterr().err

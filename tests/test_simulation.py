@@ -1,5 +1,6 @@
 """Scenario configs, replicate draws, grid runner, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -382,3 +383,125 @@ def test_config_that_cannot_be_drawn_still_fails_the_grid():
     )
     with pytest.raises(ValidationError, match="non-degenerate replicate"):
         gb.run_grid([config], ["ipw"], jobs=1)
+
+
+def _small_grid(replicates=(1, 5, 9), ns=(60, 90, 120)):
+    tags = (("P1", "T1", "M1"), ("P2", "T2", "M1"), ("P3", "T1", "M2"))
+    return [
+        gb.builtin_scenario(*tag, n=n, replicates=r, seed=30 + i)
+        for i, (tag, r, n) in enumerate(zip(tags, replicates, ns))
+    ]
+
+
+class _InProcessExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+
+    def __init__(self, seen, max_workers):
+        seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs", [0, -1, True, 2.0, "2", None])
+def test_run_grid_rejects_invalid_jobs(jobs):
+    config = gb.builtin_scenario("P1", "T1", "M1", n=50, replicates=2)
+    with pytest.raises(ValidationError, match="jobs must be an int >= 1"):
+        gb.run_grid([config], ["ipw"], jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "replicates, jobs, pools",
+    [((1, 5, 9), 2, [2]), ((1, 1, 1), 5, [3]), ((2,), 8, [2]), ((1, 5, 9), 16, [15]), ((), 2, [])],
+)
+def test_pool_starts_at_most_one_worker_per_task(monkeypatch, replicates, jobs, pools):
+    import concurrent.futures
+
+    seen = []
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor",
+        lambda max_workers: _InProcessExecutor(seen, max_workers),
+    )
+    configs = _small_grid(replicates)
+    result = gb.run_grid(configs, ["ipw", "ebal"], jobs=jobs)
+    assert seen == pools
+    assert result.to_json() == gb.run_grid(configs, ["ipw", "ebal"], jobs=1).to_json()
+
+
+def test_multi_cell_grid_json_identical_across_jobs():
+    # unequal replicate counts and sizes exercise the per-config regrouping
+    payloads = {jobs: gb.run_grid(_small_grid(), jobs=jobs).to_json() for jobs in (1, 2, 3)}
+    assert payloads[1] == payloads[2] == payloads[3]
+
+
+def test_run_grid_opens_one_pool_per_call(monkeypatch):
+    import concurrent.futures
+
+    real = concurrent.futures.ProcessPoolExecutor
+    built = []
+
+    class Counting(real):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    gb.run_grid(_small_grid((2, 2, 2)), ["ipw"], jobs=2)
+    assert len(built) == 1
+
+
+def test_undrawable_config_fails_the_grid_through_the_shared_pool():
+    # the "no-source" config: no row joins the source, so no draw succeeds
+    configs = _small_grid((2, 2, 2))
+    configs[1] = dataclasses.replace(
+        configs[1], name="no-source", participation_logit=_const_cate(-50.0), n=10
+    )
+    for jobs in (1, 2):
+        with pytest.raises(ValidationError, match="non-degenerate replicate"):
+            gb.run_grid(configs, ["ipw"], jobs=jobs)
+
+
+def test_method_failures_counted_per_replicate_through_the_shared_pool():
+    configs = _small_grid((3, 4, 2), ns=(300, 300, 300))
+    opts = gb.SolverOptions(tol=1e-10, max_iter=1)
+    serial = gb.run_grid(configs, ["ipw", "ebal"], jobs=1, options=opts)
+    parallel = gb.run_grid(configs, ["ipw", "ebal"], jobs=2, options=opts)
+    assert parallel.to_json() == serial.to_json()
+    for config, scen in zip(configs, parallel.scenarios):
+        assert scen.methods["ebal"].failures == config.replicates
+        assert scen.methods["ipw"].failures == 0
+
+
+def test_scenario_config_parses_its_basis_once(monkeypatch):
+    config = gb.builtin_scenario("P2", "T1", "M1", n=200, replicates=3, seed=31)
+    spec = config.basis()
+    assert spec == gb.BasisSpec.from_names(config.h_names, config.g_names)
+    calls = []
+    real = gb.BasisSpec.from_names.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(1)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(gb.BasisSpec, "from_names", classmethod(counting))
+    gb.run_grid([config], jobs=1)
+    assert calls == [] and config.basis() is spec
+
+
+def test_parsed_basis_leaves_config_identity_unchanged():
+    import pickle
+
+    config = gb.builtin_scenario("P3", "T2", "M2", n=500, replicates=17, seed=11)
+    twin = gb.builtin_scenario("P3", "T2", "M2", n=500, replicates=17, seed=11)
+    assert config == twin and hash(config) == hash(twin)
+    assert "_basis" not in config.to_dict() and "_basis" not in repr(config)
+    copy = pickle.loads(pickle.dumps(config))
+    assert copy == config and hash(copy) == hash(config)
+    assert copy.basis() == config.basis()
+    assert dataclasses.replace(config, h_names=("const", "x1")).basis().h_names == ("const", "x1")
