@@ -19,6 +19,7 @@ from .errors import (
     SeparationError,
     ValidationError,
     HypothesisViolationError,
+    _one,
 )
 from .estimators import ESTIMATOR_NAMES, ESTIMATORS, _SharedWork, check_methods
 from .fileio import (
@@ -197,8 +198,8 @@ def _cmd_estimate(args) -> int:
     raw, n_t = load_target_summary(args.target_summary, spec)
     methods = check_methods(_parse_methods(args.methods))
     opts = _solver_options(args)
-    shared = _SharedWork(sample, spec, raw, n_t)
-    reports = [ESTIMATORS[m](shared, opts) for m in methods]
+    shared = _SharedWork([sample], spec, [raw], [n_t])
+    reports = [_one(ESTIMATORS[m](shared, opts)[0]) for m in methods]
     text = emit_report(reports, fmt=args.format, path=args.out)
     if args.out is None:
         sys.stdout.write(text)

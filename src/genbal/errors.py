@@ -41,3 +41,33 @@ class SeparationError(GenbalError):
 
 class HypothesisViolationError(GenbalError):
     """The supplied truth lacks the structure an asymptotic formula requires."""
+
+
+def _attempt(fn, *args):
+    """A batch member's outcome: fn(*args), or the GenbalError it raises; an
+    argument that is already an error is returned instead, so a member
+    keeps its first failure."""
+    for arg in args:
+        if isinstance(arg, GenbalError):
+            return arg
+    try:
+        return fn(*args)
+    except GenbalError as exc:
+        return exc
+
+
+def _on_valid(batch_fn, *columns):
+    """batch_fn over the members with no error in any column, in order;
+    every other member keeps its first error."""
+    out = [next((x for x in m if isinstance(x, GenbalError)), None) for m in zip(*columns)]
+    ok = [i for i, err in enumerate(out) if err is None]
+    for i, result in zip(ok, batch_fn(*([col[i] for i in ok] for col in columns)) if ok else ()):
+        out[i] = result
+    return out
+
+
+def _one(outcome):
+    """The result of a batch of one; raises its error."""
+    if isinstance(outcome, GenbalError):
+        raise outcome
+    return outcome

@@ -9,9 +9,12 @@ before taking the weighted outcome difference, so estimates are
 invariant to outcome location shifts.
 
 All four read one data set's basis design and aligned target, and both
-IPW variants read one treatment logit. :data:`ESTIMATORS` runs the
-methods on a shared per-data-set object that computes each of these
-once; every public ``estimate_*`` builds its own such object.
+IPW variants read one treatment logit. :data:`ESTIMATORS` runs each
+method once over a batch of data sets that share a basis: a shared
+object computes each member's design, target and logit once, every
+solve and logistic fit runs the whole batch together, and each member
+gets its own report or error. Every public ``estimate_*`` is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -22,17 +25,9 @@ import functools
 import numpy as np
 
 from .basis import BasisSpec, SourceSample, align_target_summary, evaluate_basis
-from .errors import NonConvergenceError, SeparationError, ValidationError
-from .mathutil import effective_sample_size, sigmoid
-from .solver import (
-    Method,
-    SolverOptions,
-    WeightSet,
-    _normalize_per_arm,
-    solve_ebal,
-    solve_et_calibration,
-    solve_extended,
-)
+from .errors import NonConvergenceError, SeparationError, ValidationError, _attempt, _on_valid, _one
+from .mathutil import effective_sample_size, sigmoid, solve_each, stack_padded
+from .solver import Method, SolverOptions, WeightSet, _et_calibration, _normalize_per_arm, _solve_joint
 
 __all__ = [
     "ESTIMATORS",
@@ -75,6 +70,55 @@ class EstimateReport:
     solver_info: dict
 
 
+def _fit_logistic(samples, columns=None, tol=1e-8, max_iter=100):
+    """Logistic fits of samples sharing the regressor columns: per member a
+    LogisticModel or its SeparationError. Zero pad rows add nothing to the
+    score or information; a member is frozen once it converges or fails."""
+    cols = list(range(samples[0].p)) if columns is None else list(columns)
+    if len(samples) > 1 and min(sample.n_s for sample in samples) <= len(cols):
+        # fewer rows than regressors make the information matrix singular and
+        # where the fit ends rest on rounding: fit each sample as unbatched
+        return [_fit_logistic([sample], columns, tol, max_iter)[0] for sample in samples]
+    Zs = [np.empty((len(cols) + 1, sample.n_s)).T for sample in samples]  # [1 | X] column-major
+    for z, sample in zip(Zs, samples):
+        z[:, 0], z[:, 1:] = 1.0, sample.X[:, cols]
+    Z = stack_padded(Zs)
+    A = stack_padded([sample.A.astype(float) for sample in samples])
+    Zt = Z.swapaxes(1, 2)
+    beta = np.zeros((Z.shape[0], Z.shape[2]))
+    failed = [None] * len(samples)
+    active = np.ones(len(samples), dtype=bool)
+    steps = np.zeros(len(samples), dtype=int)
+    for it in range(max_iter + 1):
+        p = sigmoid(np.matmul(Z, beta[..., None])[..., 0])
+        score = np.matmul(Zt, (A - p)[..., None])[..., 0]
+        score_norm = np.abs(score).max(axis=1)
+        active &= score_norm > tol
+        if it == max_iter or not np.count_nonzero(active):
+            break
+        info = np.matmul(Zt, Z * (p * (1.0 - p))[..., None])
+        if np.count_nonzero(active) < active.size:  # frozen members solve an identity system
+            info = np.where(active[:, None, None], info, np.eye(beta.shape[1]))
+            score = np.where(active[:, None], score, 0.0)
+        step, singular = solve_each(info, score)
+        for r in np.flatnonzero(singular) if singular is not None else ():
+            failed[r] = SeparationError("singular information matrix; data may be separated or degenerate")
+            active[r], step[r] = False, 0.0
+        beta += step
+        steps += active
+        if float(np.abs(beta).max()) > COEF_NORM_LIMIT:
+            for r in np.flatnonzero(active & (np.abs(beta).max(axis=1) > COEF_NORM_LIMIT)):
+                failed[r] = SeparationError(f"logistic coefficients diverged past {COEF_NORM_LIMIT:g}; "
+                                            "treatment looks perfectly separated")
+                active[r] = False
+    # a member that took every step reports max_iter - 1
+    iterations = np.where(steps == max_iter, max(max_iter - 1, 0), steps)
+    return [err if err is not None else LogisticModel(
+        beta[r], p[r, :sample.n_s], int(iterations[r]), bool(score_norm[r] <= tol),
+        float(score_norm[r]),
+    ) for r, (sample, err) in enumerate(zip(samples, failed))]
+
+
 def fit_logistic_irls(sample: SourceSample, columns=None, tol: float = 1e-8, max_iter: int = 100) -> LogisticModel:
     """Maximum-likelihood logistic regression of treatment on covariates.
 
@@ -82,77 +126,42 @@ def fit_logistic_irls(sample: SourceSample, columns=None, tol: float = 1e-8, max
     sup-norm drops below ``tol``. Raises :class:`SeparationError` when the
     coefficients diverge, which signals (quasi-)separated data.
     """
-    cols = list(range(sample.p)) if columns is None else list(columns)
-    parts = [np.ones((sample.n_s, 1))]
-    if cols:
-        parts.append(sample.X[:, cols])
-    Z = np.hstack(parts)
-    A = sample.A.astype(float)
-    beta = np.zeros(Z.shape[1])
-    iterations = 0
-    for iterations in range(max_iter):
-        p = sigmoid(Z @ beta)
-        score = Z.T @ (A - p)
-        score_norm = float(np.abs(score).max())
-        if score_norm <= tol:
-            break
-        wdiag = p * (1.0 - p)
-        try:
-            step = np.linalg.solve(Z.T @ (Z * wdiag[:, None]), score)
-        except np.linalg.LinAlgError:
-            raise SeparationError(
-                "singular information matrix; data may be separated or degenerate"
-            ) from None
-        beta = beta + step
-        if float(np.abs(beta).max()) > COEF_NORM_LIMIT:
-            raise SeparationError(
-                f"logistic coefficients diverged past {COEF_NORM_LIMIT:g}; "
-                "treatment looks perfectly separated"
-            )
-    else:  # max_iter steps taken: p and the score are stale
-        p = sigmoid(Z @ beta)
-        score_norm = float(np.abs(Z.T @ (A - p)).max())
-    return LogisticModel(
-        coefficients=beta,
-        propensities=p,
-        iterations=iterations,
-        converged=score_norm <= tol,
-        score_norm=score_norm,
-    )
+    return _one(_fit_logistic([sample], columns, tol, max_iter)[0])
 
 
 @dataclasses.dataclass
 class _SharedWork:
-    """One data set's work that every estimator reads, done on first use.
+    """The work every estimator reads, for a batch of data sets that share
+    the basis spec and the logit columns, done on first use.
 
-    The basis design, the aligned target and the treatment logit are
-    cached, so ipw, ipw_et, ebal and extended evaluate the basis once and
-    fit the logit once per data set. A property that raises is not cached:
-    each method that reads it raises again and fails on its own.
+    Each member's basis design, aligned target and treatment logit is
+    cached as the result or the GenbalError that stopped it, so ipw,
+    ipw_et, ebal and extended evaluate each basis once and fit the logits
+    in one batched pass; a method reading a failed entry fails on that
+    member only.
     """
 
-    sample: SourceSample
+    samples: list
     spec: BasisSpec | None = None
-    target_raw: object = None
-    n_t: int | None = None
+    targets_raw: list | None = None
+    n_ts: list | None = None
     columns: object = None
 
     @functools.cached_property
-    def design(self):
-        return evaluate_basis(self.spec, self.sample)
+    def designs(self):
+        return [_attempt(evaluate_basis, self.spec, sample) for sample in self.samples]
 
     @functools.cached_property
-    def target(self):
-        return align_target_summary(self.spec, self.target_raw, self.design, n_t=self.n_t)
+    def targets(self):
+        align = lambda design, raw, n_t: align_target_summary(self.spec, raw, design, n_t=n_t)  # noqa: E731
+        return list(map(_attempt, [align] * len(self.samples), self.designs, self.targets_raw,
+                        self.n_ts or [None] * len(self.samples)))
 
     @functools.cached_property
-    def logit(self) -> LogisticModel:
-        model = fit_logistic_irls(self.sample, self.columns)
-        if not model.converged:
-            raise NonConvergenceError(
-                f"logistic fit did not converge (score sup-norm {model.score_norm:.3g})"
-            )
-        return model
+    def logits(self):
+        return [m if isinstance(m, SeparationError) or m.converged else NonConvergenceError(
+            f"logistic fit did not converge (score sup-norm {m.score_norm:.3g})"
+        ) for m in _fit_logistic(self.samples, self.columns)]
 
 
 def estimate_weighted_ate(sample: SourceSample, weights: WeightSet) -> EstimateReport:
@@ -173,13 +182,12 @@ def estimate_weighted_ate(sample: SourceSample, weights: WeightSet) -> EstimateR
     )
 
 
-def _propensity_weighted(shared, numerator, method, solver_info) -> EstimateReport:
+def _propensity_weighted(sample, model, numerator, method, solver_info) -> EstimateReport:
     """Report for weights numerator / p on the treated arm and
     numerator / (1 - p) on the control arm, p the fitted propensity."""
-    model = shared.logit
     p = model.propensities
-    s1, s0 = shared.sample.s1, shared.sample.s0
-    w = np.empty(shared.sample.n_s)
+    s1, s0 = sample.s1, sample.s0
+    w = np.empty(sample.n_s)
     with np.errstate(divide="ignore", over="ignore"):
         w[s1] = numerator[s1] / p[s1]
         w[s0] = numerator[s0] / (1.0 - p[s0])
@@ -188,33 +196,43 @@ def _propensity_weighted(shared, numerator, method, solver_info) -> EstimateRepo
             "infinite inverse propensity weight: a fitted propensity of 0 on a "
             "treated row or 1 on a control row; treatment looks separated"
         )
-    report = estimate_weighted_ate(shared.sample, WeightSet(w, method, normalized=False))
+    report = estimate_weighted_ate(sample, WeightSet(w, method, normalized=False))
     return dataclasses.replace(
         report, solver_info={"logit_score_norm": model.score_norm, **solver_info}
     )
 
 
-def _ipw(shared: _SharedWork, options=None) -> EstimateReport:
-    return _propensity_weighted(shared, np.ones(shared.sample.n_s), Method.IPW, {})
+def _ipw(shared: _SharedWork, options=None) -> list:
+    return [_attempt(_propensity_weighted, sample, model, np.ones(sample.n_s), Method.IPW, {})
+            for sample, model in zip(shared.samples, shared.logits)]
 
 
-def _ipw_et(shared: _SharedWork, options=None) -> EstimateReport:
-    et_solution, q_set = solve_et_calibration(shared.design, shared.target, options)
+def _ipw_et_report(sample, et, model) -> EstimateReport:
+    solution, q_set = et
     return _propensity_weighted(
-        shared, q_set.w, Method.IPW_ET,
-        {"et_iterations": et_solution.iterations, "et_grad_norm": et_solution.grad_norm},
+        sample, model, q_set.w, Method.IPW_ET,
+        {"et_iterations": solution.iterations, "et_grad_norm": solution.grad_norm},
     )
 
 
-def _balanced(solve, shared: _SharedWork, options) -> EstimateReport:
-    solution, ws = solve(
-        shared.design, shared.target, shared.sample.treated, options, normalize=True
-    )
-    report = estimate_weighted_ate(shared.sample, ws)
+def _ipw_et(shared: _SharedWork, options=None) -> list:
+    solved = _on_valid(functools.partial(_et_calibration, options=options), shared.designs,
+                       shared.targets)
+    return list(map(_attempt, [_ipw_et_report] * len(solved), shared.samples, solved, shared.logits))
+
+
+def _balanced_report(sample, solved) -> EstimateReport:
+    solution, ws = solved
     return dataclasses.replace(
-        report,
+        estimate_weighted_ate(sample, ws),
         solver_info={"iterations": solution.iterations, "grad_norm": solution.grad_norm},
     )
+
+
+def _balanced(method, shared: _SharedWork, options) -> list:
+    solved = _on_valid(functools.partial(_solve_joint, method, options=options, normalize=True),
+                       shared.designs, shared.targets, [sample.treated for sample in shared.samples])
+    return list(map(_attempt, [_balanced_report] * len(solved), shared.samples, solved))
 
 
 def estimate_ipw(sample: SourceSample, columns=None) -> EstimateReport:
@@ -223,7 +241,7 @@ def estimate_ipw(sample: SourceSample, columns=None) -> EstimateReport:
     Regressors default to all raw covariates. Does not use any target
     information, so covariate shift is left unadjusted.
     """
-    return _ipw(_SharedWork(sample, columns=columns))
+    return _one(_ipw(_SharedWork([sample], columns=columns))[0])
 
 
 def estimate_ipw_et(
@@ -240,7 +258,7 @@ def estimate_ipw_et(
     source H means to the target summary; weights are q / p on the
     treated arm and q / (1 - p) on the control arm.
     """
-    return _ipw_et(_SharedWork(sample, spec, target_raw, n_t, columns), options)
+    return _one(_ipw_et(_SharedWork([sample], spec, [target_raw], [n_t], columns), options)[0])
 
 
 def estimate_ebal(
@@ -251,7 +269,7 @@ def estimate_ebal(
     n_t=None,
 ) -> EstimateReport:
     """Per-arm entropy balancing of the H terms onto the target summary."""
-    return _balanced(solve_ebal, _SharedWork(sample, spec, target_raw, n_t), options)
+    return _one(_balanced(Method.EBAL, _SharedWork([sample], spec, [target_raw], [n_t]), options)[0])
 
 
 def estimate_extended(
@@ -262,18 +280,19 @@ def estimate_extended(
     n_t=None,
 ) -> EstimateReport:
     """Extended balancing: H per arm to the target, G equalized across arms."""
-    return _balanced(solve_extended, _SharedWork(sample, spec, target_raw, n_t), options)
+    shared = _SharedWork([sample], spec, [target_raw], [n_t])
+    return _one(_balanced(Method.EXTENDED, shared, options)[0])
 
 
-# Method name -> call (shared, options) on one data set's _SharedWork, so
-# every method in a run reads the same design, target and logit fit. The
-# bodies name solve_* and fit_logistic_irls when they run, so a rebound
-# module attribute (a tracing wrapper, say) is what every caller reaches.
+# Method name -> call (shared, options) on a batch's _SharedWork, returning
+# one EstimateReport or GenbalError per member, so every method in a run
+# reads the same designs, targets and logit fits and solves the whole batch
+# at once. The public estimate_* are each a batch of one.
 ESTIMATORS = {
     "ipw": _ipw,
     "ipw_et": _ipw_et,
-    "ebal": lambda shared, options: _balanced(solve_ebal, shared, options),
-    "extended": lambda shared, options: _balanced(solve_extended, shared, options),
+    "ebal": functools.partial(_balanced, Method.EBAL),
+    "extended": functools.partial(_balanced, Method.EXTENDED),
 }
 ESTIMATOR_NAMES = tuple(ESTIMATORS)
 

@@ -25,3 +25,35 @@ def effective_sample_size(w):
     """Kish effective sample size (sum w)^2 / sum w^2."""
     w = np.asarray(w, dtype=float)
     return float(w.sum() ** 2 / (w ** 2).sum())
+
+
+def stack_padded(arrays):
+    """The arrays stacked on a new axis, zero-padded to the longest; each
+    slice keeps the memory order of arrays[0], and a stack of one is a view."""
+    if len(arrays) == 1:
+        return arrays[0][None]
+    first = arrays[0]
+    shape = (len(arrays), max(len(a) for a in arrays)) + first.shape[1:]
+    if first.ndim == 2 and first.flags.f_contiguous and not first.flags.c_contiguous:
+        out = np.zeros(shape[::2] + shape[1:2]).swapaxes(1, 2)
+    else:
+        out = np.zeros(shape)
+    for slot, a in zip(out, arrays):
+        slot[:len(a)] = a
+    return out
+
+
+def solve_each(a, b):
+    """Solutions of the systems a[r] x = b[r] from one batched solve, and
+    which are singular (None if none). If the batched solve fails, each is
+    solved alone, so only the singular ones get NaN."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
+        x, singular = np.full_like(b, np.nan), np.zeros(len(b), dtype=bool)
+        for r in range(len(b)):
+            try:
+                x[r] = np.linalg.solve(a[r], b[r])
+            except np.linalg.LinAlgError:
+                singular[r] = True
+        return x, singular

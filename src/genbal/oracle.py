@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import BasisSpec
-from .errors import HypothesisViolationError, RankDeficiencyError
+from .errors import HypothesisViolationError, RankDeficiencyError, _one
 from .mathutil import sigmoid
 from .models import basis_coefficients, in_h_span
 from .quadrature import QuadratureGrid
@@ -133,10 +133,9 @@ def _limiting_tilt(truth, H, G, rho, ws, grid, tol=1e-8, max_iter=100):
     q = _tilt_base(truth, H, G)
     opts = SolverOptions(tol=tol, max_iter=max_iter, score_cap=np.inf)
     wt = grid.weights * (1.0 - rho)
-    problem = _GroupDual.one_block(
-        H, ws * q, H.T @ wt / wt.sum(), n_s=1, score_cap=opts.score_cap
-    )
-    _, lam0 = _solve_dual(problem, "H on the quadrature grid", opts, CalibrationSolution)
+    problem = _GroupDual.one_block([H], [ws * q], [H.T @ wt / wt.sum()], [1], opts.score_cap)
+    (solution,), _ = _solve_dual(problem, "H on the quadrature grid", opts, CalibrationSolution)
+    lam0 = _one(solution).beta
     q *= np.exp(H @ lam0)
     return lam0, q
 

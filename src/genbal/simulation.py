@@ -8,12 +8,14 @@ collapsed to their H-term means and discarded, so estimators only ever
 see the source sample and the summary vector.
 
 Replicate seeds derive from (scenario seed, scenario name, replicate
-index), so results are bit-identical under any parallelism degree. With
-``jobs > 1``, :func:`run_grid` opens one process pool for the whole call,
-maps every (config, chunk of replicates) task through it and regroups
-the rows per config in replicate order; the pool starts min(jobs, tasks)
-workers. Each replicate is computed alone, so how ``jobs`` cuts the
-chunks never reaches the results.
+index). Each config's replicates are drawn one by one and estimated in
+fixed batches of ``max(1, _BATCH_ROWS // n)`` consecutive replicates:
+every estimator runs once over a batch, solving its members together.
+The batches depend on the config alone, never on ``jobs``, so results
+are bit-identical under any parallelism degree. With ``jobs > 1``,
+:func:`run_grid` maps every batch and every true target ATE through one
+process pool of min(jobs, batches) workers and regroups the rows per
+config in replicate order.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ __all__ = [
 ]
 
 _MAX_REDRAWS = 100
+# source-sample rows (config.n times replicates) solved together in one batch
+_BATCH_ROWS = 16_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -250,27 +254,29 @@ def draw_replicate(config: ScenarioConfig, rep_index: int) -> ReplicateDraw:
     )
 
 
-def _one_replicate(config: ScenarioConfig, rep_index: int, methods, options):
-    draw = draw_replicate(config, rep_index)
-    shared = _SharedWork(draw.sample, config.basis(), draw.target_means, draw.n_t)
-    estimates = {}
-    failures = {}
-    for method in methods:
-        try:
-            report = ESTIMATORS[method](shared, options)
-            estimates[method] = report.tau_hat
-        except GenbalError as exc:
-            failures[method] = type(exc).__name__
-    return {
-        "n_s": draw.sample.n_s,
-        "redraws": draw.redraws,
-        "estimates": estimates,
-        "failures": failures,
-    }
+def _batches(config: ScenarioConfig) -> list[range]:
+    """Consecutive runs of ``max(1, _BATCH_ROWS // n)`` replicate indices
+    that cover ``range(config.replicates)`` once, in order."""
+    size = max(1, _BATCH_ROWS // config.n)
+    return [range(start, min(start + size, config.replicates))
+            for start in range(0, config.replicates, size)]
 
 
 def _replicates(config, methods, options, reps):
-    return [_one_replicate(config, rep, methods, options) for rep in reps]
+    """Rows of the replicates in ``reps``, drawn one by one and estimated as
+    one batch: each method runs once over all of them."""
+    draws = [draw_replicate(config, rep) for rep in reps]
+    shared = _SharedWork([d.sample for d in draws], config.basis(),
+                         [d.target_means for d in draws], [d.n_t for d in draws])
+    rows = [{"n_s": d.sample.n_s, "redraws": d.redraws, "estimates": {}, "failures": {}}
+            for d in draws]
+    for method in methods:
+        for row, outcome in zip(rows, ESTIMATORS[method](shared, options)):
+            if isinstance(outcome, GenbalError):
+                row["failures"][method] = type(outcome).__name__
+            else:
+                row["estimates"][method] = outcome.tau_hat
+    return rows
 
 
 @dataclasses.dataclass(frozen=True)
@@ -407,23 +413,20 @@ def run_grid(configs, methods=ESTIMATOR_NAMES, jobs: int = 1, nodes: int = 16,
     target ATE is computed once per distinct (participation, CATE, p,
     low, high) among the configs.
 
-    ``jobs`` must be an int >= 1. With ``jobs > 1`` one process pool
-    serves the whole call: each config's replicates are cut into up to
-    ``4 * jobs`` chunks, every chunk of every config is one task, and the
-    pool starts min(jobs, tasks) workers. Results are deterministic for a
-    given list of configs, independent of ``jobs``.
+    Each config's replicates are estimated in fixed batches of
+    ``max(1, 16000 // n)`` consecutive replicates. ``jobs`` must be an int
+    >= 1. With ``jobs > 1`` one process pool serves the whole call: every
+    batch of every config and every true target ATE is one task, and the
+    pool starts min(jobs, batches) workers. The batches do not depend on
+    ``jobs``, so results are deterministic for a given list of configs,
+    independent of ``jobs``.
     """
     methods = check_methods(methods)
     if not (isinstance(jobs, numbers.Integral) and not isinstance(jobs, bool) and jobs >= 1):
         raise ValidationError(f"run_grid jobs must be an int >= 1, got {jobs!r}")
     configs = tuple(configs)
     scenario_results = []
-    tau_stars = {}
-    for config, rows in zip(configs, _grid_rows(configs, methods, jobs, options)):
-        key = (config.participation_logit, config.cate, config.p, config.low, config.high)
-        if key not in tau_stars:
-            tau_stars[key] = true_target_ate(config, nodes)
-        tau_star = tau_stars[key]
+    for config, rows, tau_star in zip(configs, *_grid_rows(configs, methods, jobs, options, nodes)):
         per_method = {}
         for method in methods:
             errors = [
@@ -450,25 +453,29 @@ def run_grid(configs, methods=ESTIMATOR_NAMES, jobs: int = 1, nodes: int = 16,
     return GridResult(tuple(scenario_results))
 
 
-def _grid_rows(configs, methods, jobs, options):
-    """Replicate rows of each config, in replicate order: serially when
-    ``jobs == 1``, otherwise through one pool for every config."""
+def _grid_rows(configs, methods, jobs, options, nodes):
+    """Replicate rows and true target ATE of each config: serially when
+    ``jobs == 1``, otherwise through one pool that runs every batch of every
+    config and the ATE of every distinct (participation, CATE, p, low, high)."""
+    tasks = [(i, reps) for i, config in enumerate(configs) for reps in _batches(config)]
+    key = lambda c: (c.participation_logit, c.cate, c.p, c.low, c.high)  # noqa: E731
+    keyed = {}
+    for config in configs:
+        keyed.setdefault(key(config), config)
     if jobs == 1 or not configs:
-        return [_replicates(c, methods, options, range(c.replicates)) for c in configs]
-    # imported here so that importing genbal does not load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        parts = [_replicates(configs[i], methods, options, reps) for i, reps in tasks]
+        taus = dict(zip(keyed, [true_target_ate(c, nodes) for c in keyed.values()]))
+    else:
+        # imported here so that importing genbal does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    owners, chunks = [], []
-    for i, config in enumerate(configs):
-        for chunk in np.array_split(np.arange(config.replicates), jobs * 4):
-            if len(chunk):
-                owners.append(i)
-                chunks.append(chunk.tolist())
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            # the ATE tasks go in first, so no worker idles while they run last
+            taus = pool.map(true_target_ate, keyed.values(), repeat(nodes))
+            parts = pool.map(_replicates, [configs[i] for i, _ in tasks], repeat(methods),
+                             repeat(options), [reps for _, reps in tasks])
+            parts, taus = list(parts), dict(zip(keyed, taus))
     rows = [[] for _ in configs]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-        parts = pool.map(
-            _replicates, [configs[i] for i in owners], repeat(methods), repeat(options), chunks
-        )
-        for i, part in zip(owners, parts):
-            rows[i].extend(part)
-    return rows
+    for (i, _), part in zip(tasks, parts):
+        rows[i].extend(part)
+    return rows, [taus[key(config)] for config in configs]

@@ -22,10 +22,13 @@ per-arm Gram matrices laid into theta coordinates; they overlap only in
 the gamma block. The per-group calibrations are one block of their arm's
 H columns; the population oracle in :mod:`genbal.oracle` is one block
 over the quadrature grid. One damped-Newton loop, ``_solve_dual``, solves
-them all. Its first Hessian, taken at zero, is the base-weighted Gram
-matrix of the problem, so that matrix's eigenvalues are the rank check:
-the dual has a unique solution only when it is nonsingular, and a design
-that is collinear within one arm is rejected before the first step. The
+them all, for a batch of data sets at once: the blocks carry a leading
+batch axis, each member runs its own line search and is frozen when it
+converges or fails, and every public ``solve_*`` is a batch of one. Its
+first Hessian, taken at zero, is the base-weighted Gram matrix of the
+problem, so that matrix's eigenvalues are the rank check: the dual has a
+unique solution only when it is nonsingular, and a design that is
+collinear within one arm is rejected before the first step. The
 dual gradient equals the primal balance residuals, which is what the
 convergence test monitors. All solves run in the coordinates of the
 supplied design (standardized by default); weights are invariant to that
@@ -43,7 +46,8 @@ import numbers
 import numpy as np
 
 from .basis import DesignMatrices, TargetSummary
-from .errors import NonConvergenceError, RankDeficiencyError, ValidationError
+from .errors import NonConvergenceError, RankDeficiencyError, ValidationError, _attempt, _one
+from .mathutil import solve_each, stack_padded
 
 __all__ = [
     "Method",
@@ -209,119 +213,140 @@ def balance_residuals(design: DesignMatrices, target: TargetSummary, treated, w)
 
 class _GroupDual:
     """min (1/n_s) sum_b sum_{i in b} base_bi exp(theta[cols_b]'E_bi) - theta'target
-    over a stack of row blocks.
+    over a stack of row blocks, for each of a batch of R data sets.
 
-    ``E`` is a zero-padded ``(b, m, k)`` array of rows, ``base`` a
-    ``(b, m)`` array that is 0 on pad rows, and ``cols`` a ``(b, k)``
-    integer map from each block's columns into theta. ``rows`` holds, for
-    each of the n_s source rows in order, its flat position in the
-    ``(b, m)`` stack, so :meth:`weights` returns source order. A pad row
-    scores 0, which never exceeds a positive score cap, and weighs 0.
-    The block Gram matrices and moment vectors are scattered into theta
-    coordinates with one ``bincount`` each.
+    ``E`` is a zero-padded ``(R, b, m, k)`` array of rows; the ``(b, k)``
+    map ``cols`` into theta is shared. ``base`` is ``(R, b, m)`` and 0 on
+    pad rows, or None for 1 on the first ``sizes[r][b]`` rows of each
+    block. ``target_vals`` and ``n_s`` hold a row and a size per member,
+    and ``rows`` the flat positions of each member's source rows in its
+    ``(b, m)`` stack. A pad row scores 0, below any positive score cap, and
+    weighs 0. Moments and Gram matrices are scattered into theta with one
+    ``bincount`` each, offset by member. Methods take theta as ``(R, d)``.
     """
 
-    def __init__(self, E, base, cols, rows, target_vals, n_s, score_cap):
+    def __init__(self, E, base, cols, rows, target_vals, n_s, score_cap, sizes=None):
         if not score_cap > 0:  # pad rows score 0 and must stay below the cap
             raise ValidationError(f"score_cap must be > 0 and not NaN, got {score_cap!r}")
-        self.E = E
-        self.base = base
-        self.cols = cols
-        self.rows = rows
+        self.E, self.base, self.cols, self.rows = E, base, cols, rows
         self.target = np.asarray(target_vals, dtype=float)
-        self.n_s = n_s
-        self.dim = self.target.shape[0]
+        self.n_s = np.asarray(n_s, dtype=float)
+        self.batch, self.dim = self.target.shape
         self.cap = score_cap
-        self._grad_at = cols.ravel()
-        self._hess_at = (cols[:, :, None] * self.dim + cols[:, None, :]).ravel()
+        offsets = np.arange(self.batch)[:, None, None] * self.dim
+        self._grad_at = (offsets + cols).ravel()
+        self._hess_at = ((offsets[..., None] + cols[:, :, None]) * self.dim + cols[:, None, :]).ravel()
+        if base is None:  # a unit base: the tilt zeroes the pad rows instead
+            m = E.shape[2]
+            self._pads = np.concatenate([np.arange(start + n, start + m) for start, n in
+                                         zip(range(0, E[..., 0].size, m), np.ravel(sizes))])
 
     @classmethod
-    def one_block(cls, F, base, target_vals, n_s, score_cap):
-        """The group dual over the rows of F, with theta indexing F's columns."""
-        n, k = F.shape
-        return cls(np.ascontiguousarray(F)[None], np.asarray(base)[None],
-                   np.arange(k)[None], np.arange(n), target_vals, n_s, score_cap)
+    def one_block(cls, Fs, bases, target_vals, n_s, score_cap):
+        """The dual of each member over the rows of its F, with theta indexing
+        F's columns; ``bases`` None is a unit base. A batch of one keeps F."""
+        E = stack_padded([np.ascontiguousarray(F) for F in Fs])[:, None]
+        base = None if bases is None else stack_padded([np.asarray(b) for b in bases])[:, None]
+        rows = [np.arange(len(F)) for F in Fs]
+        return cls(E, base, np.arange(E.shape[-1])[None], rows, target_vals, n_s, score_cap,
+                   [[len(F)] for F in Fs])
 
-    def scores(self, beta):
-        return np.matmul(self.E, beta[self.cols][:, :, None])[..., 0]
+    def scores(self, theta):
+        return np.matmul(self.E, theta[:, self.cols][..., None])[..., 0]
 
-    def max_score(self, beta):
-        return float(self.scores(beta).max())
-
-    def tilt(self, beta):
-        """The tilted weights base * exp(E beta) per block, or None past the
-        score cap."""
-        # line-search candidates may overflow; the score cap makes them +inf
+    def tilt(self, theta):
+        """The weights base * exp(E theta) per block, and each member's top score."""
+        # line-search candidates may overflow; past the cap they are discarded
         with np.errstate(over="ignore"):
-            s = self.scores(beta)
-        if float(s.max()) > self.cap:
-            return None
-        np.exp(s, out=s)
-        s *= self.base
-        return s
+            s = self.scores(theta)
+            top = s.reshape(self.batch, -1).max(axis=1)
+            np.exp(s, out=s)
+        if self.base is not None:
+            s *= self.base
+        elif self._pads.size:
+            s.reshape(-1)[self._pads] = 0.0
+        return s, top
 
-    def value_at(self, beta, w):
-        """Objective at beta, given w = tilt(beta)."""
-        return np.inf if w is None else float(w.sum() / self.n_s - beta @ self.target)
+    def value_at(self, theta, w, top):
+        """Objective at theta, given (w, top) = tilt(theta); +inf past the cap."""
+        within = top <= self.cap
+        if np.count_nonzero(within) == within.size:
+            return self._objective(theta, w)
+        with np.errstate(over="ignore", invalid="ignore"):  # discarded past the cap
+            return np.where(within, self._objective(theta, w), np.inf)
 
-    def value(self, beta):
-        return self.value_at(beta, self.tilt(beta))
+    def _objective(self, theta, w):
+        return w.reshape(self.batch, -1).sum(axis=1) / self.n_s - _rowdot(theta, self.target)
 
-    def value_grad_hess(self, beta, with_hess=True):
-        return self.derivatives(beta, self.tilt(beta), with_hess)
+    def value(self, theta):
+        return self.value_at(theta, *self.tilt(theta))
 
-    def derivatives(self, beta, w, with_hess=True):
-        """Value, gradient and Hessian at beta, given w = tilt(beta)."""
-        if w is None:
-            return np.inf, None, None
-        val = self.value_at(beta, w)
-        moments = np.matmul(w[:, None, :], self.E)
-        grad = np.bincount(self._grad_at, moments.ravel(), self.dim) / self.n_s - self.target
-        if not with_hess:
-            return val, grad, None
-        gram = np.matmul(self.E.transpose(0, 2, 1), self.E * w[:, :, None])
-        hess = np.bincount(self._hess_at, gram.ravel(), self.dim * self.dim)
-        return val, grad, hess.reshape(self.dim, self.dim) / self.n_s
+    def value_grad_hess(self, theta, with_hess=True):
+        w, top = self.tilt(theta)
+        return self.value_at(theta, w, top), self.gradient(w), self.hessian(w) if with_hess else None
 
-    def weights(self, beta):
-        """Tilted weights of the source rows, in source order."""
-        return (self.base * np.exp(self.scores(beta))).ravel()[self.rows]
+    def gradient(self, w):
+        """Gradient at theta, given w = tilt(theta)[0]."""
+        moments = np.matmul(w[..., None, :], self.E)
+        grad = np.bincount(self._grad_at, moments.ravel(), self.target.size).reshape(self.target.shape)
+        grad /= self.n_s[:, None]
+        grad -= self.target
+        return grad
+
+    def hessian(self, w):
+        """Hessian at theta, given w = tilt(theta)[0]."""
+        gram = np.matmul(self.E.swapaxes(-1, -2), self.E * w[..., None])
+        hess = np.bincount(self._hess_at, gram.ravel(), self.target.size * self.dim)
+        return hess.reshape(self.batch, self.dim, self.dim) / self.n_s[:, None, None]
+
+    def in_source_order(self, w):
+        """Each member's weights from a tilt, in source row order."""
+        return [w_r[rows] for w_r, rows in zip(w.reshape(self.batch, -1), self.rows)]
+
+    def weights(self, theta):
+        return self.in_source_order(self.tilt(theta)[0])
 
 
-def _JointDual(design, target, treated, score_cap):
-    """The joint problem as a two-block group dual: the treated rows over
-    [H | G] and the control rows over [H | -G], with block columns
-    (lambda1, gamma) and (lambda0, gamma) of theta = (lambda1, lambda0,
-    gamma), base 1 and target (hbar, hbar, 0). The rows are sorted by arm
-    and the control G columns negated once, here."""
-    t = np.asarray(treated, dtype=bool)
-    n = design.n
-    if t.shape[0] != n:
-        raise ValidationError("treated mask misaligned with design rows")
-    n1 = int(np.count_nonzero(t))
-    if n1 in (0, n):
-        raise ValidationError("both arms must be non-empty")
-    n0 = n - n1
-    kh, kg = design.h.shape[1], design.g.shape[1]
-    m = max(n1, n0)
-    # flat position of each source row in the (2, m) stack
-    rows = np.empty(n, dtype=np.intp)
-    rows[t] = np.arange(n1)
-    rows[~t] = np.arange(m, m + n0)
-    E = np.zeros((2, m, kh + kg))
-    flat = E.reshape(2 * m, kh + kg)
-    flat[rows, :kh] = design.h
-    flat[rows, kh:] = design.g
-    E[1, :n0, kh:] *= -1.0
-    base = np.zeros((2, m))
-    base[0, :n1] = 1.0
-    base[1, :n0] = 1.0
+# per-row dot products of (R, d) arrays, each as a[r] @ b[r] computes it;
+# NumPy 2's vecdot does the same with less call overhead
+_rowdot = getattr(np, "vecdot", None) or (lambda a, b: np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0])
+
+
+def _JointDual(designs, targets, treateds, score_cap):
+    """The joint problem of each member as a two-block group dual: the
+    treated rows over [H | G] and the control rows over [H | -G], with
+    block columns (lambda1, gamma) and (lambda0, gamma) of theta =
+    (lambda1, lambda0, gamma), base 1 and target (hbar, hbar, 0). Each
+    member's rows are gathered by arm into its blocks, with a flat row map
+    back to source order, and its control G columns negated once, here."""
+    kh, kg = designs[0].h.shape[1], designs[0].g.shape[1]
+    arms = []
+    for design, treated in zip(designs, treateds):
+        t = np.asarray(treated, dtype=bool)
+        if t.shape[0] != design.n:
+            raise ValidationError("treated mask misaligned with design rows")
+        n1 = int(np.count_nonzero(t))
+        if n1 in (0, design.n):
+            raise ValidationError("both arms must be non-empty")
+        arms.append((t, n1, design.n - n1))
+    m = max(max(n1, n0) for _, n1, n0 in arms)
+    E = np.zeros((len(designs), 2, m, kh + kg))
+    rows = []
+    for member, design, (t, _, n0) in zip(E, designs, arms):
+        hg = np.hstack([design.h, design.g])
+        at = np.empty(design.n, dtype=np.intp)  # flat position of each source row
+        for block, arm in enumerate((np.flatnonzero(t), np.flatnonzero(~t))):
+            at[arm] = np.arange(block * m, block * m + arm.size)
+            np.take(hg, arm, axis=0, out=member[block, :arm.size])
+        member[1, :n0, kh:] *= -1.0
+        rows.append(at)
     cols = np.empty((2, kh + kg), dtype=np.intp)
     cols[0, :kh] = np.arange(kh)
     cols[1, :kh] = np.arange(kh, 2 * kh)
     cols[:, kh:] = np.arange(2 * kh, 2 * kh + kg)
-    target_vals = np.concatenate([target.values, target.values, np.zeros(kg)])
-    return _GroupDual(E, base, cols, rows, target_vals, n, score_cap)
+    target_vals = [np.concatenate([t.values, t.values, np.zeros(kg)]) for t in targets]
+    return _GroupDual(E, None, cols, rows, target_vals, [d.n for d in designs], score_cap,
+                      [arm[1:] for arm in arms])
 
 
 def dual_objective(lambda1, lambda0, gamma, design, target, treated, score_cap=30.0):
@@ -331,19 +356,14 @@ def dual_objective(lambda1, lambda0, gamma, design, target, treated, score_cap=3
     H block, control-arm H block, then the G gap. If any linear score
     exceeds ``score_cap`` the value is +inf and gradient/Hessian are NaN.
     """
-    problem = _JointDual(design, target, treated, score_cap)
-    theta = np.concatenate([
-        np.asarray(lambda1, dtype=float),
-        np.asarray(lambda0, dtype=float),
-        np.asarray(gamma, dtype=float),
-    ])
+    problem = _JointDual([design], [target], [treated], score_cap)
+    theta = np.concatenate([np.asarray(v, dtype=float) for v in (lambda1, lambda0, gamma)])
     if theta.shape[0] != problem.dim:
         raise ValidationError("dual parameter dimensions do not match the design")
-    val, grad, hess = problem.value_grad_hess(theta)
-    if grad is None:
-        grad = np.full(problem.dim, np.nan)
-        hess = np.full((problem.dim, problem.dim), np.nan)
-    return val, grad, hess
+    (val,), (grad,), (hess,) = problem.value_grad_hess(theta[None])
+    if not np.isfinite(val):
+        return np.inf, np.full(problem.dim, np.nan), np.full((problem.dim, problem.dim), np.nan)
+    return float(val), grad, hess
 
 
 def _arms(treated):
@@ -359,107 +379,155 @@ def _normalize_per_arm(w, arms, n_s):
     return out
 
 
+def _newton_directions(hess, grad, active):
+    """Each active member's Newton direction, or its gradient direction when
+    the Hessian is singular or the step does not descend; zero for others."""
+    # np.count_nonzero tests the tiny per-member masks for less than .all()/.any()
+    all_active = np.count_nonzero(active) == active.size
+    if not all_active:  # frozen members solve an identity system instead
+        hess = np.where(active[:, None, None], hess, np.eye(grad.shape[1]))
+    step, _ = solve_each(hess, grad)
+    finite = np.isfinite(step).all(axis=1)
+    if np.count_nonzero(finite) < finite.size:  # a gradient step; zeros keep its dot quiet
+        step[~finite] = 0.0
+    newton = finite & (_rowdot(grad, step) > 0)
+    if all_active and np.count_nonzero(newton) == newton.size:
+        return np.negative(step, out=step)
+    return np.where(active[:, None], np.where(newton[:, None], -step, -grad), 0.0)
+
+
 def _solve_dual(problem, what, opts, make_solution):
-    """Damped Newton from zero, shared by every exponential-tilt solve;
-    returns ``make_solution(theta, **diagnostics)`` and theta.
+    """Damped Newton from zero for every member of a batch, shared by every
+    exponential-tilt solve. Returns, per member, ``make_solution(theta,
+    **diagnostics)`` or its error, and the tilt at the final iterates.
 
     At zero the dual Hessian is the base-weighted Gram matrix of the
     design, so its eigenvalues are the rank check: eigenvalues at or
-    below ``dim * eps * max`` count as zero, and a deficient design
-    raises RankDeficiencyError before the first step. Each step is the
-    Newton direction, or the gradient direction when the Hessian solve
-    fails or does not descend, shortened by Armijo backtracking. A
-    solution that stalls, runs out of iterations or sits at the score cap
-    raises NonConvergenceError.
+    below ``dim * eps * max`` count as zero, and a deficient member gets a
+    RankDeficiencyError. Each step is the Newton direction, or the
+    gradient direction when the Hessian solve fails or does not descend,
+    shortened by the member's own Armijo backtracking. A member is frozen
+    once it converges, stalls or runs out of iterations; one that stalls,
+    runs out of iterations or sits at the score cap gets a
+    NonConvergenceError, which stops no other member.
     """
-    theta = np.zeros(problem.dim)
-    val, grad, hess = problem.value_grad_hess(theta)
+    R, d = problem.batch, problem.dim
+    theta = np.zeros((R, d))
+    w, top = problem.tilt(theta)
+    val = problem.value_at(theta, w, top)
+    grad, hess = problem.gradient(w), problem.hessian(w)
     eig = np.linalg.eigvalsh(hess)
-    rank = int((eig > problem.dim * np.finfo(float).eps * eig[-1]).sum())
-    if rank < problem.dim:
-        cond = np.sqrt(eig[-1] / eig[0]) if eig[0] > 0 else np.inf
-        raise RankDeficiencyError(
-            f"{what} is rank deficient: rank {rank} < {problem.dim} columns "
-            f"(condition number {cond:.3g})"
-        )
-    iterations = 0
-    while True:
-        grad_norm = float(np.abs(grad).max())
-        converged = grad_norm <= opts.tol
-        if converged or iterations >= opts.max_iter:
+    rank = (eig > d * np.finfo(float).eps * eig[:, -1:]).sum(axis=1)
+    active = rank == d
+    iterations = np.zeros(R, dtype=int)
+    # an active member has stepped in every round, so it runs out of
+    # iterations when the rounds do
+    for rounds in range(opts.max_iter + 1):
+        grad_norm = np.abs(grad).max(axis=1)
+        active &= grad_norm > opts.tol
+        if rounds == opts.max_iter or not np.count_nonzero(active):
             break
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is not None and (not np.isfinite(step).all() or grad @ step <= 0):
-            step = None
-        direction = -step if step is not None else -grad
-        slope = float(grad @ direction)
+        if hess is None:  # taken only when another step follows
+            hess = problem.hessian(w)
+        direction = _newton_directions(hess, grad, active)
+        slope = _rowdot(grad, direction)
         # Absolute slack keeps the sufficient-decrease test meaningful when
         # improvements fall below floating-point resolution of the value.
-        floor = 1e-14 * (1.0 + abs(val))
-        t = 1.0
+        floor = 1e-14 * (1.0 + np.abs(val))
+        t = np.ones(R)
+        stalled = active.copy()
         for _ in range(_MAX_BACKTRACKS):
-            cand = theta + t * direction
-            w = problem.tilt(cand)
-            cval = problem.value_at(cand, w)
-            if np.isfinite(cval) and cval <= val + ARMIJO_SLOPE * t * slope + floor:
+            # a frozen member has a zero direction, so its candidate is theta
+            cand = theta + t[:, None] * direction
+            w, top = problem.tilt(cand)
+            cval = problem.value_at(cand, w, top)
+            stalled &= ~(np.isfinite(cval) & (cval <= val + ARMIJO_SLOPE * t * slope + floor))
+            if not np.count_nonzero(stalled):
                 break
-            t *= ARMIJO_FACTOR
-        else:  # no step decreases the objective enough: stalled
-            break
-        # the accepted candidate's tilt is reused, not recomputed
-        theta = cand
-        val, grad, hess = problem.derivatives(theta, w)
-        iterations += 1
-    solution = make_solution(
-        theta,
-        iterations=iterations,
-        grad_norm=grad_norm,
-        converged=converged and problem.max_score(theta) < problem.cap,
-        objective=val,
-    )
-    if not solution.converged:
-        raise NonConvergenceError(
-            f"dual solve over {what} stalled after {iterations} iterations "
-            f"(residual sup-norm {grad_norm:.3g}); the target may be "
+            t[stalled] *= ARMIJO_FACTOR
+        # the accepted candidates' tilts and values are reused, not recomputed
+        if not np.count_nonzero(stalled):
+            theta, val, grad = cand, cval, problem.gradient(w)
+        else:  # no step decreases their objective enough: keep their iterate
+            cand[stalled] = theta[stalled]
+            w[stalled] = 0.0
+            theta, val = cand, np.where(stalled, val, cval)
+            grad = np.where(stalled[:, None], grad, problem.gradient(w))
+            active &= ~stalled
+        hess = None
+        iterations += active
+    outcomes = []
+    for r, e in enumerate(eig):
+        if rank[r] < d:
+            cond = np.sqrt(e[-1] / e[0]) if e[0] > 0 else np.inf
+            outcomes.append(RankDeficiencyError(
+                f"{what} is rank deficient: rank {rank[r]} < {d} columns "
+                f"(condition number {cond:.3g})"
+            ))
+            continue
+        solution = make_solution(
+            theta[r], iterations=int(iterations[r]), grad_norm=float(grad_norm[r]),
+            converged=bool(grad_norm[r] <= opts.tol and top[r] < problem.cap),
+            objective=float(val[r]),
+        )
+        outcomes.append(solution if solution.converged else NonConvergenceError(
+            f"dual solve over {what} stalled after {iterations[r]} iterations "
+            f"(residual sup-norm {grad_norm[r]:.3g}); the target may be "
             "infeasible or overlap too weak",
             solution=solution,
-            residuals=grad,
-        )
-    return solution, theta
+            residuals=grad[r],
+        ))
+    return outcomes, w
 
 
-def _solve_joint(design, target, treated, options, normalize, method):
+def _solve_joint(method, designs, targets, treateds, options=None, normalize=False):
+    """The extended (or, dropping G, the ebal) solve of each member:
+    (DualSolution, WeightSet) or its error."""
     opts = options or SolverOptions()
-    problem = _JointDual(design, target, treated, opts.score_cap)
-    kh = design.h.shape[1]
-    what = "block design [H 1{A=1} | H 1{A=0}" + (" | +-G]" if design.g.shape[1] else "]")
-    solution, theta = _solve_dual(
+    if method is Method.EBAL:
+        designs = [design.h_only() for design in designs]
+    problem = _JointDual(designs, targets, treateds, opts.score_cap)
+    kh = designs[0].h.shape[1]
+    what = "block design [H 1{A=1} | H 1{A=0}" + (" | +-G]" if designs[0].g.shape[1] else "]")
+    outcomes, w = _solve_dual(
         problem, what, opts,
         lambda theta, **diag: DualSolution(theta[:kh], theta[kh:2 * kh], theta[2 * kh:], **diag),
     )
-    w = problem.weights(theta)
-    if normalize:
-        w = _normalize_per_arm(w, _arms(np.asarray(treated, dtype=bool)), design.n)
-    return solution, WeightSet(w, method, normalize)
+
+    def build(solution, w, design, treated):
+        if normalize:
+            w = _normalize_per_arm(w, _arms(np.asarray(treated, dtype=bool)), design.n)
+        return solution, WeightSet(w, method, normalize)
+
+    return list(map(_attempt, [build] * len(designs), outcomes, problem.in_source_order(w),
+                    designs, treateds))
 
 
 def solve_extended(design, target, treated, options=None, normalize=False):
     """Weights balancing H per arm to the target and G across arms."""
-    return _solve_joint(design, target, treated, options, normalize, Method.EXTENDED)
+    return _one(_solve_joint(Method.EXTENDED, [design], [target], [treated], options, normalize)[0])
 
 
 def solve_ebal(design, target, treated, options=None, normalize=False):
     """H-only special case: drop the G columns and balance per arm."""
-    return _solve_joint(design.h_only(), target, treated, options, normalize, Method.EBAL)
+    return _one(_solve_joint(Method.EBAL, [design], [target], [treated], options, normalize)[0])
 
 
-def _calibrate_group(F, base, target_vals, n_s, opts, what):
-    problem = _GroupDual.one_block(F, base, target_vals, n_s, opts.score_cap)
-    solution, theta = _solve_dual(problem, what, opts, CalibrationSolution)
-    return solution, problem.weights(theta)
+def _calibrate_groups(Fs, bases, target_vals, n_s, opts, what, build=lambda s, w: (s, w)):
+    """Each member's group calibration: build(CalibrationSolution, weights
+    in source order), or its error."""
+    problem = _GroupDual.one_block(Fs, bases, target_vals, n_s, opts.score_cap)
+    outcomes, w = _solve_dual(problem, what, opts, CalibrationSolution)
+    return list(map(_attempt, [build] * len(Fs), outcomes, problem.in_source_order(w)))
+
+
+def _et_calibration(designs, targets, options=None, normalize=False):
+    def build(solution, q):
+        q = q * (q.shape[0] / q.sum()) if normalize else q
+        return solution, WeightSet(q, Method.ET, normalize)
+
+    return _calibrate_groups([d.h for d in designs], None, [t.values for t in targets],
+                             [d.n for d in designs], options or SolverOptions(), "H design", build)
 
 
 def solve_et_calibration(design, target, options=None, normalize=False):
@@ -468,13 +536,7 @@ def solve_et_calibration(design, target, options=None, normalize=False):
     Ignores treatment arms: the weighted source means of every H term are
     pushed onto the target summary.
     """
-    opts = options or SolverOptions()
-    solution, q = _calibrate_group(
-        design.h, np.ones(design.n), target.values, design.n, opts, "H design"
-    )
-    if normalize:
-        q = q * (design.n / q.sum())
-    return solution, WeightSet(q, Method.ET, normalize)
+    return _one(_et_calibration([design], [target], options, normalize)[0])
 
 
 def solve_two_step(design, target, treated, options=None, normalize=False, q_weights=None):
@@ -501,9 +563,9 @@ def solve_two_step(design, target, treated, options=None, normalize=False, q_wei
     rhs = target.values
     w = np.empty(design.n)
     for arm_mask, label in ((t, "treated arm"), (~t, "control arm")):
-        _, w_arm = _calibrate_group(
-            design.h[arm_mask], q[arm_mask], rhs, design.n, opts, label
-        )
+        _, w_arm = _one(_calibrate_groups(
+            [design.h[arm_mask]], [q[arm_mask]], [rhs], [design.n], opts, label
+        )[0])
         w[arm_mask] = w_arm
     if normalize:
         w = _normalize_per_arm(w, _arms(t), design.n)
@@ -522,9 +584,8 @@ def solve_att(design, treated, options=None, normalize=False):
     if t.sum() == 0 or (~t).sum() == 0:
         raise ValidationError("both arms must be non-empty")
     target_vals = design.h[t].mean(axis=0)
-    _, w0 = _calibrate_group(
-        design.h[~t], np.ones(int((~t).sum())), target_vals, design.n, opts, "control arm"
-    )
+    _, w0 = _one(_calibrate_groups([design.h[~t]], None, [target_vals], [design.n], opts,
+                                   "control arm")[0])
     w = np.empty(design.n)
     w[~t] = w0
     w[t] = design.n / t.sum()

@@ -122,12 +122,12 @@ def test_criterion_4_gradient_hessian_finite_differences():
         sample, spec, design, target, _ = random_instance(
             rng, n_s=25, k_h=2, k_g=1, ensure_feasible=False
         )
-        problem = _JointDual(design, target, sample.treated, score_cap=30.0)
+        problem = _JointDual([design], [target], [sample.treated], score_cap=30.0)
         theta = 0.3 * rng.standard_normal(problem.dim)
-        _, grad, hess = problem.value_grad_hess(theta)
-        fd_g = finite_difference_gradient(problem.value, theta)
+        _, (grad,), (hess,) = problem.value_grad_hess(theta[None])
+        fd_g = finite_difference_gradient(lambda th: problem.value(th[None])[0], theta)
         fd_h = finite_difference_hessian(
-            lambda th: problem.value_grad_hess(th, with_hess=False)[1], theta
+            lambda th: problem.value_grad_hess(th[None], with_hess=False)[1][0], theta
         )
         worst_g = max(worst_g, float(np.abs(grad - fd_g).max()))
         worst_h = max(worst_h, float(np.abs(hess - fd_h).max()))

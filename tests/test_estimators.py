@@ -237,15 +237,17 @@ def test_report_diagnostics_populated():
 
 
 def _degenerate_fit(monkeypatch, arm, value):
-    real = estimators.fit_logistic_irls
+    real = estimators._fit_logistic
 
-    def fit(sample, columns=None, **kwargs):
-        model = real(sample, columns, **kwargs)
-        p = model.propensities.copy()
-        p[getattr(sample, arm)[0]] = value
-        return dataclasses.replace(model, propensities=p)
+    def fit(samples, columns=None, **kwargs):
+        models = real(samples, columns, **kwargs)
+        for i, (sample, model) in enumerate(zip(samples, models)):
+            p = model.propensities.copy()
+            p[getattr(sample, arm)[0]] = value
+            models[i] = dataclasses.replace(model, propensities=p)
+        return models
 
-    monkeypatch.setattr(estimators, "fit_logistic_irls", fit)
+    monkeypatch.setattr(estimators, "_fit_logistic", fit)
 
 
 @pytest.mark.parametrize("arm, value", [("s1", 0.0), ("s0", 1.0)])
@@ -279,10 +281,10 @@ def test_estimator_table_matches_public_functions():
         "ebal": gb.estimate_ebal(sample, spec, raw, n_t=n_t),
         "extended": gb.estimate_extended(sample, spec, raw, n_t=n_t),
     }
-    shared = estimators._SharedWork(sample, spec, raw, n_t)
+    shared = estimators._SharedWork([sample], spec, [raw], [n_t])
     assert set(estimators.ESTIMATORS) == set(public)
     for name, estimate in estimators.ESTIMATORS.items():
-        assert estimate(shared, None) == public[name]
+        assert estimate(shared, None) == [public[name]]
 
 
 def test_converged_logistic_fit_evaluates_the_sigmoid_once_per_iterate(monkeypatch):

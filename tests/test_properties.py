@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import genbal as gb
-from genbal.errors import GenbalError
+from genbal.errors import GenbalError, _one
 from genbal.estimators import ESTIMATORS, _SharedWork
 from genbal.solver import _JointDual
 
@@ -68,17 +68,17 @@ def test_balancing_invariants_on_random_feasible_instances(instance, perm_seed):
 def test_every_estimate_invariant_to_outcome_location_shift(instance, shift):
     sample, spec, _, _, raw_target = instance
     shifted = gb.SourceSample(sample.X, sample.A, sample.Y + shift)
-    base = _SharedWork(sample, spec, raw_target)
-    moved = _SharedWork(shifted, spec, raw_target)
+    base = _SharedWork([sample], spec, [raw_target])
+    moved = _SharedWork([shifted], spec, [raw_target])
     for name, estimate in ESTIMATORS.items():
         try:
-            tau = estimate(base, None).tau_hat
+            tau = _one(estimate(base, None)[0]).tau_hat
         except GenbalError as exc:
             # a failing fit or solve does not read Y, so it fails again
             with pytest.raises(type(exc)):
-                estimate(moved, None)
+                _one(estimate(moved, None)[0])
             continue
-        assert estimate(moved, None).tau_hat == pytest.approx(tau, rel=0, abs=1e-10), name
+        assert _one(estimate(moved, None)[0]).tau_hat == pytest.approx(tau, rel=0, abs=1e-10), name
 
 
 @settings(
@@ -153,20 +153,20 @@ def test_joint_dual_matches_the_dense_block_design(seed, n1, n0, k_h, k_g, scale
     )
     design = gb.evaluate_basis(spec, sample)
     target = gb.align_target_summary(spec, np.r_[1.0, rng.normal(size=k_h)], design)
-    problem = _JointDual(design, target, sample.treated, score_cap=30.0)
+    problem = _JointDual([design], [target], [sample.treated], score_cap=30.0)
     theta = scale * rng.standard_normal(problem.dim)
 
     # reference: F = [H 1{A=1} | H 1{A=0} | +-G] over the rows in source order
     arm = sample.treated[:, None]
     F = np.hstack([design.h * arm, design.h * ~arm, np.where(arm, design.g, -design.g)])
     w = np.exp(F @ theta)
-    want_val = w.sum() / n - theta @ problem.target
-    want_grad = F.T @ w / n - problem.target
+    want_val = w.sum() / n - theta @ problem.target[0]
+    want_grad = F.T @ w / n - problem.target[0]
     want_hess = F.T @ (F * w[:, None]) / n
 
-    val, grad, hess = problem.value_grad_hess(theta)
+    (val,), (grad,), (hess,) = problem.value_grad_hess(theta[None])
     size = max(1.0, float(w.mean() * np.abs(F).max() ** 2))
     assert val == pytest.approx(want_val, rel=0, abs=1e-12 * size)
     np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * size)
     np.testing.assert_allclose(hess, want_hess, rtol=0, atol=1e-12 * size)
-    np.testing.assert_allclose(problem.weights(theta), w, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(problem.weights(theta[None])[0], w, rtol=1e-12, atol=0)

@@ -319,18 +319,19 @@ def test_rank_deficient_replicates_count_as_failures_not_abort():
 
 
 def test_run_grid_evaluates_basis_and_fits_logit_once_per_replicate(monkeypatch):
-    calls = {"evaluate_basis": 0, "fit_logistic_irls": 0}
+    calls = {"evaluate_basis": 0, "_fit_logistic": 0}
     for name in calls:
         real = getattr(estimators, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
+            # the batched logit fit counts each sample it fits
+            calls[_name] += len(args[0]) if _name == "_fit_logistic" else 1
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(estimators, name, counting)
     config = gb.builtin_scenario("P2", "T1", "M1", n=300, replicates=6, seed=26)
     result = gb.run_grid([config], jobs=1)
-    assert calls == {"evaluate_basis": 6, "fit_logistic_irls": 6}
+    assert calls == {"evaluate_basis": 6, "_fit_logistic": 6}
     assert all(agg.failures == 0 for agg in result.scenarios[0].methods.values())
 
 
@@ -353,13 +354,11 @@ def test_package_error_on_one_replicate_fails_that_method_only(monkeypatch):
     methods = ["ipw", "ebal", "extended"]
     baseline = gb.run_grid([config], methods, jobs=1)
     real = estimators.ESTIMATORS["ebal"]
-    calls = []
 
     def fails_on_second_replicate(shared, options):
-        calls.append(1)
-        if len(calls) == 2:
-            raise ValidationError("weights must be strictly positive and finite")
-        return real(shared, options)
+        outcomes = real(shared, options)
+        outcomes[1] = ValidationError("weights must be strictly positive and finite")
+        return outcomes
 
     monkeypatch.setitem(estimators.ESTIMATORS, "ebal", fails_on_second_replicate)
     result = gb.run_grid([config], methods, jobs=1)
@@ -418,7 +417,7 @@ def test_run_grid_rejects_invalid_jobs(jobs):
 
 @pytest.mark.parametrize(
     "replicates, jobs, pools",
-    [((1, 5, 9), 2, [2]), ((1, 1, 1), 5, [3]), ((2,), 8, [2]), ((1, 5, 9), 16, [15]), ((), 2, [])],
+    [((1, 5, 9), 2, [2]), ((1, 1, 1), 5, [3]), ((2,), 8, [1]), ((1, 5, 9), 16, [3]), ((), 2, [])],
 )
 def test_pool_starts_at_most_one_worker_per_task(monkeypatch, replicates, jobs, pools):
     import concurrent.futures
@@ -438,6 +437,41 @@ def test_multi_cell_grid_json_identical_across_jobs():
     # unequal replicate counts and sizes exercise the per-config regrouping
     payloads = {jobs: gb.run_grid(_small_grid(), jobs=jobs).to_json() for jobs in (1, 2, 3)}
     assert payloads[1] == payloads[2] == payloads[3]
+
+
+@pytest.mark.parametrize("n, replicates, sizes", [
+    (800, 20, [20]), (4000, 9, [4, 4, 1]), (20000, 3, [1, 1, 1]), (16001, 2, [1, 1]),
+    (2, 8001, [8000, 1]), (300, 53, [53]), (300, 54, [53, 1]),
+])
+def test_batches_cover_the_replicates_once_in_order(n, replicates, sizes):
+    config = gb.builtin_scenario("P1", "T1", "M1", n=n, replicates=replicates)
+    batches = simulation._batches(config)
+    assert [len(b) for b in batches] == sizes
+    assert [rep for b in batches for rep in b] == list(range(replicates))
+
+
+def test_multi_batch_config_json_identical_across_jobs():
+    # n=4000 x 9 replicates runs as batches of 4, 4 and 1
+    config = gb.builtin_scenario("P2", "T1", "M1", n=4000, replicates=9, seed=31)
+    assert [len(b) for b in simulation._batches(config)] == [4, 4, 1]
+    payloads = {jobs: gb.run_grid([config], jobs=jobs).to_json() for jobs in (1, 2, 3)}
+    assert payloads[1] == payloads[2] == payloads[3]
+
+
+def test_failure_census_of_a_tiny_cell_is_the_unbatched_one():
+    # pinned from the solver that ran each replicate alone: the 40
+    # replicates of this cell are one batch, and each keeps its failure class
+    config = gb.builtin_scenario("P1", "T1", "M1", n=20, replicates=40, seed=0)
+    census = {}
+    for reps in simulation._batches(config):
+        for row in simulation._replicates(config, gb.ESTIMATOR_NAMES, None, reps):
+            for failure in row["failures"].items():
+                census[failure] = census.get(failure, 0) + 1
+    assert census == {
+        ("ebal", "NonConvergenceError"): 18, ("ebal", "RankDeficiencyError"): 22,
+        ("extended", "NonConvergenceError"): 16, ("extended", "RankDeficiencyError"): 24,
+        ("ipw", "SeparationError"): 2, ("ipw_et", "NonConvergenceError"): 19,
+    }
 
 
 def test_run_grid_opens_one_pool_per_call(monkeypatch):

@@ -43,13 +43,13 @@ def test_gradient_vanishes_at_solution():
 def test_gradient_matches_finite_differences_on_ten_rows():
     rng = np.random.default_rng(2)
     sample, spec, design, target, _ = random_instance(rng, n_s=10, k_h=2, k_g=1)
-    problem = _JointDual(design, target, sample.treated, score_cap=30.0)
+    problem = _JointDual([design], [target], [sample.treated], score_cap=30.0)
     theta = 0.3 * rng.standard_normal(problem.dim)
-    _, grad, hess = problem.value_grad_hess(theta)
-    fd_grad = finite_difference_gradient(problem.value, theta)
+    _, (grad,), (hess,) = problem.value_grad_hess(theta[None])
+    fd_grad = finite_difference_gradient(lambda th: problem.value(th[None])[0], theta)
     np.testing.assert_allclose(grad, fd_grad, atol=1e-6)
     fd_hess = finite_difference_hessian(
-        lambda th: problem.value_grad_hess(th, with_hess=False)[1], theta
+        lambda th: problem.value_grad_hess(th[None], with_hess=False)[1][0], theta
     )
     np.testing.assert_allclose(hess, fd_hess, atol=1e-6)
 
@@ -58,10 +58,10 @@ def test_gradient_equals_balance_residuals_exactly():
     rng = np.random.default_rng(3)
     for _ in range(5):
         sample, spec, design, target, _ = random_instance(rng, n_s=40, k_h=2, k_g=2)
-        problem = _JointDual(design, target, sample.treated, score_cap=30.0)
+        problem = _JointDual([design], [target], [sample.treated], score_cap=30.0)
         theta = 0.2 * rng.standard_normal(problem.dim)
-        _, grad, _ = problem.value_grad_hess(theta)
-        w = problem.weights(theta)
+        _, (grad,), _ = problem.value_grad_hess(theta[None])
+        (w,) = problem.weights(theta[None])
         res = gb.balance_residuals(design, target, sample.treated, w)
         np.testing.assert_allclose(grad, res.stacked(), atol=1e-12)
 
@@ -70,9 +70,9 @@ def test_hessian_positive_semidefinite_at_random_points():
     rng = np.random.default_rng(4)
     for _ in range(5):
         sample, spec, design, target, _ = random_instance(rng, n_s=35, k_h=2, k_g=1)
-        problem = _JointDual(design, target, sample.treated, score_cap=30.0)
+        problem = _JointDual([design], [target], [sample.treated], score_cap=30.0)
         theta = 0.4 * rng.standard_normal(problem.dim)
-        _, _, hess = problem.value_grad_hess(theta)
+        _, _, (hess,) = problem.value_grad_hess(theta[None])
         assert np.linalg.eigvalsh(hess).min() >= -1e-10
 
 
@@ -382,11 +382,11 @@ def test_joint_problem_stores_no_block_design_wide_array():
     # n x (2 k_h + k_g) block design with its zero half
     rng = np.random.default_rng(8)
     sample, spec, design, target, _ = random_instance(rng, n_s=50, k_h=3, k_g=2)
-    problem = _JointDual(design, target, sample.treated, score_cap=30.0)
+    problem = _JointDual([design], [target], [sample.treated], score_cap=30.0)
     kh, kg = design.h.shape[1], design.g.shape[1]
     assert problem.dim == 2 * kh + kg
     arrays = [v for v in vars(problem).values() if isinstance(v, np.ndarray)]
     assert arrays
     for a in arrays:
-        assert a.ndim < 2 or a.shape[-1] != 2 * kh + kg, a.shape
-    assert problem.E.shape == (2, max(sample.s1.size, sample.s0.size), kh + kg)
+        assert a.ndim < 3 or a.shape[-1] != 2 * kh + kg, a.shape
+    assert problem.E.shape == (1, 2, max(sample.s1.size, sample.s0.size), kh + kg)
