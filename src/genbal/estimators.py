@@ -73,22 +73,33 @@ class EstimateReport:
 def _fit_logistic(samples, columns=None, tol=1e-8, max_iter=100):
     """Logistic fits of samples sharing the regressor columns: per member a
     LogisticModel or its SeparationError. Zero pad rows add nothing to the
-    score or information; a member is frozen once it converges or fails."""
+    score or information; a member is frozen once it converges or fails.
+
+    A member whose regressors [1 | X] are numerically rank deficient (a
+    Gram eigenvalue at or below ``n * dim * eps * max``, the rounding of its
+    sums) has a singular information matrix at every step, so where its fit
+    ends rests on rounding, which batch padding changes: it is fit alone.
+    """
     cols = list(range(samples[0].p)) if columns is None else list(columns)
-    if len(samples) > 1 and min(sample.n_s for sample in samples) <= len(cols):
-        # fewer rows than regressors make the information matrix singular and
-        # where the fit ends rest on rounding: fit each sample as unbatched
-        return [_fit_logistic([sample], columns, tol, max_iter)[0] for sample in samples]
     Zs = [np.empty((len(cols) + 1, sample.n_s)).T for sample in samples]  # [1 | X] column-major
     for z, sample in zip(Zs, samples):
         z[:, 0], z[:, 1:] = 1.0, sample.X[:, cols]
     Z = stack_padded(Zs)
-    A = stack_padded([sample.A.astype(float) for sample in samples])
     Zt = Z.swapaxes(1, 2)
+    if len(samples) > 1:
+        eig = np.linalg.eigvalsh(np.matmul(Zt, Z))
+        alone = eig[:, 0] <= Z.shape[1] * Z.shape[2] * np.finfo(float).eps * eig[:, -1]
+        if alone.any():
+            rest = [s for s, a in zip(samples, alone) if not a]
+            rest = iter(_fit_logistic(rest, columns, tol, max_iter) if rest else ())
+            return [_fit_logistic([s], columns, tol, max_iter)[0] if a else next(rest)
+                    for s, a in zip(samples, alone)]
+    A = stack_padded([sample.A.astype(float) for sample in samples])
     beta = np.zeros((Z.shape[0], Z.shape[2]))
     failed = [None] * len(samples)
     active = np.ones(len(samples), dtype=bool)
     steps = np.zeros(len(samples), dtype=int)
+    identity = np.eye(Z.shape[2])
     for it in range(max_iter + 1):
         p = sigmoid(np.matmul(Z, beta[..., None])[..., 0])
         score = np.matmul(Zt, (A - p)[..., None])[..., 0]
@@ -97,20 +108,18 @@ def _fit_logistic(samples, columns=None, tol=1e-8, max_iter=100):
         if it == max_iter or not np.count_nonzero(active):
             break
         info = np.matmul(Zt, Z * (p * (1.0 - p))[..., None])
-        if np.count_nonzero(active) < active.size:  # frozen members solve an identity system
-            info = np.where(active[:, None, None], info, np.eye(beta.shape[1]))
-            score = np.where(active[:, None], score, 0.0)
-        step, singular = solve_each(info, score)
-        for r in np.flatnonzero(singular) if singular is not None else ():
+        # frozen members solve an identity system for a zero step
+        info = np.where(active[:, None, None], info, identity)
+        step, singular = solve_each(info, np.where(active[:, None], score, 0.0))
+        for r in singular:
             failed[r] = SeparationError("singular information matrix; data may be separated or degenerate")
             active[r], step[r] = False, 0.0
         beta += step
         steps += active
-        if float(np.abs(beta).max()) > COEF_NORM_LIMIT:
-            for r in np.flatnonzero(active & (np.abs(beta).max(axis=1) > COEF_NORM_LIMIT)):
-                failed[r] = SeparationError(f"logistic coefficients diverged past {COEF_NORM_LIMIT:g}; "
-                                            "treatment looks perfectly separated")
-                active[r] = False
+        for r in np.flatnonzero(active & (np.abs(beta).max(axis=1) > COEF_NORM_LIMIT)):
+            failed[r] = SeparationError(f"logistic coefficients diverged past {COEF_NORM_LIMIT:g}; "
+                                        "treatment looks perfectly separated")
+            active[r] = False
     # a member that took every step reports max_iter - 1
     iterations = np.where(steps == max_iter, max(max_iter - 1, 0), steps)
     return [err if err is not None else LogisticModel(

@@ -45,15 +45,15 @@ def stack_padded(arrays):
 
 def solve_each(a, b):
     """Solutions of the systems a[r] x = b[r] from one batched solve, and
-    which are singular (None if none). If the batched solve fails, each is
+    the indices r of the singular ones. If the batched solve fails, each is
     solved alone, so only the singular ones get NaN."""
     try:
-        return np.linalg.solve(a, b[..., None])[..., 0], None
+        return np.linalg.solve(a, b[..., None])[..., 0], []
     except np.linalg.LinAlgError:
-        x, singular = np.full_like(b, np.nan), np.zeros(len(b), dtype=bool)
+        x, singular = np.full_like(b, np.nan), []
         for r in range(len(b)):
             try:
                 x[r] = np.linalg.solve(a[r], b[r])
             except np.linalg.LinAlgError:
-                singular[r] = True
+                singular.append(r)
         return x, singular

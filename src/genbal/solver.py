@@ -217,15 +217,14 @@ class _GroupDual:
 
     ``E`` is a zero-padded ``(R, b, m, k)`` array of rows; the ``(b, k)``
     map ``cols`` into theta is shared. ``base`` is ``(R, b, m)`` and 0 on
-    pad rows, or None for 1 on the first ``sizes[r][b]`` rows of each
-    block. ``target_vals`` and ``n_s`` hold a row and a size per member,
+    pad rows. ``target_vals`` and ``n_s`` hold a row and a size per member,
     and ``rows`` the flat positions of each member's source rows in its
     ``(b, m)`` stack. A pad row scores 0, below any positive score cap, and
     weighs 0. Moments and Gram matrices are scattered into theta with one
     ``bincount`` each, offset by member. Methods take theta as ``(R, d)``.
     """
 
-    def __init__(self, E, base, cols, rows, target_vals, n_s, score_cap, sizes=None):
+    def __init__(self, E, base, cols, rows, target_vals, n_s, score_cap):
         if not score_cap > 0:  # pad rows score 0 and must stay below the cap
             raise ValidationError(f"score_cap must be > 0 and not NaN, got {score_cap!r}")
         self.E, self.base, self.cols, self.rows = E, base, cols, rows
@@ -236,54 +235,48 @@ class _GroupDual:
         offsets = np.arange(self.batch)[:, None, None] * self.dim
         self._grad_at = (offsets + cols).ravel()
         self._hess_at = ((offsets[..., None] + cols[:, :, None]) * self.dim + cols[:, None, :]).ravel()
-        if base is None:  # a unit base: the tilt zeroes the pad rows instead
-            m = E.shape[2]
-            self._pads = np.concatenate([np.arange(start + n, start + m) for start, n in
-                                         zip(range(0, E[..., 0].size, m), np.ravel(sizes))])
 
     @classmethod
     def one_block(cls, Fs, bases, target_vals, n_s, score_cap):
         """The dual of each member over the rows of its F, with theta indexing
-        F's columns; ``bases`` None is a unit base. A batch of one keeps F."""
+        F's columns. A batch of one keeps F and its base."""
         E = stack_padded([np.ascontiguousarray(F) for F in Fs])[:, None]
-        base = None if bases is None else stack_padded([np.asarray(b) for b in bases])[:, None]
+        base = stack_padded([np.asarray(b, dtype=float) for b in bases])[:, None]
         rows = [np.arange(len(F)) for F in Fs]
-        return cls(E, base, np.arange(E.shape[-1])[None], rows, target_vals, n_s, score_cap,
-                   [[len(F)] for F in Fs])
+        return cls(E, base, np.arange(E.shape[-1])[None], rows, target_vals, n_s, score_cap)
 
     def scores(self, theta):
         return np.matmul(self.E, theta[:, self.cols][..., None])[..., 0]
 
     def tilt(self, theta):
         """The weights base * exp(E theta) per block, and each member's top score."""
-        # line-search candidates may overflow; past the cap they are discarded
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # past the cap the weights are discarded
             s = self.scores(theta)
             top = s.reshape(self.batch, -1).max(axis=1)
             np.exp(s, out=s)
-        if self.base is not None:
-            s *= self.base
-        elif self._pads.size:
-            s.reshape(-1)[self._pads] = 0.0
+        s *= self.base
         return s, top
 
     def value_at(self, theta, w, top):
-        """Objective at theta, given (w, top) = tilt(theta); +inf past the cap."""
-        within = top <= self.cap
-        if np.count_nonzero(within) == within.size:
-            return self._objective(theta, w)
-        with np.errstate(over="ignore", invalid="ignore"):  # discarded past the cap
-            return np.where(within, self._objective(theta, w), np.inf)
-
-    def _objective(self, theta, w):
-        return w.reshape(self.batch, -1).sum(axis=1) / self.n_s - _rowdot(theta, self.target)
+        """Objective at theta, given (w, top) = tilt(theta); +inf past the
+        cap. Overflowed weights past the cap are the caller's to silence."""
+        value = w.reshape(self.batch, -1).sum(axis=1) / self.n_s - _rowdot(theta, self.target)
+        return np.where(top <= self.cap, value, np.inf)
 
     def value(self, theta):
-        return self.value_at(theta, *self.tilt(theta))
+        return self.value_grad_hess(theta, with_hess=False)[0]
 
     def value_grad_hess(self, theta, with_hess=True):
+        """Value, gradient and Hessian at theta; a member past the score cap
+        gets +inf and NaN rows, its overflowed weights never summed."""
         w, top = self.tilt(theta)
-        return self.value_at(theta, w, top), self.gradient(w), self.hessian(w) if with_hess else None
+        past = top > self.cap
+        w[past] = 0.0
+        grad, hess = self.gradient(w), self.hessian(w) if with_hess else None
+        grad[past] = np.nan
+        if with_hess:
+            hess[past] = np.nan
+        return self.value_at(theta, w, top), grad, hess
 
     def gradient(self, w):
         """Gradient at theta, given w = tilt(theta)[0]."""
@@ -307,9 +300,9 @@ class _GroupDual:
         return self.in_source_order(self.tilt(theta)[0])
 
 
-# per-row dot products of (R, d) arrays, each as a[r] @ b[r] computes it;
-# NumPy 2's vecdot does the same with less call overhead
-_rowdot = getattr(np, "vecdot", None) or (lambda a, b: np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0])
+def _rowdot(a, b):
+    """Per-row dot products of (R, d) arrays, each as a[r] @ b[r] computes it."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _JointDual(designs, targets, treateds, score_cap):
@@ -331,22 +324,23 @@ def _JointDual(designs, targets, treateds, score_cap):
         arms.append((t, n1, design.n - n1))
     m = max(max(n1, n0) for _, n1, n0 in arms)
     E = np.zeros((len(designs), 2, m, kh + kg))
+    base = np.zeros((len(designs), 2, m))
     rows = []
-    for member, design, (t, _, n0) in zip(E, designs, arms):
+    for member, member_base, design, (t, n1, n0) in zip(E, base, designs, arms):
         hg = np.hstack([design.h, design.g])
         at = np.empty(design.n, dtype=np.intp)  # flat position of each source row
         for block, arm in enumerate((np.flatnonzero(t), np.flatnonzero(~t))):
             at[arm] = np.arange(block * m, block * m + arm.size)
             np.take(hg, arm, axis=0, out=member[block, :arm.size])
         member[1, :n0, kh:] *= -1.0
+        member_base[0, :n1] = member_base[1, :n0] = 1.0
         rows.append(at)
     cols = np.empty((2, kh + kg), dtype=np.intp)
     cols[0, :kh] = np.arange(kh)
     cols[1, :kh] = np.arange(kh, 2 * kh)
     cols[:, kh:] = np.arange(2 * kh, 2 * kh + kg)
     target_vals = [np.concatenate([t.values, t.values, np.zeros(kg)]) for t in targets]
-    return _GroupDual(E, None, cols, rows, target_vals, [d.n for d in designs], score_cap,
-                      [arm[1:] for arm in arms])
+    return _GroupDual(E, base, cols, rows, target_vals, [d.n for d in designs], score_cap)
 
 
 def dual_objective(lambda1, lambda0, gamma, design, target, treated, score_cap=30.0):
@@ -361,8 +355,6 @@ def dual_objective(lambda1, lambda0, gamma, design, target, treated, score_cap=3
     if theta.shape[0] != problem.dim:
         raise ValidationError("dual parameter dimensions do not match the design")
     (val,), (grad,), (hess,) = problem.value_grad_hess(theta[None])
-    if not np.isfinite(val):
-        return np.inf, np.full(problem.dim, np.nan), np.full((problem.dim, problem.dim), np.nan)
     return float(val), grad, hess
 
 
@@ -379,27 +371,23 @@ def _normalize_per_arm(w, arms, n_s):
     return out
 
 
-def _newton_directions(hess, grad, active):
+def _newton_directions(hess, grad, active, identity):
     """Each active member's Newton direction, or its gradient direction when
-    the Hessian is singular or the step does not descend; zero for others."""
-    # np.count_nonzero tests the tiny per-member masks for less than .all()/.any()
-    all_active = np.count_nonzero(active) == active.size
-    if not all_active:  # frozen members solve an identity system instead
-        hess = np.where(active[:, None, None], hess, np.eye(grad.shape[1]))
-    step, _ = solve_each(hess, grad)
-    finite = np.isfinite(step).all(axis=1)
-    if np.count_nonzero(finite) < finite.size:  # a gradient step; zeros keep its dot quiet
-        step[~finite] = 0.0
-    newton = finite & (_rowdot(grad, step) > 0)
-    if all_active and np.count_nonzero(newton) == newton.size:
-        return np.negative(step, out=step)
-    return np.where(active[:, None], np.where(newton[:, None], -step, -grad), 0.0)
+    the Hessian is singular or the step does not descend by a finite slope
+    (a huge step's slope overflows); zero for others, which solve the
+    identity system for a zero gradient. Overflows are the caller's to
+    silence."""
+    grad = np.where(active[:, None], grad, 0.0)
+    step, _ = solve_each(np.where(active[:, None, None], hess, identity), grad)
+    descent = _rowdot(grad, step)  # not finite when any step entry is not
+    return -np.where((np.isfinite(descent) & (descent > 0))[:, None], step, grad)
 
 
 def _solve_dual(problem, what, opts, make_solution):
     """Damped Newton from zero for every member of a batch, shared by every
     exponential-tilt solve. Returns, per member, ``make_solution(theta,
-    **diagnostics)`` or its error, and the tilt at the final iterates.
+    **diagnostics)`` or its error, and the tilt at the final iterates of
+    the members that did not fail.
 
     At zero the dual Hessian is the base-weighted Gram matrix of the
     design, so its eigenvalues are the rank check: eigenvalues at or
@@ -420,42 +408,43 @@ def _solve_dual(problem, what, opts, make_solution):
     rank = (eig > d * np.finfo(float).eps * eig[:, -1:]).sum(axis=1)
     active = rank == d
     iterations = np.zeros(R, dtype=int)
-    # an active member has stepped in every round, so it runs out of
-    # iterations when the rounds do
-    for rounds in range(opts.max_iter + 1):
-        grad_norm = np.abs(grad).max(axis=1)
-        active &= grad_norm > opts.tol
-        if rounds == opts.max_iter or not np.count_nonzero(active):
-            break
-        if hess is None:  # taken only when another step follows
-            hess = problem.hessian(w)
-        direction = _newton_directions(hess, grad, active)
-        slope = _rowdot(grad, direction)
-        # Absolute slack keeps the sufficient-decrease test meaningful when
-        # improvements fall below floating-point resolution of the value.
-        floor = 1e-14 * (1.0 + np.abs(val))
-        t = np.ones(R)
-        stalled = active.copy()
-        for _ in range(_MAX_BACKTRACKS):
-            # a frozen member has a zero direction, so its candidate is theta
-            cand = theta + t[:, None] * direction
-            w, top = problem.tilt(cand)
-            cval = problem.value_at(cand, w, top)
-            stalled &= ~(np.isfinite(cval) & (cval <= val + ARMIJO_SLOPE * t * slope + floor))
-            if not np.count_nonzero(stalled):
+    identity = np.eye(d)
+    # A huge step may overflow its slope, its candidate or that candidate's
+    # value; each is caught by a finiteness test. An active member has
+    # stepped in every round, so it runs out of iterations when the rounds do.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rounds in range(opts.max_iter + 1):
+            grad_norm = np.abs(grad).max(axis=1)
+            active &= grad_norm > opts.tol
+            if rounds == opts.max_iter or not np.count_nonzero(active):
                 break
-            t[stalled] *= ARMIJO_FACTOR
-        # the accepted candidates' tilts and values are reused, not recomputed
-        if not np.count_nonzero(stalled):
-            theta, val, grad = cand, cval, problem.gradient(w)
-        else:  # no step decreases their objective enough: keep their iterate
-            cand[stalled] = theta[stalled]
-            w[stalled] = 0.0
-            theta, val = cand, np.where(stalled, val, cval)
+            if hess is None:  # taken only when another step follows
+                hess = problem.hessian(w)
+            direction = _newton_directions(hess, grad, active, identity)
+            slope = _rowdot(grad, direction)
+            # Absolute slack keeps the sufficient-decrease test meaningful when
+            # improvements fall below floating-point resolution of the value.
+            floor = 1e-14 * (1.0 + np.abs(val))
+            t = np.ones(R)
+            stalled = active.copy()
+            for _ in range(_MAX_BACKTRACKS):
+                # a frozen member has a zero direction, so its candidate is theta
+                cand = theta + t[:, None] * direction
+                w, top = problem.tilt(cand)
+                cval = problem.value_at(cand, w, top)
+                stalled &= ~(np.isfinite(cval) & (cval <= val + ARMIJO_SLOPE * t * slope + floor))
+                if not np.count_nonzero(stalled):
+                    break
+                t[stalled] *= ARMIJO_FACTOR
+            # the accepted candidates' tilts and values are reused, not
+            # recomputed; a stalled member, which no step decreases enough,
+            # keeps its iterate (its tilt is of its last rejected candidate)
+            theta = np.where(stalled[:, None], theta, cand)
+            val = np.where(stalled, val, cval)
             grad = np.where(stalled[:, None], grad, problem.gradient(w))
             active &= ~stalled
-        hess = None
-        iterations += active
+            hess = None
+            iterations += active
     outcomes = []
     for r, e in enumerate(eig):
         if rank[r] < d:
@@ -526,7 +515,8 @@ def _et_calibration(designs, targets, options=None, normalize=False):
         q = q * (q.shape[0] / q.sum()) if normalize else q
         return solution, WeightSet(q, Method.ET, normalize)
 
-    return _calibrate_groups([d.h for d in designs], None, [t.values for t in targets],
+    return _calibrate_groups([d.h for d in designs], [np.ones(d.n) for d in designs],
+                             [t.values for t in targets],
                              [d.n for d in designs], options or SolverOptions(), "H design", build)
 
 
@@ -584,8 +574,8 @@ def solve_att(design, treated, options=None, normalize=False):
     if t.sum() == 0 or (~t).sum() == 0:
         raise ValidationError("both arms must be non-empty")
     target_vals = design.h[t].mean(axis=0)
-    _, w0 = _one(_calibrate_groups([design.h[~t]], None, [target_vals], [design.n], opts,
-                                   "control arm")[0])
+    _, w0 = _one(_calibrate_groups([design.h[~t]], [np.ones(int((~t).sum()))], [target_vals],
+                                   [design.n], opts, "control arm")[0])
     w = np.empty(design.n)
     w[~t] = w0
     w[t] = design.n / t.sum()

@@ -20,7 +20,7 @@ from genbal.estimators import ESTIMATORS, _SharedWork
 from genbal.solver import Method, _et_calibration, _solve_joint
 
 SPEC = gb.BasisSpec.from_names(["const", "x1", "x2"], ["x3"])
-KINDS = ("feasible", "collinear", "infeasible", "separated")
+KINDS = ("feasible", "collinear", "infeasible", "separated", "duplicated")
 
 
 def _member(rng, n, n1, kind):
@@ -28,7 +28,9 @@ def _member(rng, n, n1, kind):
 
     ``collinear`` sets x2 = x1 on the treated arm; ``infeasible`` puts the
     target mean of x1 past its largest value; ``separated`` treats the n1
-    rows with the largest x1.
+    rows with the largest x1; ``duplicated`` sets x3 = x1 on every row, so
+    the logistic regressors [1 | X] are rank deficient and every
+    information matrix of the fit is singular.
     """
     X = rng.normal(size=(n, 3))
     A = np.zeros(n, dtype=int)
@@ -38,6 +40,8 @@ def _member(rng, n, n1, kind):
         A[rng.permutation(n)[:n1]] = 1
     if kind == "collinear":
         X[A == 1, 1] = X[A == 1, 0]
+    if kind == "duplicated":
+        X[:, 2] = X[:, 0]
     u = np.exp(0.2 * rng.standard_normal(n))
     target = np.r_[1.0, X[:, :2].T @ u / u.sum()]
     if kind == "infeasible":
@@ -53,7 +57,7 @@ def batches(draw):
     shapes = []
     for _ in range(size):
         if not shapes or not same_shape:
-            n = draw(st.integers(8, 60))
+            n = draw(st.integers(6, 60))  # from just above the 4 regressors
             shapes.append((n, draw(st.integers(3, n - 3))))
         else:
             shapes.append(shapes[0])
@@ -139,3 +143,33 @@ def test_batch_members_get_the_outcome_they_get_alone(batch):
             assert (out.iterations, out.converged) == (mine.iterations, mine.converged)
             assert _close(out.coefficients, mine.coefficients)
             assert _close(out.propensities, mine.propensities)
+
+
+@st.composite
+def tiny_samples(draw):
+    """2-6 samples of 2-8 rows over 3 covariates; rows at or below the 4
+    logistic regressors, or a duplicated covariate, make [1 | X] rank
+    deficient."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = []
+    for _ in range(draw(st.integers(2, 6))):
+        n = draw(st.integers(2, 8))
+        X = rng.normal(size=(n, 3))
+        if draw(st.booleans()):
+            X[:, 2] = X[:, 0]
+        A = np.zeros(n, dtype=int)
+        A[rng.permutation(n)[:draw(st.integers(1, n - 1))]] = 1
+        samples.append(gb.SourceSample(X, A, rng.normal(size=n)))
+    return samples
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(samples=tiny_samples())
+def test_rank_deficient_logistic_fits_end_in_a_batch_as_they_end_alone(samples):
+    for out, sample in zip(estimators._fit_logistic(samples), samples):
+        (mine,) = estimators._fit_logistic([sample])
+        if isinstance(mine, GenbalError):
+            assert (type(out), str(out)) == (type(mine), str(mine))
+        else:
+            assert (out.iterations, out.converged) == (mine.iterations, mine.converged)
+            assert _close(out.coefficients, mine.coefficients)

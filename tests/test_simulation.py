@@ -474,6 +474,18 @@ def test_failure_census_of_a_tiny_cell_is_the_unbatched_one():
     }
 
 
+@pytest.mark.parametrize("name", ["P1-T1-M1", "P1-T2-M1", "P2-T1-M1"])
+def test_tiny_cell_replicates_fail_in_a_batch_as_they_fail_alone(name):
+    # at n=20 some replicates draw fewer source rows than logistic
+    # regressors; their singular fits must end as they do alone
+    (config,) = [c for c in gb.builtin_grid(n=20, replicates=40, seed=3) if c.name == name]
+    (batch,) = simulation._batches(config)
+    batched = simulation._replicates(config, gb.ESTIMATOR_NAMES, None, batch)
+    for rep, row in zip(batch, batched):
+        (alone,) = simulation._replicates(config, gb.ESTIMATOR_NAMES, None, [rep])
+        assert row["failures"] == alone["failures"], rep
+
+
 def test_run_grid_opens_one_pool_per_call(monkeypatch):
     import concurrent.futures
 

@@ -7,7 +7,7 @@ import pytest
 
 import genbal as gb
 from genbal.errors import NonConvergenceError, RankDeficiencyError
-from genbal.solver import _GroupDual, _JointDual
+from genbal.solver import _GroupDual, _JointDual, _newton_directions, _rowdot
 
 from helpers import (
     finite_difference_gradient,
@@ -372,6 +372,39 @@ def test_dual_objective_rejects_a_nonpositive_score_cap():
                           sample.treated, score_cap=0.0)
 
 
+def test_dual_objective_past_exp_overflow_is_inf_and_nan_without_warnings():
+    # scores past 709 overflow exp; the value is +inf and the derivatives
+    # NaN, and no RuntimeWarning (an error under the test settings) leaks
+    rng = np.random.default_rng(3)
+    sample, spec, design, target, _ = random_instance(rng, n_s=40, k_h=3, k_g=1)
+    kh = design.h.shape[1]
+    lam = np.full(kh, 1e3)
+    value, grad, hess = gb.dual_objective(lam, -lam, np.full(1, 1e3), design, target, sample.treated)
+    assert value == np.inf
+    assert grad.shape == (2 * kh + 1,) and np.isnan(grad).all()
+    assert hess.shape == (2 * kh + 1, 2 * kh + 1) and np.isnan(hess).all()
+
+
+def test_rowdot_equals_each_rows_own_dot_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for R, d in ((1, 1), (1, 7), (3, 4), (20, 9), (6, 16)):
+        a = rng.normal(size=(R, d)) * 10.0 ** rng.integers(-6, 6, size=(R, 1))
+        b = rng.normal(size=(R, d))
+        assert np.array_equal(_rowdot(a, b), [a[r] @ b[r] for r in range(R)])
+
+
+def test_a_newton_step_whose_slope_overflows_falls_back_to_the_gradient():
+    # the step (1e300, 1e300) is finite, but its dot with the gradient is not
+    grad = np.array([[1e10, 1e10], [1.0, 2.0]])
+    hess = np.array([np.eye(2) * 1e-290, np.eye(2) * 2.0])
+    with np.errstate(over="ignore"):
+        direction = _newton_directions(hess, grad, np.array([True, True]), np.eye(2))
+    assert np.array_equal(direction, [[-1e10, -1e10], [-0.5, -1.0]])
+    # a frozen member gets a zero direction
+    direction = _newton_directions(np.eye(2)[None], grad[1:], np.array([False]), np.eye(2))
+    assert np.array_equal(direction, [[0.0, 0.0]])
+
+
 def test_solver_options_allow_an_infinite_score_cap_and_zero_iterations():
     opts = gb.SolverOptions(score_cap=float("inf"), max_iter=0)
     assert opts.score_cap == float("inf") and opts.max_iter == 0
@@ -385,8 +418,9 @@ def test_joint_problem_stores_no_block_design_wide_array():
     problem = _JointDual([design], [target], [sample.treated], score_cap=30.0)
     kh, kg = design.h.shape[1], design.g.shape[1]
     assert problem.dim == 2 * kh + kg
-    arrays = [v for v in vars(problem).values() if isinstance(v, np.ndarray)]
+    arrays = [v for v in vars(problem).values() if isinstance(v, np.ndarray) and v is not problem.target]
     assert arrays
     for a in arrays:
-        assert a.ndim < 3 or a.shape[-1] != 2 * kh + kg, a.shape
+        assert a.ndim < 2 or a.shape[-1] != 2 * kh + kg, a.shape
+    assert problem.target.shape == (1, 2 * kh + kg)
     assert problem.E.shape == (1, 2, max(sample.s1.size, sample.s0.size), kh + kg)
