@@ -90,12 +90,13 @@ class BasisTerm:
             return f"x{self.index + 1}:x{self.index2 + 1}"
         return f"{self.transform}(x{self.index + 1})"
 
-    def max_index(self) -> int:
+    def indices(self) -> frozenset[int]:
+        """The covariate indices the term reads."""
         if self.kind == "constant":
-            return -1
+            return frozenset()
         if self.kind == "product":
-            return max(self.index, self.index2)
-        return self.index
+            return frozenset((self.index, self.index2))
+        return frozenset((self.index,))
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -220,7 +221,7 @@ class BasisSpec:
         return len(self.g_terms)
 
     def max_index(self) -> int:
-        return max(t.max_index() for t in self.terms)
+        return max(frozenset().union(*(t.indices() for t in self.terms)), default=-1)
 
     def h_only(self) -> "BasisSpec":
         return BasisSpec(self.h_terms)

@@ -17,7 +17,11 @@ companion Monte Carlo harness provides the stochastic cross-check.
 ``asymptotic_variance`` makes one pass over the grid: H, G and each truth
 function are evaluated once, the dual's base q becomes r in place, every
 projection onto a span comes from one Gram matrix, and each grid array is
-dropped after its last use.
+dropped after its last use. The limiting dual runs on the sub-grid of the
+covariates H reads: on a tensor grid (one with a ``shape``) H is constant
+along every other axis, so the dual's base and target weights are summed
+over those axes first, and H = (const, x1, x2, x3) on a grid over x1..x5
+solves over nodes**3 rows, not nodes**5.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import BasisSpec
-from .errors import HypothesisViolationError, RankDeficiencyError, _one
+from .errors import HypothesisViolationError, RankDeficiencyError, ValidationError, _one
 from .mathutil import sigmoid
 from .models import basis_coefficients, in_h_span
 from .quadrature import QuadratureGrid
@@ -118,6 +122,12 @@ def _tilt_base(truth, H, G):
 
 def _grid_setup(truth, spec, grid):
     """H, G, participation rho and the source law ws = w rho / E[rho] on the grid."""
+    p = grid.points.shape[1]
+    if spec.max_index() >= p:
+        raise ValidationError(
+            f"basis references covariate x{spec.max_index() + 1} but the grid has p={p}",
+            code="INDEX_OUT_OF_RANGE",
+        )
     H = spec.evaluate_h(grid.points)
     G = spec.evaluate_g(grid.points)
     rho = truth.participation(grid.points)
@@ -126,14 +136,31 @@ def _grid_setup(truth, spec, grid):
     return H, G, rho, ws
 
 
-def _limiting_tilt(truth, H, G, rho, ws, grid, tol=1e-8, max_iter=100):
+def _limiting_tilt(truth, spec, H, G, rho, ws, grid, tol=1e-8, max_iter=100):
     """lambda0* and r = q exp(H'lambda0*) on the grid, from the dual over F = H
-    with base ws * q and target E[H | target]; q becomes r in place."""
+    with base ws * q and target E[H | target]; q becomes r in place.
+
+    On a tensor grid H is constant along each axis it does not read, so the
+    dual runs on the sub-grid of the axes H reads, with the base and the
+    target weights summed over the others. A grid without a shape, or an H
+    that reads every axis, sums over no axis.
+    """
     _require_decomposition(truth)
     q = _tilt_base(truth, H, G)
+    shape, summed = (grid.size,), ()
+    if grid.shape is not None:
+        read = frozenset().union(*(t.indices() for t in spec.h_terms))
+        shape, summed = grid.shape, tuple(j for j in range(len(grid.shape)) if j not in read)
+    at_first = tuple(0 if j in summed else slice(None) for j in range(len(shape)))
+    Hs = H.reshape(shape + H.shape[1:])[at_first].reshape(-1, H.shape[1])
+
+    def reduce(v):
+        return v.reshape(shape).sum(axis=summed).ravel()
+
     opts = SolverOptions(tol=tol, max_iter=max_iter, score_cap=np.inf)
     wt = grid.weights * (1.0 - rho)
-    problem = _GroupDual.one_block([H], [ws * q], [H.T @ wt / wt.sum()], [1], opts.score_cap)
+    target = Hs.T @ reduce(wt) / wt.sum()
+    problem = _GroupDual.one_block([Hs], [reduce(ws * q)], [target], [1], opts.score_cap)
     (solution,), _ = _solve_dual(problem, "H on the quadrature grid", opts, CalibrationSolution)
     lam0 = _one(solution).beta
     q *= np.exp(H @ lam0)
@@ -157,7 +184,7 @@ def solve_limiting_dual(
     cap on the linear scores. An H term that is degenerate on the grid
     (identically zero, say) raises RankDeficiencyError.
     """
-    return _limiting_tilt(truth, *_grid_setup(truth, spec, grid), grid, tol, max_iter)[0]
+    return _limiting_tilt(truth, spec, *_grid_setup(truth, spec, grid), grid, tol, max_iter)[0]
 
 
 def tilde_r(truth: TruthFunctions, spec: BasisSpec, lambda0_star: np.ndarray) -> Callable:
@@ -206,7 +233,7 @@ _G_PERP = "G⊥ (G residualised on H)"
 def _tilted_measure(truth, spec, grid, r):
     """H, G and the r-tilted source law ws * r (r=None: the limiting tilt)."""
     H, G, rho, ws = _grid_setup(truth, spec, grid)
-    tilt = _limiting_tilt(truth, H, G, rho, ws, grid)[1] if r is None else r(grid.points)
+    tilt = _limiting_tilt(truth, spec, H, G, rho, ws, grid)[1] if r is None else r(grid.points)
     return H, G, ws * tilt
 
 
@@ -290,7 +317,7 @@ def asymptotic_variance(
     """
     pts, w = grid.points, grid.weights
     H, G, rho, measure = _grid_setup(truth, spec, grid)
-    lam0, r = _limiting_tilt(truth, H, G, rho, measure, grid)
+    lam0, r = _limiting_tilt(truth, spec, H, G, rho, measure, grid)
     measure *= r
     mu1 = truth.mu1(pts)
     mu0 = truth.mu0(pts)

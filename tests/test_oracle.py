@@ -5,11 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genbal as gb
-from genbal.errors import HypothesisViolationError, NonConvergenceError, RankDeficiencyError
+from genbal.errors import (
+    HypothesisViolationError,
+    NonConvergenceError,
+    RankDeficiencyError,
+    ValidationError,
+)
 from genbal.mathutil import sigmoid
 from genbal.models import CATE_MODELS, PROPENSITY_MODELS, CovariateFunction, FunctionTerm
+from genbal.solver import _GroupDual
 
 
 def _linear(*pairs):
@@ -393,3 +401,90 @@ def test_variance_peak_memory_stays_within_24_grid_vectors(p2_truth):
     finally:
         tracemalloc.stop()
     assert peak <= 24 * grid.size * 8
+
+
+@pytest.mark.parametrize(
+    "h, g, read",
+    [
+        (("const", "x1", "x2", "x3"), ("x4", "x5"), 3),
+        (("const", "x2"), ("x3", "x4", "x5"), 1),
+        (("const", "x1", "x2", "x3", "x4:x5"), ("x4", "x5"), 5),
+    ],
+)
+def test_limiting_dual_solves_over_the_sub_grid_of_the_axes_h_reads(monkeypatch, h, g, read):
+    rows = []
+    one_block = _GroupDual.one_block
+
+    def spy(Fs, *args):
+        rows.append([len(F) for F in Fs])
+        return one_block(Fs, *args)
+
+    monkeypatch.setattr(_GroupDual, "one_block", spy)
+    spec = gb.BasisSpec.from_names(h, g)
+    truth = gb.TruthFunctions.from_scenario(gb.builtin_scenario("P2", "T1", "M1"), spec)
+    grid = gb.gauss_legendre_box(5, -2.0, 2.0, 6)
+    gb.asymptotic_variance(truth, spec, grid)
+    gb.solve_limiting_dual(truth, spec, gb.QuadratureGrid(grid.points, grid.weights))
+    assert rows == [[6 ** read], [6 ** 5]]
+
+
+@pytest.mark.parametrize("cell", [c for c in _PINNED_REPORTS if "H-only" not in c])
+def test_grid_without_a_shape_gives_the_shaped_grids_report(cell):
+    config = gb.builtin_scenario(*cell.split("-"))
+    truth = gb.TruthFunctions.from_scenario(config)
+    grid = gb.gauss_legendre_box(config.p, config.low, config.high, 8)
+    shaped = gb.asymptotic_variance(truth, config.basis(), grid).to_dict()
+    flat = gb.asymptotic_variance(
+        truth, config.basis(), gb.QuadratureGrid(grid.points, grid.weights)
+    ).to_dict()
+    want = np.array(shaped["lambda0_star"] + [shaped[k] for k in _REPORT_KEYS])
+    got = np.array(flat["lambda0_star"] + [flat[k] for k in _REPORT_KEYS])
+    np.testing.assert_array_less(np.abs(got - want), 1e-12 * np.maximum(1.0, np.abs(want)))
+    assert flat["conditions"] == shaped["conditions"]
+
+
+_H_CANDIDATES = ("x1", "x2", "x3", "x4", "x1:x2", "x1:x4", "x2:x3", "x3:x4", "x2^2")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    h=st.lists(st.sampled_from(_H_CANDIDATES), unique=True, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sub_grid_dual_matches_the_dual_over_every_row(h, seed):
+    # G and the participation read every axis, so only H is constant along
+    # the axes it does not read
+    rng = np.random.default_rng(seed)
+    spec = gb.BasisSpec.from_names(["const", *h], ["x4^2", "x1:x3"])
+    slope = rng.normal(scale=0.4, size=4)
+    unused = lambda X: np.zeros(len(X))  # noqa: E731
+    truth = gb.TruthFunctions(
+        propensity=unused,
+        participation=lambda X: sigmoid(X @ slope + 0.1),
+        mu1=unused,
+        mu0=unused,
+        sigma2_1=unused,
+        sigma2_0=unused,
+        lambda_pi=rng.normal(scale=0.3, size=len(spec.h_terms)),
+        gamma_pi=rng.normal(scale=0.3, size=2),
+    )
+    grid = gb.gauss_legendre_box(4, -1.5, 2.0, 5)
+    sub = gb.solve_limiting_dual(truth, spec, grid)
+    full = gb.solve_limiting_dual(truth, spec, gb.QuadratureGrid(grid.points, grid.weights))
+    np.testing.assert_allclose(sub, full, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda truth, grid: gb.asymptotic_variance(truth, _SPEC5, grid),
+        lambda truth, grid: gb.solve_limiting_dual(truth, _SPEC5, grid),
+        lambda truth, grid: gb.project_h(truth.m, truth, _SPEC5, grid),
+        lambda truth, grid: gb.project_g_perp(truth.m, truth, _SPEC5, grid),
+    ],
+    ids=["asymptotic_variance", "solve_limiting_dual", "project_h", "project_g_perp"],
+)
+def test_oracle_rejects_a_basis_reading_past_the_grids_dimension(p2_truth, entry):
+    with pytest.raises(ValidationError, match="x5 but the grid has p=3") as info:
+        entry(p2_truth, gb.gauss_legendre_box(3, -2.0, 2.0, 4))
+    assert info.value.code == "INDEX_OUT_OF_RANGE"

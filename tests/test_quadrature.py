@@ -46,6 +46,63 @@ def test_grid_guards(p, nodes, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"p": 2, "nodes": 2.5}, "nodes=2.5 must be an integer"),
+        ({"p": 2, "nodes": True}, "nodes=True must be an integer"),
+        ({"p": 2.0, "nodes": 3}, "p=2.0 must be an integer"),
+        ({"p": False, "nodes": 3}, "p=False must be an integer"),
+        ({"p": 2, "low": 2.0, "high": -2.0}, "low < high, got low=2.0, high=-2.0"),
+        ({"p": 2, "low": 1.0, "high": 1.0}, "low < high, got low=1.0, high=1.0"),
+        ({"p": 2, "low": float("nan")}, "low=nan must be a finite number"),
+        ({"p": 2, "high": float("inf")}, "high=inf must be a finite number"),
+        ({"p": 2, "high": "2"}, "high='2' must be a finite number"),
+    ],
+)
+def test_grid_rejects_arguments_that_would_mirror_or_poison_it(kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        gb.gauss_legendre_box(**kwargs)
+
+
+def test_grid_records_its_tensor_shape():
+    assert gb.gauss_legendre_box(3, nodes=np.int64(4)).shape == (4, 4, 4)
+    assert gb.gauss_legendre_box(0).shape == ()
+    grid = gb.gauss_legendre_box(2, nodes=3)
+    assert gb.QuadratureGrid(grid.points, grid.weights).shape is None
+
+
+def test_hand_built_grid_is_coerced_and_read_only():
+    grid = gb.QuadratureGrid([[0.0, 1.0], [1.0, 1.0]], [0.25, 0.75], [2, 1])
+    assert grid.points.dtype == float and grid.weights.dtype == float
+    assert grid.shape == (2, 1)
+    assert not grid.points.flags.writeable and not grid.weights.flags.writeable
+    assert grid.expect([4.0, 8.0]) == 7.0
+
+
+@pytest.mark.parametrize(
+    "points, weights, shape, message",
+    [
+        ([0.0, 1.0, 2.0], [0.5, 0.25, 0.25], None, "2-d .* got ndim=1"),
+        ([[0.0], [np.nan]], [0.5, 0.5], None, "points must be finite"),
+        ([[0.0], [1.0, 2.0]], [0.5, 0.5], None, "must be numeric arrays"),
+        ([[0.0], [1.0]], ["a", 0.5], None, "must be numeric arrays"),
+        (np.zeros((4, 2)), np.full(3, 1 / 3), None, r"1-d array of 4 entries, .* got shape \(3,\)"),
+        (np.zeros((2, 1)), [[0.5, 0.5]], None, r"got shape \(1, 2\)"),
+        (np.zeros((2, 1)), [1.5, -0.5], None, "finite and non-negative"),
+        (np.zeros((2, 1)), [np.nan, 1.0], None, "finite and non-negative"),
+        (np.zeros((4, 2)), np.full(4, 0.25), (4,), r"shape \(4,\) must give"),
+        (np.zeros((4, 2)), np.full(4, 0.25), (2, 3), "product equal to the 4 points"),
+        (np.zeros((4, 2)), np.full(4, 0.25), (4, 1.0), "positive integer node count"),
+        (np.zeros((4, 2)), np.full(4, 0.25), (4, 1, 1), "p=2 axes"),
+        (np.zeros((4, 2)), np.full(4, 0.25), 4, "shape 4 must give"),
+    ],
+)
+def test_grid_construction_rejects_inconsistent_parts(points, weights, shape, message):
+    with pytest.raises(ValidationError, match=message):
+        gb.QuadratureGrid(points, weights, shape)
+
+
 def test_over_budget_grid_raises_before_allocating():
     tracemalloc.start()
     try:
