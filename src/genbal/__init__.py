@@ -26,6 +26,7 @@ from .errors import (
     RankDeficiencyError,
     SeparationError,
     ValidationError,
+    WeightUnderflowError,
 )
 from .estimators import (
     EstimateReport,

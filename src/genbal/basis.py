@@ -5,17 +5,21 @@ terms (whose means are known for the target sample, constant first) and
 G-side terms (balanced between arms within the source sample). Designs
 are standardized column by column for solver conditioning; the constant
 column is never touched, and target summaries supplied in raw units are
-mapped into the same coordinates by :func:`align_target_summary`.
+mapped into the same coordinates by :func:`align_target_summary`. A
+batch of samples is evaluated in one pass, each sample's moments taken
+over its own rows after an exact power-of-two rescaling that keeps huge
+and tiny covariates finite: its design is the one it gets alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _one
 
 __all__ = [
     "TRANSFORMS",
@@ -195,19 +199,19 @@ class BasisSpec:
         if dupes:
             raise ValidationError(f"duplicate basis terms: {dupes}")
 
-    @property
+    @functools.cached_property
     def h_terms(self) -> tuple[BasisTerm, ...]:
         return tuple(t for t in self.terms if t.side == "h")
 
-    @property
+    @functools.cached_property
     def g_terms(self) -> tuple[BasisTerm, ...]:
         return tuple(t for t in self.terms if t.side == "g")
 
-    @property
+    @functools.cached_property
     def h_names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.h_terms)
 
-    @property
+    @functools.cached_property
     def g_names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.g_terms)
 
@@ -265,7 +269,7 @@ class SourceSample:
         if not np.isfinite(Y).all():
             raise ValidationError("non-finite value in outcomes", code="NON_FINITE_CELL")
         a = np.asarray(A, dtype=float)
-        if not np.isfinite(a).all() or not np.isin(a, (0.0, 1.0)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise ValidationError(
                 "treatment must contain only 0/1 values", code="NON_BINARY_TREATMENT"
             )
@@ -277,12 +281,6 @@ class SourceSample:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "Y", Y)
-        s1 = np.flatnonzero(A == 1)
-        s0 = np.flatnonzero(A == 0)
-        s1.setflags(write=False)
-        s0.setflags(write=False)
-        object.__setattr__(self, "_s1", s1)
-        object.__setattr__(self, "_s0", s0)
 
     @property
     def n_s(self) -> int:
@@ -295,12 +293,12 @@ class SourceSample:
     @property
     def s1(self) -> np.ndarray:
         """Indices of the treated arm."""
-        return self._s1
+        return np.flatnonzero(self.A == 1)
 
     @property
     def s0(self) -> np.ndarray:
         """Indices of the control arm."""
-        return self._s0
+        return np.flatnonzero(self.A == 0)
 
     @property
     def treated(self) -> np.ndarray:
@@ -312,7 +310,9 @@ class DesignMatrices:
     """Materialized H and G columns plus the affine scaling that produced them.
 
     ``h[:, 0]`` is always the constant column of ones; its recorded center
-    is 0 and scale is 1 in every code path.
+    is 0 and scale is 1 in every code path. ``rows`` holds the [H | G] rows
+    of the batch the design was built in, each member's after a zero row,
+    from ``first`` on for this one; a design built by hand gets its own.
     """
 
     spec: BasisSpec
@@ -323,13 +323,18 @@ class DesignMatrices:
     g_center: np.ndarray
     g_scale: np.ndarray
     standardized: bool = True
+    rows: np.ndarray | None = dataclasses.field(default=None, repr=False, compare=False)
+    first: int = dataclasses.field(default=1, repr=False, compare=False)
 
     def __post_init__(self):
-        if not np.all(self.h[:, 0] == 1.0):
+        if not (self.h[:, 0] == 1.0).all():
             raise ValidationError("first H column must be the constant 1")
-        if np.any(self.h_scale == 0) or np.any(self.g_scale == 0):
+        if not (np.all(self.h_scale) and np.all(self.g_scale)):
             raise ValidationError("recorded scaling must be invertible")
-        for arr in (self.h, self.g, self.h_center, self.h_scale, self.g_center, self.g_scale):
+        if self.rows is None:
+            object.__setattr__(self, "rows", np.vstack([np.zeros((1, self.h.shape[1] + self.g.shape[1])),
+                                                       np.hstack([self.h, self.g])]))
+        for arr in (self.h, self.g, self.h_center, self.h_scale, self.g_center, self.g_scale, self.rows):
             np.asarray(arr).setflags(write=False)
 
     @property
@@ -338,19 +343,6 @@ class DesignMatrices:
 
     def stacked(self) -> np.ndarray:
         return np.hstack([self.h, self.g])
-
-    def h_only(self) -> "DesignMatrices":
-        empty = np.empty((self.n, 0))
-        return DesignMatrices(
-            spec=self.spec.h_only(),
-            h=self.h,
-            g=empty,
-            h_center=self.h_center,
-            h_scale=self.h_scale,
-            g_center=np.empty(0),
-            g_scale=np.empty(0),
-            standardized=self.standardized,
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -386,49 +378,62 @@ def evaluate_basis(spec: BasisSpec, sample: SourceSample, standardize: bool = Tr
     uncorrected divide-by-n standard deviation) and the parameters are
     recorded so target summaries can be mapped into the same coordinates.
     """
-    if spec.max_index() >= sample.p:
-        raise ValidationError(
-            f"basis references covariate x{spec.max_index() + 1} but the sample has p={sample.p}",
-            code="INDEX_OUT_OF_RANGE",
-        )
-    raw_h = spec.evaluate_h(sample.X)
-    raw_g = spec.evaluate_g(sample.X)
-    if not np.isfinite(raw_h).all() or not np.isfinite(raw_g).all():
-        raise ValidationError(
-            "basis evaluation produced non-finite values", code="NON_FINITE_CELL"
-        )
+    return _one(_design_batch(spec, [sample], standardize)[0])
 
-    def _scaling(cols, terms, skip_constant):
-        center = np.zeros(cols.shape[1])
-        scale = np.ones(cols.shape[1])
-        for j, term in enumerate(terms):
-            if skip_constant and j == 0:
-                continue
-            sd = float(cols[:, j].std())
-            if sd == 0.0:
-                raise ValidationError(
-                    f"degenerate basis term {term.name!r}: zero variance in the sample",
-                    code="DEGENERATE_TERM",
-                )
-            if standardize:
-                center[j] = float(cols[:, j].mean())
-                scale[j] = sd
-        return center, scale
 
-    h_center, h_scale = _scaling(raw_h, spec.h_terms, skip_constant=True)
-    g_center, g_scale = _scaling(raw_g, spec.g_terms, skip_constant=False)
-    h = (raw_h - h_center) / h_scale
-    g = (raw_g - g_center) / g_scale if raw_g.size else raw_g
-    return DesignMatrices(
-        spec=spec,
-        h=h,
-        g=g,
-        h_center=h_center,
-        h_scale=h_scale,
-        g_center=g_center,
-        g_scale=g_scale,
-        standardized=standardize,
-    )
+def _design_batch(spec: BasisSpec, samples, standardize: bool = True) -> list:
+    """Each sample's DesignMatrices, or the ValidationError that stops it,
+    from one evaluation of every term over all the samples' rows, laid back
+    to back with a zero row before each sample's. Centers and scales are
+    ``np.add.reduceat`` sums over a sample's own segment, which, led by the
+    zero, sum as NumPy sums the sample alone. Each column is first scaled
+    by the power of two of its largest magnitude (exact, and the squares of
+    huge or tiny values stay finite and nonzero); the recorded center and
+    scale carry the factor. The designs are views of one array of rows."""
+    q = spec.max_index() + 1
+    out = [ValidationError(f"basis references covariate x{q} but the sample has p={s.p}",
+                           code="INDEX_OUT_OF_RANGE") if q > s.p else None for s in samples]
+    ok = [i for i, err in enumerate(out) if err is None]
+    if not ok:
+        return out
+    n = np.array([samples[i].n_s for i in ok])
+    start = np.cumsum(n + 1) - (n + 1)  # each member's zero row
+    X = np.concatenate([x for i in ok for x in (np.zeros((1, q)), samples[i].X[:, :q])])
+    terms = spec.h_terms + spec.g_terms
+    rows = np.empty((X.shape[0], len(terms)))
+    rows[:, 0] = terms[0].evaluate(X)  # the constant column is never touched
+    e = np.zeros((len(terms), len(ok)), dtype=int)
+    center, sd = np.zeros((2, len(terms), len(ok)))
+    # only a member with a non-finite or zero-variance column can overflow,
+    # divide by zero or make a NaN here, and it fails below
+    with np.errstate(all="ignore"):
+        for j, term in enumerate(terms[1:], 1):
+            raw = term.evaluate(X)
+            raw[start] = 0.0
+            e[j] = np.maximum(np.frexp(np.maximum.reduceat(np.abs(raw), start))[1], -1022)
+            v = raw * np.repeat(np.ldexp(1.0, -e[j]), n + 1)
+            center[j] = np.add.reduceat(v, start) / n
+            v -= np.repeat(center[j], n + 1)
+            v[start] = 0.0
+            sd[j] = np.sqrt(np.add.reduceat(v * v, start) / n)
+            rows[:, j] = v / np.repeat(sd[j], n + 1) if standardize else raw
+    rows[start] = 0.0
+    sd[0], finite = 1.0, np.isfinite(center).all(axis=0)  # a non-finite value makes its sum non-finite
+    shape = (len(ok), len(terms))
+    center, scale = ((np.ldexp(center, e).T, np.ldexp(sd, e).T) if standardize
+                     else (np.zeros(shape), np.ones(shape)))
+    degenerate, kh = sd == 0, len(spec.h_terms)
+    for r, (i, j, a) in enumerate(zip(ok, degenerate.argmax(axis=0).tolist(), (start + 1).tolist())):
+        if not finite[r]:
+            out[i] = ValidationError("basis evaluation produced non-finite values", code="NON_FINITE_CELL")
+        elif degenerate[j, r]:
+            out[i] = ValidationError(f"degenerate basis term {terms[j].name!r}: zero variance in the sample",
+                                     code="DEGENERATE_TERM")
+        else:
+            block = rows[a:a + n[r]]
+            out[i] = DesignMatrices(spec, block[:, :kh], block[:, kh:], center[r, :kh], scale[r, :kh],
+                                    center[r, kh:], scale[r, kh:], standardize, rows, a)
+    return out
 
 
 def align_target_summary(

@@ -34,6 +34,10 @@ class NonConvergenceError(GenbalError):
         self.residuals = residuals
 
 
+class WeightUnderflowError(NonConvergenceError):
+    """A dual solve converged, but some weights underflowed to exactly 0."""
+
+
 class SeparationError(GenbalError):
     """A logistic fit diverged, or fitted a propensity of exactly 0 on a
     treated row or 1 on a control row: (quasi-)separated data."""
@@ -54,16 +58,6 @@ def _attempt(fn, *args):
         return fn(*args)
     except GenbalError as exc:
         return exc
-
-
-def _on_valid(batch_fn, *columns):
-    """batch_fn over the members with no error in any column, in order;
-    every other member keeps its first error."""
-    out = [next((x for x in m if isinstance(x, GenbalError)), None) for m in zip(*columns)]
-    ok = [i for i, err in enumerate(out) if err is None]
-    for i, result in zip(ok, batch_fn(*([col[i] for i in ok] for col in columns)) if ok else ()):
-        out[i] = result
-    return out
 
 
 def _one(outcome):

@@ -11,10 +11,10 @@ invariant to outcome location shifts.
 All four read one data set's basis design and aligned target, and both
 IPW variants read one treatment logit. :data:`ESTIMATORS` runs each
 method once over a batch of data sets that share a basis: a shared
-object computes each member's design, target and logit once, every
-solve and logistic fit runs the whole batch together, and each member
-gets its own report or error. Every public ``estimate_*`` is a batch of
-one.
+object builds every member's design in one pass and fits every logit at
+once, every solve runs the whole batch together, and one pass over the
+members' weights, back to back, reports every member's estimate or
+error. Every public ``estimate_*`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ import functools
 
 import numpy as np
 
-from .basis import BasisSpec, SourceSample, align_target_summary, evaluate_basis
-from .errors import NonConvergenceError, SeparationError, ValidationError, _attempt, _on_valid, _one
-from .mathutil import effective_sample_size, sigmoid, solve_each, stack_padded
-from .solver import Method, SolverOptions, WeightSet, _et_calibration, _normalize_per_arm, _solve_joint
+from .basis import BasisSpec, SourceSample, _design_batch, align_target_summary
+from .errors import GenbalError, NonConvergenceError, SeparationError, ValidationError, _attempt, _one
+from .mathutil import sigmoid, solve_each, stack_padded
+from .solver import Method, SolverOptions, WeightSet, _et_weights, _joint_weights, _normalize_arms
 
 __all__ = [
     "ESTIMATORS",
@@ -145,9 +145,9 @@ class _SharedWork:
 
     Each member's basis design, aligned target and treatment logit is
     cached as the result or the GenbalError that stopped it, so ipw,
-    ipw_et, ebal and extended evaluate each basis once and fit the logits
-    in one batched pass; a method reading a failed entry fails on that
-    member only.
+    ipw_et, ebal and extended build the designs in one pass and fit the
+    logits in one batched pass; a method reading a failed entry fails on
+    that member only.
     """
 
     samples: list
@@ -158,7 +158,7 @@ class _SharedWork:
 
     @functools.cached_property
     def designs(self):
-        return [_attempt(evaluate_basis, self.spec, sample) for sample in self.samples]
+        return _design_batch(self.spec, self.samples)
 
     @functools.cached_property
     def targets(self):
@@ -172,76 +172,92 @@ class _SharedWork:
             f"logistic fit did not converge (score sup-norm {m.score_norm:.3g})"
         ) for m in _fit_logistic(self.samples, self.columns)]
 
+    @functools.cached_property
+    def flat(self):
+        """Every member's row count, and its treated mask and outcomes, back to back."""
+        return (np.array([s.n_s for s in self.samples]), np.concatenate([s.A for s in self.samples]) == 1,
+                np.concatenate([s.Y for s in self.samples]))
+
+    def solved(self, solve):
+        """Each member's outcome or first error, and all weights back to back
+        (1 where no solve ran), from ``solve(designs, targets, treateds)``
+        over the members whose target, and so design, was built."""
+        outcomes, ok = list(self.targets), [not isinstance(t, GenbalError) for t in self.targets]
+        w = np.ones(self.flat[1].shape[0])
+        if any(ok):
+            members = np.flatnonzero(ok).tolist()
+            solved, w[np.repeat(ok, self.flat[0])] = solve(*([col[i] for i in members] for col in (
+                self.designs, outcomes, [s.treated for s in self.samples])))
+            for i, out in zip(members, solved):
+                outcomes[i] = out
+        return outcomes, w
+
+
+def _reports(shared, method, w, infos) -> list:
+    """Each member's EstimateReport, or the error that stops it, from the
+    members' weights ``w`` back to back in source order: each arm is
+    normalized once to sum to n_s, then every member's tau-hat, weight
+    range and per-arm effective sample sizes are taken at once. A member
+    keeps an error in ``infos`` (else its solver_info); one with a weight
+    that is not positive and finite gets a ValidationError."""
+    n, treated, Y = shared.flat
+    at = np.cumsum(n) - n
+    valid = np.logical_and.reduceat(np.isfinite(w) & (w > 0), at)
+    # a member that failed may carry weights that overflow or make NaN here; its report is dropped
+    with np.errstate(all="ignore"):
+        wn = _normalize_arms(w, treated, n)
+        v = np.stack([wn * Y, wn, wn * wn])
+        v1 = v * treated
+        (y1, s1, q1), (y0, s0, q0) = np.add.reduceat(v1, at, axis=1), np.add.reduceat(v - v1, at, axis=1)
+        stats = zip(((y1 - y0) / n).tolist(), np.minimum.reduceat(wn, at).tolist(),
+                    np.maximum.reduceat(wn, at).tolist(), (s1 ** 2 / q1).tolist(), (s0 ** 2 / q0).tolist())
+    return [info if isinstance(info, GenbalError) else EstimateReport(method.value, *stat, info) if ok
+            else ValidationError("weights must be strictly positive and finite")
+            for info, ok, stat in zip(infos, valid, stats)]
+
 
 def estimate_weighted_ate(sample: SourceSample, weights: WeightSet) -> EstimateReport:
     """Weighted outcome difference after per-arm normalization to n_s."""
     if weights.w.shape[0] != sample.n_s:
         raise ValidationError("weights misaligned with the sample")
-    s1, s0 = sample.s1, sample.s0
-    wn = _normalize_per_arm(weights.w, (s1, s0), sample.n_s)
-    w1, w0 = wn[s1], wn[s0]
-    return EstimateReport(
-        method=weights.method.value,
-        tau_hat=float((w1 @ sample.Y[s1] - w0 @ sample.Y[s0]) / sample.n_s),
-        weight_min=float(wn.min()),
-        weight_max=float(wn.max()),
-        ess_treated=effective_sample_size(w1),
-        ess_control=effective_sample_size(w0),
-        solver_info={},
-    )
+    return _one(_reports(_SharedWork([sample]), weights.method, weights.w, [{}])[0])
 
 
-def _propensity_weighted(sample, model, numerator, method, solver_info) -> EstimateReport:
-    """Report for weights numerator / p on the treated arm and
-    numerator / (1 - p) on the control arm, p the fitted propensity."""
-    p = model.propensities
-    s1, s0 = sample.s1, sample.s0
-    w = np.empty(sample.n_s)
+def _propensity_reports(shared, method, q, infos) -> list:
+    """Reports for the weights q / p on the treated arm and q / (1 - p) on
+    the control arm, p the fitted propensity. A member keeps the first
+    error in ``infos``, then its logit's; an infinite weight is a
+    SeparationError."""
+    n, treated, _ = shared.flat
+    p = np.concatenate([m.propensities if isinstance(m, LogisticModel) else np.full(k, 0.5)
+                        for m, k in zip(shared.logits, n.tolist())])
     with np.errstate(divide="ignore", over="ignore"):
-        w[s1] = numerator[s1] / p[s1]
-        w[s0] = numerator[s0] / (1.0 - p[s0])
-    if not np.isfinite(w).all():
-        raise SeparationError(
-            "infinite inverse propensity weight: a fitted propensity of 0 on a "
-            "treated row or 1 on a control row; treatment looks separated"
-        )
-    report = estimate_weighted_ate(sample, WeightSet(w, method, normalized=False))
-    return dataclasses.replace(
-        report, solver_info={"logit_score_norm": model.score_norm, **solver_info}
-    )
+        w = q / np.where(treated, p, 1.0 - p)
+
+    def info(solver_info, model, finite):
+        if not finite:
+            raise SeparationError("infinite inverse propensity weight: a fitted propensity of 0 on a "
+                                  "treated row or 1 on a control row; treatment looks separated")
+        return {"logit_score_norm": model.score_norm, **solver_info}
+
+    finite = np.logical_and.reduceat(np.isfinite(w), np.cumsum(n) - n)
+    return _reports(shared, method, w, list(map(_attempt, [info] * len(infos), infos, shared.logits, finite)))
 
 
 def _ipw(shared: _SharedWork, options=None) -> list:
-    return [_attempt(_propensity_weighted, sample, model, np.ones(sample.n_s), Method.IPW, {})
-            for sample, model in zip(shared.samples, shared.logits)]
-
-
-def _ipw_et_report(sample, et, model) -> EstimateReport:
-    solution, q_set = et
-    return _propensity_weighted(
-        sample, model, q_set.w, Method.IPW_ET,
-        {"et_iterations": solution.iterations, "et_grad_norm": solution.grad_norm},
-    )
+    return _propensity_reports(shared, Method.IPW, 1.0, [{}] * len(shared.samples))
 
 
 def _ipw_et(shared: _SharedWork, options=None) -> list:
-    solved = _on_valid(functools.partial(_et_calibration, options=options), shared.designs,
-                       shared.targets)
-    return list(map(_attempt, [_ipw_et_report] * len(solved), shared.samples, solved, shared.logits))
-
-
-def _balanced_report(sample, solved) -> EstimateReport:
-    solution, ws = solved
-    return dataclasses.replace(
-        estimate_weighted_ate(sample, ws),
-        solver_info={"iterations": solution.iterations, "grad_norm": solution.grad_norm},
-    )
+    solved, q = shared.solved(lambda designs, targets, _: _et_weights(designs, targets, options))
+    infos = [_attempt(lambda s: {"et_iterations": s.iterations, "et_grad_norm": s.grad_norm}, s) for s in solved]
+    return _propensity_reports(shared, Method.IPW_ET, q, infos)
 
 
 def _balanced(method, shared: _SharedWork, options) -> list:
-    solved = _on_valid(functools.partial(_solve_joint, method, options=options, normalize=True),
-                       shared.designs, shared.targets, [sample.treated for sample in shared.samples])
-    return list(map(_attempt, [_balanced_report] * len(solved), shared.samples, solved))
+    solved, w = shared.solved(functools.partial(_joint_weights, method, options=options))
+    infos = [_attempt(lambda s: {"iterations": s.iterations, "grad_norm": s.grad_norm}, s) for s in solved]
+    return _reports(shared, method, w, infos)
 
 
 def estimate_ipw(sample: SourceSample, columns=None) -> EstimateReport:

@@ -10,7 +10,8 @@ see the source sample and the summary vector.
 Replicate seeds derive from (scenario seed, scenario name, replicate
 index). Each config's replicates are drawn one by one and estimated in
 fixed batches of ``max(1, _BATCH_ROWS // n)`` consecutive replicates:
-every estimator runs once over a batch, solving its members together.
+every estimator runs once over a batch, building its designs, solving its
+members and taking their reports as batch arrays.
 The batches depend on the config alone, never on ``jobs``, so results
 are bit-identical under any parallelism degree. With ``jobs > 1``,
 :func:`run_grid` maps every batch and every true target ATE through one
@@ -231,8 +232,8 @@ def draw_replicate(config: ScenarioConfig, rep_index: int) -> ReplicateDraw:
         X = rng.uniform(config.low, config.high, size=(config.n, config.p))
         rho = sigmoid(config.participation_logit(X))
         in_source = rng.random(config.n) < rho
-        Xs = X[in_source]
-        Xt = X[~in_source]
+        Xs = np.take(X, np.flatnonzero(in_source), axis=0)
+        Xt = np.take(X, np.flatnonzero(~in_source), axis=0)
         if Xs.shape[0] < 2 or Xt.shape[0] < 1:
             continue
         pi = sigmoid(config.propensity_logit(Xs))

@@ -46,7 +46,7 @@ import numbers
 import numpy as np
 
 from .basis import DesignMatrices, TargetSummary
-from .errors import NonConvergenceError, RankDeficiencyError, ValidationError, _attempt, _one
+from .errors import NonConvergenceError, RankDeficiencyError, ValidationError, WeightUnderflowError, _attempt, _one
 from .mathutil import solve_each, stack_padded
 
 __all__ = [
@@ -218,10 +218,11 @@ class _GroupDual:
     ``E`` is a zero-padded ``(R, b, m, k)`` array of rows; the ``(b, k)``
     map ``cols`` into theta is shared. ``base`` is ``(R, b, m)`` and 0 on
     pad rows. ``target_vals`` and ``n_s`` hold a row and a size per member,
-    and ``rows`` the flat positions of each member's source rows in its
-    ``(b, m)`` stack. A pad row scores 0, below any positive score cap, and
-    weighs 0. Moments and Gram matrices are scattered into theta with one
-    ``bincount`` each, offset by member. Methods take theta as ``(R, d)``.
+    and ``rows`` the flat position in the ``(R, b, m)`` stack of every
+    member's source rows, the members back to back. A pad row scores 0,
+    below any positive score cap, and weighs 0. Moments and Gram matrices
+    are scattered into theta with one ``bincount`` each, offset by member.
+    Methods take theta as ``(R, d)``.
     """
 
     def __init__(self, E, base, cols, rows, target_vals, n_s, score_cap):
@@ -242,7 +243,7 @@ class _GroupDual:
         F's columns. A batch of one keeps F and its base."""
         E = stack_padded([np.ascontiguousarray(F) for F in Fs])[:, None]
         base = stack_padded([np.asarray(b, dtype=float) for b in bases])[:, None]
-        rows = [np.arange(len(F)) for F in Fs]
+        rows = np.flatnonzero(np.arange(E.shape[2]) < np.array([len(F) for F in Fs])[:, None])
         return cls(E, base, np.arange(E.shape[-1])[None], rows, target_vals, n_s, score_cap)
 
     def scores(self, theta):
@@ -293,11 +294,12 @@ class _GroupDual:
         return hess.reshape(self.batch, self.dim, self.dim) / self.n_s[:, None, None]
 
     def in_source_order(self, w):
-        """Each member's weights from a tilt, in source row order."""
-        return [w_r[rows] for w_r, rows in zip(w.reshape(self.batch, -1), self.rows)]
+        """The members' weights from a tilt, back to back in source row order."""
+        return w.reshape(-1)[self.rows]
 
     def weights(self, theta):
-        return self.in_source_order(self.tilt(theta)[0])
+        sizes = np.bincount(self.rows // self.base[0].size, minlength=self.batch)
+        return np.split(self.in_source_order(self.tilt(theta)[0]), np.cumsum(sizes)[:-1])
 
 
 def _rowdot(a, b):
@@ -305,42 +307,41 @@ def _rowdot(a, b):
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _JointDual(designs, targets, treateds, score_cap):
+def _JointDual(designs, targets, treateds, score_cap, with_g=True):
     """The joint problem of each member as a two-block group dual: the
     treated rows over [H | G] and the control rows over [H | -G], with
     block columns (lambda1, gamma) and (lambda0, gamma) of theta =
-    (lambda1, lambda0, gamma), base 1 and target (hbar, hbar, 0). Each
-    member's rows are gathered by arm into its blocks, with a flat row map
-    back to source order, and its control G columns negated once, here."""
-    kh, kg = designs[0].h.shape[1], designs[0].g.shape[1]
-    arms = []
-    for design, treated in zip(designs, treateds):
-        t = np.asarray(treated, dtype=bool)
-        if t.shape[0] != design.n:
-            raise ValidationError("treated mask misaligned with design rows")
-        n1 = int(np.count_nonzero(t))
-        if n1 in (0, design.n):
-            raise ValidationError("both arms must be non-empty")
-        arms.append((t, n1, design.n - n1))
-    m = max(max(n1, n0) for _, n1, n0 in arms)
-    E = np.zeros((len(designs), 2, m, kh + kg))
-    base = np.zeros((len(designs), 2, m))
-    rows = []
-    for member, member_base, design, (t, n1, n0) in zip(E, base, designs, arms):
-        hg = np.hstack([design.h, design.g])
-        at = np.empty(design.n, dtype=np.intp)  # flat position of each source row
-        for block, arm in enumerate((np.flatnonzero(t), np.flatnonzero(~t))):
-            at[arm] = np.arange(block * m, block * m + arm.size)
-            np.take(hg, arm, axis=0, out=member[block, :arm.size])
-        member[1, :n0, kh:] *= -1.0
-        member_base[0, :n1] = member_base[1, :n0] = 1.0
-        rows.append(at)
-    cols = np.empty((2, kh + kg), dtype=np.intp)
-    cols[0, :kh] = np.arange(kh)
-    cols[1, :kh] = np.arange(kh, 2 * kh)
-    cols[:, kh:] = np.arange(2 * kh, 2 * kh + kg)
-    target_vals = [np.concatenate([t.values, t.values, np.zeros(kg)]) for t in targets]
-    return _GroupDual(E, base, cols, rows, target_vals, [d.n for d in designs], score_cap)
+    (lambda1, lambda0, gamma), base 1 and target (hbar, hbar, 0); G is
+    dropped when ``with_g`` is false. The designs come from one batch, and
+    one take gathers every member's rows from the batch's rows into the
+    padded blocks, through a flat map from each row to its block position,
+    which maps the weights back to source order; the control G columns are
+    negated once, here."""
+    kh, kg = designs[0].h.shape[1], designs[0].g.shape[1] if with_g else 0
+    n = np.array([d.n for d in designs])
+    if [len(t) for t in treateds] != n.tolist():
+        raise ValidationError("treated mask misaligned with design rows")
+    t = np.concatenate(treateds).astype(bool, copy=False)
+    R, N = len(n), int(n.sum())
+    group = np.repeat(np.arange(0, 2 * R, 2), n) + ~t  # block 0 treated, block 1 control
+    count = np.bincount(group, minlength=2 * R).reshape(R, 2)
+    if not count.all():
+        raise ValidationError("both arms must be non-empty")
+    m = int(count.max())
+    c1 = np.cumsum(t, dtype=np.intp)
+    earlier = (np.cumsum(count, axis=0) - count).ravel()  # each arm's rows in earlier members
+    rows = group * m + np.where(t, c1, np.arange(1, N + 1) - c1) - 1 - earlier[group]
+    if any(d.rows is not designs[0].rows for d in designs):
+        raise ValidationError("the designs of one joint solve must be built in one batch")
+    at = np.zeros(2 * R * m, dtype=np.intp)  # row 0 of a batch is zero and pads the blocks
+    at[rows] = np.repeat(np.array([d.first for d in designs]) - (np.cumsum(n) - n), n) + np.arange(N)
+    E = np.take(designs[0].rows, at, axis=0)
+    E = np.ascontiguousarray(E[:, :kh + kg]).reshape(R, 2, m, kh + kg)
+    E[:, 1, :, kh:] *= -1.0
+    cols = np.hstack([np.arange(2 * kh).reshape(2, kh), np.tile(np.arange(2 * kh, 2 * kh + kg), (2, 1))])
+    hbar = np.array([t.values for t in targets])
+    return _GroupDual(E, (np.arange(m) < count[..., None]).astype(float), cols, rows,
+                      np.hstack([hbar, hbar, np.zeros((R, kg))]), n, score_cap)
 
 
 def dual_objective(lambda1, lambda0, gamma, design, target, treated, score_cap=30.0):
@@ -358,17 +359,14 @@ def dual_objective(lambda1, lambda0, gamma, design, target, treated, score_cap=3
     return float(val), grad, hess
 
 
-def _arms(treated):
-    """Row indices of the treated arm and of the control arm."""
-    return np.flatnonzero(treated), np.flatnonzero(~treated)
-
-
-def _normalize_per_arm(w, arms, n_s):
-    """Scale the weights of each arm (an index array) to sum to n_s."""
-    out = w.copy()
-    for arm in arms:
-        out[arm] *= n_s / out[arm].sum()
-    return out
+def _normalize_arms(w, treated, sizes):
+    """Weights of members back to back, ``sizes`` rows each, each arm of a
+    member scaled to sum to its size (its whole sample if all are treated)."""
+    sizes, w1 = np.asarray(sizes), w * treated
+    at = np.cumsum(sizes) - sizes
+    with np.errstate(divide="ignore"):  # an arm with no rows is never scaled
+        s1, s0 = sizes / np.add.reduceat(w1, at), sizes / np.add.reduceat(w - w1, at)
+    return w * np.where(treated, np.repeat(s1, sizes), np.repeat(s0, sizes))
 
 
 def _newton_directions(hess, grad, active, identity):
@@ -383,7 +381,7 @@ def _newton_directions(hess, grad, active, identity):
     return -np.where((np.isfinite(descent) & (descent > 0))[:, None], step, grad)
 
 
-def _solve_dual(problem, what, opts, make_solution):
+def _solve_dual(problem, what, opts, make_solution, arms=None):
     """Damped Newton from zero for every member of a batch, shared by every
     exponential-tilt solve. Returns, per member, ``make_solution(theta,
     **diagnostics)`` or its error, and the tilt at the final iterates of
@@ -397,7 +395,9 @@ def _solve_dual(problem, what, opts, make_solution):
     shortened by the member's own Armijo backtracking. A member is frozen
     once it converges, stalls or runs out of iterations; one that stalls,
     runs out of iterations or sits at the score cap gets a
-    NonConvergenceError, which stops no other member.
+    NonConvergenceError, which stops no other member. Given block labels
+    ``arms``, one that converges with a weight underflowed to 0 gets a
+    WeightUnderflowError counting each block's rows scoring below log(tiny).
     """
     R, d = problem.batch, problem.dim
     theta = np.zeros((R, d))
@@ -445,6 +445,9 @@ def _solve_dual(problem, what, opts, make_solution):
             active &= ~stalled
             hess = None
             iterations += active
+    zeros = ((w == 0) & (problem.base > 0)).any(axis=(1, 2)) if arms else np.zeros(R, dtype=bool)
+    if zeros.any():
+        low = ((problem.scores(theta) < np.log(np.finfo(float).tiny)) & (problem.base > 0)).sum(axis=2)
     outcomes = []
     for r, e in enumerate(eig):
         if rank[r] < d:
@@ -459,37 +462,54 @@ def _solve_dual(problem, what, opts, make_solution):
             converged=bool(grad_norm[r] <= opts.tol and top[r] < problem.cap),
             objective=float(val[r]),
         )
-        outcomes.append(solution if solution.converged else NonConvergenceError(
+        if solution.converged and not zeros[r]:
+            outcomes.append(solution)
+            continue
+        error, message = (NonConvergenceError, (
             f"dual solve over {what} stalled after {iterations[r]} iterations "
             f"(residual sup-norm {grad_norm[r]:.3g}); the target may be "
-            "infeasible or overlap too weak",
-            solution=solution,
-            residuals=grad[r],
+            "infeasible or overlap too weak"
+        )) if not solution.converged else (WeightUnderflowError, (
+            f"dual solve over {what} converged, but weights underflowed to 0: "
+            + ", ".join(f"{k} rows of the {arm}" for k, arm in zip(low[r], arms) if k)
+            + f" score below the log of the smallest normal float ({np.log(np.finfo(float).tiny):.1f})"
         ))
+        outcomes.append(error(message, solution=solution, residuals=grad[r]))
     return outcomes, w
 
 
-def _solve_joint(method, designs, targets, treateds, options=None, normalize=False):
+def _joint_weights(method, designs, targets, treateds, options=None):
     """The extended (or, dropping G, the ebal) solve of each member:
-    (DualSolution, WeightSet) or its error."""
+    DualSolution or its error, and the members' weights back to back in
+    source order."""
     opts = options or SolverOptions()
-    if method is Method.EBAL:
-        designs = [design.h_only() for design in designs]
-    problem = _JointDual(designs, targets, treateds, opts.score_cap)
+    problem = _JointDual(designs, targets, treateds, opts.score_cap, with_g=method is not Method.EBAL)
     kh = designs[0].h.shape[1]
-    what = "block design [H 1{A=1} | H 1{A=0}" + (" | +-G]" if designs[0].g.shape[1] else "]")
+    what = "block design [H 1{A=1} | H 1{A=0}" + (" | +-G]" if problem.dim > 2 * kh else "]")
     outcomes, w = _solve_dual(
         problem, what, opts,
         lambda theta, **diag: DualSolution(theta[:kh], theta[kh:2 * kh], theta[2 * kh:], **diag),
+        ("treated arm", "control arm"),
     )
+    return outcomes, problem.in_source_order(w)
 
-    def build(solution, w, design, treated):
-        if normalize:
-            w = _normalize_per_arm(w, _arms(np.asarray(treated, dtype=bool)), design.n)
-        return solution, WeightSet(w, method, normalize)
 
-    return list(map(_attempt, [build] * len(designs), outcomes, problem.in_source_order(w),
-                    designs, treateds))
+def _weight_sets(solved, designs, treated, method, normalize):
+    """Each member's (solution, WeightSet) from (outcomes, the members'
+    weights back to back), or its error; with ``normalize``, each arm of
+    ``treated`` sums to the member's size."""
+    outcomes, w = solved
+    sizes = [d.n for d in designs]
+    w = _normalize_arms(w, treated, sizes) if normalize else w
+    pack = lambda solution, w: (solution, WeightSet(w, method, normalize))  # noqa: E731
+    return list(map(_attempt, [pack] * len(outcomes), outcomes, np.split(w, np.cumsum(sizes)[:-1])))
+
+
+def _solve_joint(method, designs, targets, treateds, options=None, normalize=False):
+    """The extended (or ebal) solve of each member: (DualSolution,
+    WeightSet) or its error."""
+    return _weight_sets(_joint_weights(method, designs, targets, treateds, options), designs,
+                        np.concatenate(treateds).astype(bool, copy=False), method, normalize)
 
 
 def solve_extended(design, target, treated, options=None, normalize=False):
@@ -502,22 +522,25 @@ def solve_ebal(design, target, treated, options=None, normalize=False):
     return _one(_solve_joint(Method.EBAL, [design], [target], [treated], options, normalize)[0])
 
 
-def _calibrate_groups(Fs, bases, target_vals, n_s, opts, what, build=lambda s, w: (s, w)):
-    """Each member's group calibration: build(CalibrationSolution, weights
-    in source order), or its error."""
+def _calibrate_groups(Fs, bases, target_vals, n_s, opts, what):
+    """Each member's group calibration, CalibrationSolution or its error,
+    and the members' weights back to back in source order."""
     problem = _GroupDual.one_block(Fs, bases, target_vals, n_s, opts.score_cap)
-    outcomes, w = _solve_dual(problem, what, opts, CalibrationSolution)
-    return list(map(_attempt, [build] * len(Fs), outcomes, problem.in_source_order(w)))
+    outcomes, w = _solve_dual(problem, what, opts, CalibrationSolution, (what,))
+    return outcomes, problem.in_source_order(w)
+
+
+def _et_weights(designs, targets, options=None):
+    """_calibrate_groups of each member's whole sample on H to its target."""
+    return _calibrate_groups([d.h for d in designs], [np.ones(d.n) for d in designs],
+                             [t.values for t in targets], [d.n for d in designs],
+                             options or SolverOptions(), "H design")
 
 
 def _et_calibration(designs, targets, options=None, normalize=False):
-    def build(solution, q):
-        q = q * (q.shape[0] / q.sum()) if normalize else q
-        return solution, WeightSet(q, Method.ET, normalize)
-
-    return _calibrate_groups([d.h for d in designs], [np.ones(d.n) for d in designs],
-                             [t.values for t in targets],
-                             [d.n for d in designs], options or SolverOptions(), "H design", build)
+    # every row treated: the whole sample is normalized as one arm
+    return _weight_sets(_et_weights(designs, targets, options), designs,
+                        np.ones(sum(d.n for d in designs), dtype=bool), Method.ET, normalize)
 
 
 def solve_et_calibration(design, target, options=None, normalize=False):
@@ -553,12 +576,12 @@ def solve_two_step(design, target, treated, options=None, normalize=False, q_wei
     rhs = target.values
     w = np.empty(design.n)
     for arm_mask, label in ((t, "treated arm"), (~t, "control arm")):
-        _, w_arm = _one(_calibrate_groups(
+        (solution,), w[arm_mask] = _calibrate_groups(
             [design.h[arm_mask]], [q[arm_mask]], [rhs], [design.n], opts, label
-        )[0])
-        w[arm_mask] = w_arm
+        )
+        _one(solution)
     if normalize:
-        w = _normalize_per_arm(w, _arms(t), design.n)
+        w = _normalize_arms(w, t, [design.n])
     return WeightSet(w, Method.TWO_STEP, normalize)
 
 
@@ -574,11 +597,11 @@ def solve_att(design, treated, options=None, normalize=False):
     if t.sum() == 0 or (~t).sum() == 0:
         raise ValidationError("both arms must be non-empty")
     target_vals = design.h[t].mean(axis=0)
-    _, w0 = _one(_calibrate_groups([design.h[~t]], [np.ones(int((~t).sum()))], [target_vals],
-                                   [design.n], opts, "control arm")[0])
     w = np.empty(design.n)
-    w[~t] = w0
+    (solution,), w[~t] = _calibrate_groups([design.h[~t]], [np.ones(int((~t).sum()))], [target_vals],
+                                           [design.n], opts, "control arm")
+    _one(solution)
     w[t] = design.n / t.sum()
     if normalize:
-        w = _normalize_per_arm(w, _arms(t), design.n)
+        w = _normalize_arms(w, t, [design.n])
     return WeightSet(w, Method.ATT, normalize)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import genbal as gb
-from genbal.basis import matrix_rank_report, parse_term
+from genbal.basis import _design_batch, matrix_rank_report, parse_term
 from genbal.errors import ValidationError
 
 
@@ -206,3 +206,42 @@ def test_rank_wide_matrix_reports_infinite_condition_number():
     assert report.rank == 5
     assert report.deficient
     assert report.condition_number == np.inf
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+def test_huge_and_tiny_covariates_standardize_without_overflow_or_underflow(c):
+    # the squares of 1e200 overflow and those of 1e-200 underflow; warnings are errors here
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-1, 1, size=(200, 3))
+    A = (rng.random(200) < 0.5).astype(int)
+    spec = gb.BasisSpec.from_names(["const", "x1"], ["x2"])
+
+    def weights(scale):
+        sample = gb.SourceSample(X * scale, A, np.zeros(200))
+        design = gb.evaluate_basis(spec, sample)
+        target = gb.align_target_summary(spec, [1.0, 0.1 * scale], design)
+        return gb.solve_extended(design, target, sample.treated)[1].w
+
+    np.testing.assert_allclose(weights(c), weights(1.0), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [3, 200, 9000])
+def test_batched_design_is_numpys_own_standardization_bit_for_bit(n):
+    # reference: each column's own NumPy mean and population std over the sample alone
+    rng = np.random.default_rng(n)
+    spec = gb.BasisSpec.from_names(["const", "x1", "x2^2", "x1:x2"], ["expclip(x2)"])
+    samples = []
+    for size in (n, n + 5, 4):
+        X = rng.normal(size=(size, 2)) * [1e-3, 50.0]
+        A = np.zeros(size, dtype=int)
+        A[: size // 2] = 1
+        samples.append(gb.SourceSample(X, A, np.zeros(size)))
+    for design, sample in zip(_design_batch(spec, samples), samples):
+        raw_h, raw_g = spec.evaluate_h(sample.X), spec.evaluate_g(sample.X)
+        center, scale = [np.array([f(c) for c in raw_h.T]) for f in (np.mean, np.std)]
+        center[0], scale[0] = 0.0, 1.0
+        g_center, g_scale = [np.array([f(c) for c in raw_g.T]) for f in (np.mean, np.std)]
+        np.testing.assert_array_equal(design.h, (raw_h - center) / scale)
+        np.testing.assert_array_equal(design.g, (raw_g - g_center) / g_scale)
+        np.testing.assert_array_equal(design.h_scale, scale)
+        np.testing.assert_array_equal(design.g_center, g_center)

@@ -6,7 +6,10 @@ when solved alone as a batch of one: the same error class, or the same
 iteration count with parameters and weights equal to 1e-12 relative.
 When every member has the same row and arm counts, the padded arrays of
 the batch have the shapes of each member's own, so the outcomes are
-equal bit for bit, error messages included.
+equal bit for bit, error messages included. A member's basis design is
+reduced over its own rows only, so it is equal bit for bit in any batch,
+and a member whose design fails keeps the error class, code and message
+it gets alone.
 """
 
 import numpy as np
@@ -15,7 +18,8 @@ from hypothesis import strategies as st
 
 import genbal as gb
 from genbal import estimators
-from genbal.errors import GenbalError
+from genbal.basis import _design_batch
+from genbal.errors import GenbalError, ValidationError
 from genbal.estimators import ESTIMATORS, _SharedWork
 from genbal.solver import Method, _et_calibration, _solve_joint
 
@@ -173,3 +177,103 @@ def test_rank_deficient_logistic_fits_end_in_a_batch_as_they_end_alone(samples):
         else:
             assert (out.iterations, out.converged) == (mine.iterations, mine.converged)
             assert _close(out.coefficients, mine.coefficients)
+
+
+DESIGN_SPEC = gb.BasisSpec.from_names(["const", "x1", "x2"], ["log1p(x3)"])
+DESIGN_KINDS = ("good", "good", "narrow", "non_finite", "degenerate")
+
+
+def _design_member(rng, n, n1, kind):
+    """A data set for DESIGN_SPEC and its raw target means. ``narrow`` has
+    no x3 (INDEX_OUT_OF_RANGE), ``non_finite`` one x3 of -1, whose log1p is
+    -inf (NON_FINITE_CELL), and ``degenerate`` a constant x2
+    (DEGENERATE_TERM)."""
+    X = rng.normal(size=(n, 3))
+    X[:, 2] = rng.random(n)
+    if kind == "non_finite":
+        X[rng.integers(n), 2] = -1.0
+    if kind == "degenerate":
+        X[:, 1] = 0.5
+    if kind == "narrow":
+        X = X[:, :2]
+    A = np.zeros(n, dtype=int)
+    A[rng.permutation(n)[:n1]] = 1
+    u = np.exp(0.2 * rng.standard_normal(n))
+    return gb.SourceSample(X, A, rng.normal(size=n)), np.r_[1.0, X[:, :2].T @ u / u.sum()]
+
+
+@st.composite
+def design_batches(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 6))
+    same_shape = draw(st.booleans())
+    n = draw(st.integers(6, 60))
+    shapes = [(n, draw(st.integers(3, n - 3)))]
+    for _ in range(size - 1):
+        m = n if same_shape else draw(st.integers(6, 60))
+        shapes.append(shapes[0] if same_shape else (m, draw(st.integers(3, m - 3))))
+    kinds = draw(st.lists(st.sampled_from(DESIGN_KINDS), min_size=size, max_size=size))
+    return [_design_member(rng, n, n1, kind) for (n, n1), kind in zip(shapes, kinds)], same_shape
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(batch=design_batches())
+def test_batch_designs_and_reports_are_each_members_own(batch):
+    members, same_shape = batch
+    samples = [sample for sample, _ in members]
+    # log1p(-1) is -inf by design here
+    with np.errstate(divide="ignore"):
+        designs = _design_batch(DESIGN_SPEC, samples)
+        alone = [_design_batch(DESIGN_SPEC, [sample])[0] for sample in samples]
+    for batched, mine in zip(designs, alone):
+        if isinstance(mine, GenbalError):
+            assert (type(batched), batched.code, str(batched)) == (type(mine), mine.code, str(mine))
+            continue
+        # a member's design is reduced over its own rows only: bit for bit
+        for field in ("h", "g", "h_center", "h_scale", "g_center", "g_scale"):
+            np.testing.assert_array_equal(getattr(batched, field), getattr(mine, field))
+    kinds = {getattr(d, "code", "ok") for d in alone}
+    assert kinds <= {"ok", "INDEX_OUT_OF_RANGE", "NON_FINITE_CELL", "DEGENERATE_TERM"}
+
+    # the logistic fit needs one covariate count, so narrow members sit out
+    wide = [(sample, target) for sample, target in members if sample.p == 3]
+    if not wide:
+        return
+    with np.errstate(divide="ignore"):
+        shared = _SharedWork([s for s, _ in wide], DESIGN_SPEC, [t for _, t in wide])
+        own = [_SharedWork([s], DESIGN_SPEC, [t]) for s, t in wide]
+        for name, estimate in ESTIMATORS.items():
+            for batched, mine in zip(estimate(shared, None), own):
+                (mine,) = estimate(mine, None)
+                if isinstance(mine, ValidationError):
+                    assert batched.code == mine.code
+                _check(batched, mine, same_shape)
+                if not same_shape and not isinstance(mine, GenbalError):
+                    assert _close([batched.tau_hat, batched.weight_min, batched.weight_max,
+                                   batched.ess_treated, batched.ess_control],
+                                  [mine.tau_hat, mine.weight_min, mine.weight_max,
+                                   mine.ess_treated, mine.ess_control])
+
+
+def test_a_batch_evaluates_each_basis_term_once_over_its_rows(monkeypatch):
+    config = gb.builtin_scenario("P2", "T1", "M1", n=200, replicates=20, seed=3)
+    draws = [gb.draw_replicate(config, rep) for rep in range(20)]
+    calls = []
+    real = gb.BasisTerm.evaluate
+
+    def spy(term, X):
+        calls.append((term.name, X.shape[0]))
+        return real(term, X)
+
+    monkeypatch.setattr(gb.BasisTerm, "evaluate", spy)
+    shared = _SharedWork([d.sample for d in draws], config.basis(), [d.target_means for d in draws])
+    assert all(isinstance(d, gb.DesignMatrices) for d in shared.designs)
+    # every sample's rows, each sample's after one zero row, in one call per term
+    rows = sum(d.sample.n_s for d in draws) + len(draws)
+    assert calls == [(term.name, rows) for term in config.basis().terms]

@@ -281,6 +281,24 @@ def test_cli_weights_writes_csv(tmp_path):
     assert weights[~t].sum() == pytest.approx(sample.n_s)
 
 
+def test_cli_weights_with_underflowed_weights_is_a_solver_failure(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-50, 50, size=(200, 3))
+    sample = gb.SourceSample(X, (rng.random(200) < 0.5).astype(int), rng.normal(size=200))
+    source = tmp_path / "source.csv"
+    write_source_csv(source, sample, ColumnSchema("a", "y", ("x1", "x2", "x3")))
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps({"h": ["const", "expclip(x1)"], "g": []}))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"const": 1, "expclip(x1)": 1e5}))
+    code = main([
+        "weights", "--source", str(source), "--basis", str(basis),
+        "--target-summary", str(target), "--method", "extended", "--out", str(tmp_path / "w.csv"),
+    ])
+    assert code == 3
+    assert "rows of the treated arm" in capsys.readouterr().err
+
+
 def test_cli_weights_att_needs_no_target(tmp_path):
     _, _, source, basis, _ = _write_inputs(tmp_path)
     out = tmp_path / "w.csv"

@@ -170,3 +170,46 @@ def test_joint_dual_matches_the_dense_block_design(seed, n1, n0, k_h, k_g, scale
     np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * size)
     np.testing.assert_allclose(hess, want_hess, rtol=0, atol=1e-12 * size)
     np.testing.assert_allclose(problem.weights(theta[None])[0], w, rtol=1e-12, atol=0)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(seed=st.integers(0, 2**32 - 1), n_s=st.integers(20, 120), k=st.integers(-400, 400))
+@example(seed=0, n_s=60, k=400)
+@example(seed=1, n_s=60, k=-400)
+def test_weights_and_estimates_are_bit_identical_under_power_of_two_covariate_scaling(seed, n_s, k):
+    # scaling x by 2^k scales each term of degree d and its target mean by
+    # 2^(k d) exactly, and standardization divides it out exactly
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n_s, 3))
+    A = np.zeros(n_s, dtype=int)
+    A[rng.permutation(n_s)[: n_s // 2]] = 1
+    Y = rng.normal(size=n_s)
+    spec = gb.BasisSpec.from_names(["const", "x1", "x2^2", "x1:x2"], ["x3"])
+    u = np.exp(0.1 * rng.standard_normal(n_s))
+    raw = spec.evaluate_h(X).T @ u / u.sum()
+    degree = np.array([0, 1, 2, 2])
+    scaled = gb.SourceSample(np.ldexp(X, k), A, Y)
+    raw_scaled = np.ldexp(raw, k * degree)
+
+    def outcomes(sample, target):
+        out = []
+        for estimate in (gb.estimate_ebal, gb.estimate_extended):
+            try:
+                out.append(estimate(sample, spec, target))
+            except GenbalError as exc:
+                out.append((type(exc), str(exc)))
+        design = gb.evaluate_basis(spec, sample)
+        try:
+            out.append(gb.solve_extended(design, gb.align_target_summary(spec, target, design),
+                                         sample.treated)[1].w.tobytes())
+        except GenbalError as exc:
+            out.append((type(exc), str(exc)))
+        return out
+
+    assert outcomes(scaled, raw_scaled) == outcomes(gb.SourceSample(X, A, Y), raw)

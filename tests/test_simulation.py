@@ -319,19 +319,19 @@ def test_rank_deficient_replicates_count_as_failures_not_abort():
 
 
 def test_run_grid_evaluates_basis_and_fits_logit_once_per_replicate(monkeypatch):
-    calls = {"evaluate_basis": 0, "_fit_logistic": 0}
-    for name in calls:
+    # both batched calls count each sample they are given
+    calls = {"_design_batch": 0, "_fit_logistic": 0}
+    for name, samples_at in (("_design_batch", 1), ("_fit_logistic", 0)):
         real = getattr(estimators, name)
 
-        def counting(*args, _real=real, _name=name, **kwargs):
-            # the batched logit fit counts each sample it fits
-            calls[_name] += len(args[0]) if _name == "_fit_logistic" else 1
+        def counting(*args, _real=real, _name=name, _at=samples_at, **kwargs):
+            calls[_name] += len(args[_at])
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(estimators, name, counting)
     config = gb.builtin_scenario("P2", "T1", "M1", n=300, replicates=6, seed=26)
     result = gb.run_grid([config], jobs=1)
-    assert calls == {"evaluate_basis": 6, "_fit_logistic": 6}
+    assert calls == {"_design_batch": 6, "_fit_logistic": 6}
     assert all(agg.failures == 0 for agg in result.scenarios[0].methods.values())
 
 

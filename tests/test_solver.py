@@ -424,3 +424,43 @@ def test_joint_problem_stores_no_block_design_wide_array():
         assert a.ndim < 2 or a.shape[-1] != 2 * kh + kg, a.shape
     assert problem.target.shape == (1, 2 * kh + kg)
     assert problem.E.shape == (1, 2, max(sample.s1.size, sample.s0.size), kh + kg)
+
+
+def _underflow_instance():
+    """Scores of a converged solve reach -1e6 on rows with x1 far below
+    the target's tilt, so their weights are exactly 0."""
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-50, 50, size=(200, 3))
+    A = (rng.random(200) < 0.5).astype(int)
+    sample = gb.SourceSample(X, A, rng.normal(size=200))
+    return sample, gb.BasisSpec.from_names(["const", "expclip(x1)"]), [1.0, 1e5]
+
+
+@pytest.mark.parametrize("method", ["extended", "ebal"])
+def test_converged_solve_with_underflowed_weights_names_each_arm_and_count(method):
+    sample, spec, raw = _underflow_instance()
+    design = gb.evaluate_basis(spec, sample)
+    target = gb.align_target_summary(spec, raw, design)
+    solve = gb.solve_extended if method == "extended" else gb.solve_ebal
+    with pytest.raises(gb.WeightUnderflowError) as err:
+        solve(design, target, sample.treated)
+    assert isinstance(err.value, NonConvergenceError)
+    sol = err.value.solution
+    assert sol.converged
+    log_tiny = np.log(np.finfo(float).tiny)
+    t = sample.treated
+    low1 = int((design.h[t] @ sol.lambda1 < log_tiny).sum())
+    low0 = int((design.h[~t] @ sol.lambda0 < log_tiny).sum())
+    assert low1 > 0 and low0 > 0
+    assert f"{low1} rows of the treated arm, {low0} rows of the control arm" in str(err.value)
+    estimate = gb.estimate_extended if method == "extended" else gb.estimate_ebal
+    with pytest.raises(gb.WeightUnderflowError):
+        estimate(sample, spec, raw)
+
+
+def test_joint_dual_rejects_designs_built_in_different_batches():
+    rng = np.random.default_rng(12)
+    sample, spec, design, target, _ = random_instance(rng, n_s=30, k_h=2, k_g=1)
+    other = gb.evaluate_basis(spec, sample)
+    with pytest.raises(gb.ValidationError, match="one batch"):
+        _JointDual([design, other], [target, target], [sample.treated] * 2, score_cap=30.0)
