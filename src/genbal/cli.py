@@ -73,9 +73,9 @@ def _add_solver_args(cmd):
     cmd.add_argument("--max-iter", type=int, default=200, help="max Newton iterations")
 
 
-def _add_out_args(cmd, formats=("human", "json", "csv")):
+def _add_out_args(cmd):
     cmd.add_argument("--out", default=None, help="output path (default: stdout)")
-    cmd.add_argument("--format", choices=formats, default="human")
+    cmd.add_argument("--format", choices=("human", "json", "csv"), default="human")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--scenario", required=True, help="scenario JSON")
     o.add_argument("--cell", default=None, help="scenario name when the file has several")
     o.add_argument("--nodes", type=int, default=16, help="quadrature nodes per dimension")
-    _add_out_args(o, formats=("human", "json", "csv"))
+    _add_out_args(o)
 
     return parser
 
@@ -187,6 +187,14 @@ def _cmd_weights(args) -> int:
     return EXIT_OK
 
 
+def _emit(args, report, scale_100=False) -> int:
+    """Render the report in ``--format`` to ``--out``, or to stdout."""
+    text = emit_report(report, fmt=args.format, path=args.out, scale_100=scale_100)
+    if args.out is None:
+        sys.stdout.write(text)
+    return EXIT_OK
+
+
 def _parse_methods(text):
     return tuple(m.strip() for m in text.split(",") if m.strip())
 
@@ -199,11 +207,7 @@ def _cmd_estimate(args) -> int:
     methods = check_methods(_parse_methods(args.methods))
     opts = _solver_options(args)
     shared = _SharedWork([sample], spec, [raw], [n_t])
-    reports = [_one(ESTIMATORS[m](shared, opts)[0]) for m in methods]
-    text = emit_report(reports, fmt=args.format, path=args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit(args, [_one(ESTIMATORS[m](shared, opts)[0]) for m in methods])
 
 
 def _cmd_simulate(args) -> int:
@@ -214,10 +218,7 @@ def _cmd_simulate(args) -> int:
         configs = [_dc.replace(c, seed=args.seed) for c in configs]
     methods = _parse_methods(args.methods)
     result = run_grid(configs, methods, jobs=args.jobs, options=_solver_options(args))
-    text = emit_report(result, fmt=args.format, path=args.out, scale_100=args.scale_100)
-    if args.out is None:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit(args, result, scale_100=args.scale_100)
 
 
 def _cmd_oracle(args) -> int:
@@ -235,11 +236,7 @@ def _cmd_oracle(args) -> int:
         raise ValidationError("scenario file has several cells; pick one with --cell")
     truth = TruthFunctions.from_scenario(config)
     grid = gauss_legendre_box(config.p, config.low, config.high, args.nodes)
-    report = asymptotic_variance(truth, config.basis(), grid)
-    text = emit_report(report, fmt=args.format, path=args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit(args, asymptotic_variance(truth, config.basis(), grid))
 
 
 _DISPATCH = {

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -29,8 +30,6 @@ import numpy as np
 from .basis import BasisSpec, SourceSample
 from .errors import ValidationError
 from .estimators import EstimateReport
-from .oracle import AsymptoticReport
-from .simulation import GridResult, ScenarioConfig, builtin_grid
 
 __all__ = [
     "ColumnSchema",
@@ -265,13 +264,15 @@ def load_basis_json(path) -> BasisSpec:
     return BasisSpec.from_names(data["h"], data.get("g", []))
 
 
-def load_scenarios_json(path) -> list[ScenarioConfig]:
-    """Read a scenario file.
+def load_scenarios_json(path) -> list:
+    """Read a scenario file into a list of ScenarioConfigs.
 
     Either {"scenarios": [cell, ...]} with explicit cells (model tags or
     inline models), or {"builtin_grid": {overrides}} to expand the built-in
     12-cell grid.
     """
+    from .simulation import ScenarioConfig, builtin_grid
+
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -302,83 +303,22 @@ def write_weights_csv(path, sample: SourceSample, weights) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-_EST_COLUMNS = ("method", "tau_hat", "weight_min", "weight_max", "ess_treated", "ess_control")
+_ESTIMATE_LAYOUT = (("method", "s"), ("tau_hat", ".6f"), ("weight_min", ".4g"),
+                    ("weight_max", ".4g"), ("ess_treated", ".1f"), ("ess_control", ".1f"))
 
 
-def _estimates_dict(reports):
-    return {
-        "schema": "genbal/report/1",
-        "kind": "estimates",
-        "estimates": [dataclasses.asdict(r) for r in reports],
-    }
+class _Estimates(list):
+    """A list of EstimateReports as one report, one row per estimator."""
 
+    def to_dict(self) -> dict:
+        return {
+            "schema": "genbal/report/1",
+            "kind": "estimates",
+            "estimates": [dataclasses.asdict(r) for r in self],
+        }
 
-def _estimates_human(reports):
-    rows = [_EST_COLUMNS]
-    for r in reports:
-        rows.append((
-            r.method,
-            f"{r.tau_hat:.6f}",
-            f"{r.weight_min:.4g}",
-            f"{r.weight_max:.4g}",
-            f"{r.ess_treated:.1f}",
-            f"{r.ess_control:.1f}",
-        ))
-    return _table(rows)
-
-
-def _estimates_csv(reports):
-    lines = [",".join(_EST_COLUMNS)]
-    for r in reports:
-        lines.append(",".join([
-            r.method,
-            repr(r.tau_hat),
-            repr(r.weight_min),
-            repr(r.weight_max),
-            repr(r.ess_treated),
-            repr(r.ess_control),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-_GRID_COLUMNS = ("scenario", "method", "bias", "sd", "rmse", "failures")
-
-
-def _grid_rows(result: GridResult, scale: float):
-    rows = []
-    for s in result.scenarios:
-        for method, agg in s.methods.items():
-            rows.append((
-                s.name,
-                method,
-                agg.bias * scale,
-                agg.sd * scale,
-                agg.rmse * scale,
-                agg.failures,
-            ))
-    return rows
-
-
-def _grid_human(result, scale):
-    rows = [_GRID_COLUMNS]
-    for name, method, bias, sd, rmse, failures in _grid_rows(result, scale):
-        rows.append((name, method, f"{bias:.4f}", f"{sd:.4f}", f"{rmse:.4f}", str(failures)))
-    return _table(rows)
-
-
-def _grid_csv(result, scale):
-    lines = [",".join(_GRID_COLUMNS)]
-    for name, method, bias, sd, rmse, failures in _grid_rows(result, scale):
-        lines.append(f"{name},{method},{repr(bias)},{repr(sd)},{repr(rmse)},{failures}")
-    return "\n".join(lines) + "\n"
-
-
-def _oracle_human(report: AsymptoticReport):
-    d = report.to_dict()
-    rows = [("quantity", "value")]
-    for key in ("v1", "v2", "v3", "total", "efficiency_bound", "gap", "tau_star", "rho_marginal"):
-        rows.append((key, f"{d[key]:.6f}"))
-    return _table(rows)
+    def table(self, scale: float = 1.0):
+        return _ESTIMATE_LAYOUT, [[getattr(r, c) for c, _ in _ESTIMATE_LAYOUT] for r in self]
 
 
 def _table(rows) -> str:
@@ -394,41 +334,32 @@ def _table(rows) -> str:
 def emit_report(report, fmt: str = "human", path=None, scale_100: bool = False) -> str:
     """Render a report deterministically and optionally write it to a file.
 
-    Accepts a list of EstimateReports, a GridResult, or an
-    AsymptoticReport. ``scale_100`` multiplies bias/sd/rmse by 100 in the
+    Accepts a list of EstimateReports or any report with ``to_dict()`` and
+    ``table(scale)`` (a GridResult, an AsymptoticReport). JSON is the
+    sorted ``to_dict()`` payload; CSV is the table's header and raw rows,
+    quoted where a cell needs it; human is the table with each cell in its
+    column's format. ``scale_100`` multiplies bias/sd/rmse by 100 in the
     human and CSV grid tables; JSON output always carries raw values.
     """
     if fmt not in ("human", "json", "csv"):
         raise ValidationError(f"unknown format {fmt!r}")
-    scale = 100.0 if scale_100 else 1.0
-    if isinstance(report, GridResult):
-        if fmt == "json":
-            text = report.to_json()
-        elif fmt == "csv":
-            text = _grid_csv(report, scale)
-        else:
-            text = _grid_human(report, scale)
-    elif isinstance(report, AsymptoticReport):
-        payload = {"schema": "genbal/report/1", "kind": "oracle", **report.to_dict()}
-        if fmt == "json":
-            text = json.dumps(payload, sort_keys=True, indent=2)
-        elif fmt == "csv":
-            keys = ("v1", "v2", "v3", "total", "efficiency_bound", "gap", "tau_star", "rho_marginal")
-            text = ",".join(keys) + "\n" + ",".join(repr(payload[k]) for k in keys) + "\n"
-        else:
-            text = _oracle_human(report)
-    else:
-        reports = list(report)
-        if not reports:
+    if not hasattr(report, "table"):
+        report = _Estimates(report)
+        if not report:
             raise ValidationError("no estimates to report")
-        if not all(isinstance(r, EstimateReport) for r in reports):
+        if not all(isinstance(r, EstimateReport) for r in report):
             raise ValidationError("expected EstimateReport objects")
-        if fmt == "json":
-            text = json.dumps(_estimates_dict(reports), sort_keys=True, indent=2)
-        elif fmt == "csv":
-            text = _estimates_csv(reports)
+    if fmt == "json":
+        text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    else:
+        layout, rows = report.table(100.0 if scale_100 else 1.0)
+        header = [c for c, _ in layout]
+        if fmt == "csv":
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+            text = buf.getvalue()
         else:
-            text = _estimates_human(reports)
+            text = _table([header, *([format(v, f) for v, (_, f) in zip(row, layout)] for row in rows)])
     if path is not None:
         _write_atomic(path, text)
     return text

@@ -265,6 +265,9 @@ def project_g_perp(
     return ProjectedFunction(coef[:, 0], lambda X: spec.evaluate_g(X) - spec.evaluate_h(X) @ C)
 
 
+_QUANTITIES = ("v1", "v2", "v3", "total", "efficiency_bound", "gap", "tau_star", "rho_marginal")
+
+
 @dataclasses.dataclass(frozen=True)
 class AsymptoticReport:
     """Asymptotic variance decomposition and efficiency-bound comparison.
@@ -290,17 +293,17 @@ class AsymptoticReport:
 
     def to_dict(self) -> dict:
         return {
+            "schema": "genbal/report/1",
+            "kind": "oracle",
             "lambda0_star": [float(v) for v in self.lambda0_star],
-            "v1": self.v1,
-            "v2": self.v2,
-            "v3": self.v3,
-            "total": self.total,
-            "efficiency_bound": self.efficiency_bound,
-            "gap": self.gap,
-            "tau_star": self.tau_star,
-            "rho_marginal": self.rho_marginal,
+            **{k: getattr(self, k) for k in _QUANTITIES},
             "conditions": dict(self.conditions),
         }
+
+    def table(self, scale: float = 1.0):
+        """(column, human format) pairs and one raw (quantity, value) row
+        per scalar; ``scale`` is unused."""
+        return (("quantity", "s"), ("value", ".6f")), [(k, getattr(self, k)) for k in _QUANTITIES]
 
 
 def asymptotic_variance(

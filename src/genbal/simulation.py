@@ -295,8 +295,8 @@ class MethodAggregate:
     q3: float
     boxplot: dict
 
-    def to_dict(self, include_errors=True) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "method": self.method,
             "failures": self.failures,
             "bias": self.bias,
@@ -306,10 +306,8 @@ class MethodAggregate:
             "q1": self.q1,
             "q3": self.q3,
             "boxplot": dict(self.boxplot),
+            "errors": list(self.errors),
         }
-        if include_errors:
-            d["errors"] = list(self.errors)
-        return d
 
 
 def _boxplot_record(errors: np.ndarray) -> dict:
@@ -367,7 +365,7 @@ class ScenarioResult:
     redraws: int
     methods: dict
 
-    def to_dict(self, include_errors=True) -> dict:
+    def to_dict(self) -> dict:
         return {
             "name": self.name,
             "tau_star": self.tau_star,
@@ -377,24 +375,33 @@ class ScenarioResult:
             "n_s_max": self.n_s_max,
             "n_s_mean": self.n_s_mean,
             "redraws": self.redraws,
-            "methods": {
-                m: agg.to_dict(include_errors) for m, agg in self.methods.items()
-            },
+            "methods": {m: agg.to_dict() for m, agg in self.methods.items()},
         }
+
+
+_GRID_LAYOUT = (("scenario", "s"), ("method", "s"), ("bias", ".4f"), ("sd", ".4f"),
+                ("rmse", ".4f"), ("failures", "d"))
 
 
 @dataclasses.dataclass(frozen=True)
 class GridResult:
     scenarios: tuple[ScenarioResult, ...]
 
-    def to_dict(self, include_errors=True) -> dict:
+    def to_dict(self) -> dict:
         return {
             "schema": "genbal/simulation/1",
-            "scenarios": [s.to_dict(include_errors) for s in self.scenarios],
+            "scenarios": [s.to_dict() for s in self.scenarios],
         }
 
-    def to_json(self, include_errors=True) -> str:
-        return json.dumps(self.to_dict(include_errors), sort_keys=True, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+
+    def table(self, scale: float = 1.0):
+        """(column, human format) pairs and one raw row per scenario x
+        method, with bias, sd and rmse multiplied by ``scale``."""
+        rows = [(s.name, m, a.bias * scale, a.sd * scale, a.rmse * scale, a.failures)
+                for s in self.scenarios for m, a in s.methods.items()]
+        return _GRID_LAYOUT, rows
 
     def cell(self, scenario: str, method: str) -> MethodAggregate:
         for s in self.scenarios:

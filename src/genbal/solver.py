@@ -128,23 +128,16 @@ class DualSolution:
     def unstandardized(self, design: DesignMatrices):
         """Equivalent parameters over the raw (unscaled) basis columns.
 
-        The constant coefficient absorbs the centering of every scaled
-        column, including the G columns whose sign flips between arms.
+        Each arm's H coefficients map as a calibration's do; the constant
+        then also absorbs the centering of the G columns, whose sign flips
+        between arms.
         """
-        hc, hs = design.h_center, design.h_scale
-        gc, gs = design.g_center, design.g_scale
-        l1 = self.lambda1 / hs
-        l0 = self.lambda0 / hs
-        if self.gamma.size:
-            g = self.gamma / gs
-            g_shift = float(self.gamma @ (gc / gs))
-        else:
-            g = self.gamma.copy()
-            g_shift = 0.0
-        h_shift = float(self.lambda1[1:] @ (hc[1:] / hs[1:]))
-        l1[0] = self.lambda1[0] - h_shift - g_shift
-        l0[0] = self.lambda0[0] - float(self.lambda0[1:] @ (hc[1:] / hs[1:])) + g_shift
-        return l1, l0, g
+        g_shift = float(self.gamma @ (design.g_center / design.g_scale))
+        l1 = _raw_h(self.lambda1, design)
+        l0 = _raw_h(self.lambda0, design)
+        l1[0] -= g_shift
+        l0[0] += g_shift
+        return l1, l0, self.gamma / design.g_scale
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,10 +151,17 @@ class CalibrationSolution:
     objective: float
 
     def unstandardized(self, design: DesignMatrices) -> np.ndarray:
-        hc, hs = design.h_center, design.h_scale
-        b = self.beta / hs
-        b[0] = self.beta[0] - float(self.beta[1:] @ (hc[1:] / hs[1:]))
-        return b
+        """Equivalent coefficients over the raw (unscaled) H columns."""
+        return _raw_h(self.beta, design)
+
+
+def _raw_h(theta, design: DesignMatrices) -> np.ndarray:
+    """Coefficients ``theta`` of the scaled H columns mapped onto the raw
+    ones: the constant coefficient absorbs the centering of every column."""
+    hc, hs = design.h_center, design.h_scale
+    b = theta / hs
+    b[0] = theta[0] - float(theta[1:] @ (hc[1:] / hs[1:]))
+    return b
 
 
 @dataclasses.dataclass(frozen=True)

@@ -81,3 +81,43 @@ def test_report_bytes_match_golden(tmp_path, name, report, fmt, scale_100):
     out = tmp_path / name
     emit_report(report(), fmt=fmt, path=out, scale_100=scale_100)
     assert out.read_bytes().decode("utf-8") == want
+
+
+def test_grid_csv_quotes_a_scenario_name_with_commas_and_quotes():
+    name = 'cell "A", high shift'
+    config = dataclasses.replace(gb.builtin_scenario("P1", "T1", "M1", n=200, replicates=2, seed=5),
+                                 name=name)
+    text = emit_report(gb.run_grid([config], ["ebal"]), fmt="csv")
+    header, row = csv.reader(io.StringIO(text))
+    assert len(header) == 6 and len(row) == 6
+    assert row[:2] == [name, "ebal"]
+
+
+def _module_level_imports(tree):
+    """Import nodes of a module outside any function body."""
+    found, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_fileio_imports_neither_oracle_nor_simulation_at_module_level(tmp_path):
+    source = Path(gb.fileio.__file__).read_text()
+    banned = []
+    for node in _module_level_imports(ast.parse(source)):
+        # `from .oracle import x`, `from . import oracle`, `import genbal.oracle`
+        names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        names += [a.name for a in node.names]
+        banned += [n for n in names if n.split(".")[-1] in ("oracle", "simulation")]
+    assert banned == []
+    # the scenario loader imports simulation when it runs
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"builtin_grid": {"n": 300, "replicates": 2}}))
+    configs = load_scenarios_json(path)
+    assert [c.name for c in configs] == [c.name for c in gb.builtin_grid()]
+    assert {(c.n, c.replicates) for c in configs} == {(300, 2)}

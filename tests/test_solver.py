@@ -318,6 +318,14 @@ def test_tilting_structure_reconstructs_from_raw_parameters():
     np.testing.assert_allclose(log_w[~t], raw_h[~t] @ l0 - raw_g[~t] @ g, atol=1e-10)
 
 
+def test_calibration_raw_coefficients_reproduce_the_et_weights():
+    rng = np.random.default_rng(22)
+    sample, spec, design, target, _ = random_instance(rng, n_s=55, k_h=3, k_g=1)
+    sol, ws = gb.solve_et_calibration(design, target)
+    w = np.exp(spec.evaluate_h(sample.X) @ sol.unstandardized(design))
+    np.testing.assert_allclose(w, ws.w, rtol=1e-12, atol=0)
+
+
 def test_normalization_rescales_arm_sums():
     rng = np.random.default_rng(21)
     sample, spec, design, target, _ = random_instance(rng, n_s=48, k_h=2, k_g=1)
