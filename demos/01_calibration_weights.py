@@ -62,10 +62,9 @@ for k, name in enumerate(spec.g_names):
 
 print("\nweight diagnostics:")
 print(f"  min {w.min():.3f}, max {w.max():.3f}")
-from genbal.mathutil import effective_sample_size
-print(f"  effective sample size: treated {effective_sample_size(w[sample.s1]):.1f} "
-      f"of {len(sample.s1)}, control {effective_sample_size(w[sample.s0]):.1f} "
-      f"of {len(sample.s0)}")
+report = gb.estimate_weighted_ate(sample, weights)
+print(f"  effective sample size: treated {report.ess_treated:.1f} of {len(sample.s1)}, "
+      f"control {report.ess_control:.1f} of {len(sample.s0)}")
 
 # the log-weights are an exponential tilt over the basis, with the
 # G coefficients entering the two arms with opposite signs

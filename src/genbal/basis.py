@@ -117,44 +117,26 @@ class BasisTerm:
         return TRANSFORMS[self.transform](X[:, self.index])
 
 
-def identity(index: int, side: str = "h") -> BasisTerm:
-    return BasisTerm("identity", side, index=index)
-
-
-def power(index: int, degree: int, side: str = "h") -> BasisTerm:
-    return BasisTerm("power", side, index=index, degree=degree)
-
-
-def indicator(index: int, category: float, side: str = "h") -> BasisTerm:
-    return BasisTerm("indicator", side, index=index, category=float(category))
-
-
-def product(index: int, index2: int, side: str = "h") -> BasisTerm:
-    return BasisTerm("product", side, index=index, index2=index2)
-
-
-def custom(transform: str, index: int, side: str = "h") -> BasisTerm:
-    return BasisTerm("custom", side, index=index, transform=transform)
-
-
 _TERM_PATTERNS = (
     (re.compile(r"^const$"), lambda m, side: BasisTerm("constant", side)),
-    (re.compile(r"^x(\d+)$"), lambda m, side: identity(int(m.group(1)) - 1, side)),
+    (re.compile(r"^x(\d+)$"), lambda m, side: BasisTerm("identity", side, index=int(m.group(1)) - 1)),
     (
         re.compile(r"^x(\d+)\^(\d+)$"),
-        lambda m, side: power(int(m.group(1)) - 1, int(m.group(2)), side),
+        lambda m, side: BasisTerm("power", side, index=int(m.group(1)) - 1, degree=int(m.group(2))),
     ),
     (
         re.compile(r"^x(\d+)=([-+0-9.eE]+)$"),
-        lambda m, side: indicator(int(m.group(1)) - 1, float(m.group(2)), side),
+        lambda m, side: BasisTerm("indicator", side, index=int(m.group(1)) - 1,
+                                  category=float(m.group(2))),
     ),
     (
         re.compile(r"^x(\d+):x(\d+)$"),
-        lambda m, side: product(int(m.group(1)) - 1, int(m.group(2)) - 1, side),
+        lambda m, side: BasisTerm("product", side, index=int(m.group(1)) - 1,
+                                  index2=int(m.group(2)) - 1),
     ),
     (
         re.compile(r"^(\w+)\(x(\d+)\)$"),
-        lambda m, side: custom(m.group(1), int(m.group(2)) - 1, side),
+        lambda m, side: BasisTerm("custom", side, index=int(m.group(2)) - 1, transform=m.group(1)),
     ),
 )
 
@@ -341,9 +323,6 @@ class DesignMatrices:
     def n(self) -> int:
         return self.h.shape[0]
 
-    def stacked(self) -> np.ndarray:
-        return np.hstack([self.h, self.g])
-
 
 @dataclasses.dataclass(frozen=True)
 class TargetSummary:
@@ -479,7 +458,7 @@ def check_design_rank(design: DesignMatrices, tol: float = 1e-10) -> RankReport:
     A diagnostic only: the solvers check the rank of the design they
     solve, which for the joint problem splits H by treatment arm.
     """
-    return matrix_rank_report(design.stacked(), tol)
+    return matrix_rank_report(np.hstack([design.h, design.g]), tol)
 
 
 def matrix_rank_report(m: np.ndarray, tol: float = 1e-10) -> RankReport:

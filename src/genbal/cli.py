@@ -69,8 +69,8 @@ def _add_source_args(cmd):
 
 
 def _add_solver_args(cmd):
-    cmd.add_argument("--tol", type=float, default=1e-10, help="gradient sup-norm tolerance")
-    cmd.add_argument("--max-iter", type=int, default=200, help="max Newton iterations")
+    cmd.add_argument("--tol", type=float, default=SolverOptions.tol, help="gradient sup-norm tolerance")
+    cmd.add_argument("--max-iter", type=int, default=SolverOptions.max_iter, help="max Newton iterations")
 
 
 def _add_out_args(cmd):
@@ -145,7 +145,7 @@ def _schema_from_args(args, header_path) -> ColumnSchema:
         import csv as _csv
 
         with open(header_path, newline="") as fh:
-            header = next(_csv.reader(fh))
+            header = next(_csv.reader(fh), [])  # the loader rejects an empty file
         covariates = tuple(
             c.strip()
             for c in header

@@ -206,19 +206,30 @@ def write_source_csv(path, sample: SourceSample, schema: ColumnSchema) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _read_json(path):
+    """The JSON value in a file; malformed JSON is a ValidationError naming
+    the path, line and column."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+
+
 def load_target_summary(path, spec: BasisSpec):
     """Read target H-term means from JSON; returns (raw vector, n_t).
 
     Keys are matched to the basis term names order-independently; the
     optional ``n_t`` entry carries the target sample size.
     """
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: target summary must be a JSON object")
-    data = dict(data)
     n_t = data.pop("n_t", None)
     if n_t is not None:
+        if type(n_t) not in (int, float) or not (n_t >= 1 and n_t % 1 == 0):  # bool is neither
+            raise ValidationError(f"{path}: n_t must be a positive whole number, got {n_t!r}")
         n_t = int(n_t)
     valid = spec.h_names
     unknown = sorted(set(data) - set(valid))
@@ -251,8 +262,7 @@ def load_target_summary(path, spec: BasisSpec):
 
 def load_basis_json(path) -> BasisSpec:
     """Read a basis file: {"h": [term names], "g": [term names]}."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict) or "h" not in data:
         raise ValidationError(f"{path}: basis file needs an 'h' term list")
     for side in ("h", "g"):
@@ -271,19 +281,19 @@ def load_scenarios_json(path) -> list:
     inline models), or {"builtin_grid": {overrides}} to expand the built-in
     12-cell grid.
     """
-    from .simulation import ScenarioConfig, builtin_grid
+    from .simulation import ScenarioConfig, _numeric_fields, builtin_grid
 
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: scenario file must be a JSON object")
     if "builtin_grid" in data:
         overrides = data["builtin_grid"] or {}
-        allowed = {"n", "replicates", "seed", "noise_sd"}
-        bad = sorted(set(overrides) - allowed)
+        if not isinstance(overrides, dict):
+            raise ValidationError(f"{path}: 'builtin_grid' must be a JSON object")
+        bad = sorted(set(overrides) - {"n", "replicates", "seed", "noise_sd"})
         if bad:
             raise ValidationError(f"builtin_grid overrides {bad} not supported")
-        return list(builtin_grid(**overrides))
+        return list(builtin_grid(**_numeric_fields(overrides, "builtin_grid")))
     if "scenarios" in data:
         cells = data["scenarios"]
         if not isinstance(cells, list) or not cells:

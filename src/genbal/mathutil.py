@@ -21,12 +21,6 @@ def sigmoid(s):
     return out
 
 
-def effective_sample_size(w):
-    """Kish effective sample size (sum w)^2 / sum w^2."""
-    w = np.asarray(w, dtype=float)
-    return float(w.sum() ** 2 / (w ** 2).sum())
-
-
 def stack_padded(arrays):
     """The arrays stacked on a new axis, zero-padded to the longest; each
     slice keeps the memory order of arrays[0], and a stack of one is a view."""

@@ -21,6 +21,7 @@ config in replicate order.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import numbers
@@ -144,9 +145,9 @@ class ScenarioConfig:
 
         if "name" not in d:
             raise ValidationError("scenario needs a name")
-        participation = d.get("participation")
+        name, participation = str(d["name"]), d.get("participation")
         return cls(
-            name=str(d["name"]),
+            name=name,
             propensity_logit=model(d["propensity"], PROPENSITY_MODELS, "propensity"),
             cate=model(d["cate"], CATE_MODELS, "cate"),
             baseline=model(d["baseline"], BASELINE_MODELS, "baseline"),
@@ -155,16 +156,26 @@ class ScenarioConfig:
                 if participation is None
                 else model(participation, {}, "participation")
             ),
-            n=int(d.get("n", 800)),
-            replicates=int(d.get("replicates", 400)),
-            noise_sd=float(d.get("noise_sd", 1.0)),
-            p=int(d.get("p", 5)),
-            low=float(d.get("low", -2.0)),
-            high=float(d.get("high", 2.0)),
             h_names=tuple(d.get("h", ("const", "x1", "x2", "x3"))),
             g_names=tuple(d.get("g", ("x4", "x5"))),
-            seed=int(d.get("seed", 0)),
+            **_numeric_fields(d, f"scenario {name!r}"),
         )
+
+
+def _numeric_fields(d: dict, where: str) -> dict:
+    """The numeric ScenarioConfig fields set in ``d``, each cast to the type
+    of its default; a value that does not cast is a ValidationError naming
+    ``where`` and the key."""
+    fields = {}
+    for f in dataclasses.fields(ScenarioConfig):
+        cast = type(f.default)
+        try:
+            if f.name in d and cast in (int, float):
+                fields[f.name] = cast(d[f.name])
+        except (TypeError, ValueError, OverflowError):
+            kind = "an integer" if cast is int else "a number"
+            raise ValidationError(f"{where}: {f.name} must be {kind}, got {d[f.name]!r}") from None
+    return fields
 
 
 def builtin_scenario(p_tag: str, t_tag: str, m_tag: str, **overrides) -> ScenarioConfig:
@@ -295,20 +306,6 @@ class MethodAggregate:
     q3: float
     boxplot: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "failures": self.failures,
-            "bias": self.bias,
-            "sd": self.sd,
-            "rmse": self.rmse,
-            "median": self.median,
-            "q1": self.q1,
-            "q3": self.q3,
-            "boxplot": dict(self.boxplot),
-            "errors": list(self.errors),
-        }
-
 
 def _boxplot_record(errors: np.ndarray) -> dict:
     q1, med, q3 = (float(v) for v in np.quantile(errors, (0.25, 0.5, 0.75)))
@@ -336,7 +333,7 @@ def _aggregate(method: str, errors: list, failures: int) -> MethodAggregate:
     bias = float(e.mean())
     sd = float(np.sqrt(np.mean((e - bias) ** 2)))
     rmse = float(np.sqrt(np.mean(e ** 2)))
-    q1, med, q3 = (float(v) for v in np.quantile(e, (0.25, 0.5, 0.75)))
+    box = _boxplot_record(e)
     return MethodAggregate(
         method=method,
         errors=tuple(float(v) for v in e),
@@ -344,10 +341,10 @@ def _aggregate(method: str, errors: list, failures: int) -> MethodAggregate:
         bias=bias,
         sd=sd,
         rmse=rmse,
-        median=med,
-        q1=q1,
-        q3=q3,
-        boxplot=_boxplot_record(e),
+        median=box["median"],
+        q1=box["q1"],
+        q3=box["q3"],
+        boxplot=box,
     )
 
 
@@ -365,19 +362,6 @@ class ScenarioResult:
     redraws: int
     methods: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "tau_star": self.tau_star,
-            "n": self.n,
-            "replicates": self.replicates,
-            "n_s_min": self.n_s_min,
-            "n_s_max": self.n_s_max,
-            "n_s_mean": self.n_s_mean,
-            "redraws": self.redraws,
-            "methods": {m: agg.to_dict() for m, agg in self.methods.items()},
-        }
-
 
 _GRID_LAYOUT = (("scenario", "s"), ("method", "s"), ("bias", ".4f"), ("sd", ".4f"),
                 ("rmse", ".4f"), ("failures", "d"))
@@ -390,7 +374,7 @@ class GridResult:
     def to_dict(self) -> dict:
         return {
             "schema": "genbal/simulation/1",
-            "scenarios": [s.to_dict() for s in self.scenarios],
+            "scenarios": [dataclasses.asdict(s) for s in self.scenarios],
         }
 
     def to_json(self) -> str:
@@ -462,27 +446,27 @@ def run_grid(configs, methods=ESTIMATOR_NAMES, jobs: int = 1, nodes: int = 16,
 
 
 def _grid_rows(configs, methods, jobs, options, nodes):
-    """Replicate rows and true target ATE of each config: serially when
-    ``jobs == 1``, otherwise through one pool that runs every batch of every
-    config and the ATE of every distinct (participation, CATE, p, low, high)."""
+    """Replicate rows and true target ATE of each config. Every batch of
+    every config and the ATE of every distinct (participation, CATE, p, low,
+    high) is one task, mapped in process when ``jobs == 1`` and otherwise
+    through one pool."""
     tasks = [(i, reps) for i, config in enumerate(configs) for reps in _batches(config)]
     key = lambda c: (c.participation_logit, c.cate, c.p, c.low, c.high)  # noqa: E731
     keyed = {}
     for config in configs:
         keyed.setdefault(key(config), config)
-    if jobs == 1 or not configs:
-        parts = [_replicates(configs[i], methods, options, reps) for i, reps in tasks]
-        taus = dict(zip(keyed, [true_target_ate(c, nodes) for c in keyed.values()]))
-    else:
-        # imported here so that importing genbal does not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    with contextlib.ExitStack() as stack:
+        run = map
+        if jobs > 1 and configs:
+            # imported here so that importing genbal does not load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            # the ATE tasks go in first, so no worker idles while they run last
-            taus = pool.map(true_target_ate, keyed.values(), repeat(nodes))
-            parts = pool.map(_replicates, [configs[i] for i, _ in tasks], repeat(methods),
-                             repeat(options), [reps for _, reps in tasks])
-            parts, taus = list(parts), dict(zip(keyed, taus))
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))).map
+        # the ATE tasks go in first, so no worker idles while they run last
+        taus = run(true_target_ate, keyed.values(), repeat(nodes))
+        parts = run(_replicates, [configs[i] for i, _ in tasks], repeat(methods),
+                    repeat(options), [reps for _, reps in tasks])
+        parts, taus = list(parts), dict(zip(keyed, taus))
     rows = [[] for _ in configs]
     for (i, _), part in zip(tasks, parts):
         rows[i].extend(part)

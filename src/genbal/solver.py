@@ -46,7 +46,7 @@ import numbers
 import numpy as np
 
 from .basis import DesignMatrices, TargetSummary
-from .errors import NonConvergenceError, RankDeficiencyError, ValidationError, WeightUnderflowError, _attempt, _one
+from .errors import NonConvergenceError, RankDeficiencyError, ValidationError, WeightUnderflowError, _one
 from .mathutil import solve_each, stack_padded
 
 __all__ = [
@@ -220,14 +220,12 @@ class _GroupDual:
     pad rows. ``target_vals`` and ``n_s`` hold a row and a size per member,
     and ``rows`` the flat position in the ``(R, b, m)`` stack of every
     member's source rows, the members back to back. A pad row scores 0,
-    below any positive score cap, and weighs 0. Moments and Gram matrices
-    are scattered into theta with one ``bincount`` each, offset by member.
-    Methods take theta as ``(R, d)``.
+    below the positive score cap SolverOptions checks, and weighs 0.
+    Moments and Gram matrices are scattered into theta with one
+    ``bincount`` each, offset by member. Methods take theta as ``(R, d)``.
     """
 
     def __init__(self, E, base, cols, rows, target_vals, n_s, score_cap):
-        if not score_cap > 0:  # pad rows score 0 and must stay below the cap
-            raise ValidationError(f"score_cap must be > 0 and not NaN, got {score_cap!r}")
         self.E, self.base, self.cols, self.rows = E, base, cols, rows
         self.target = np.asarray(target_vals, dtype=float)
         self.n_s = np.asarray(n_s, dtype=float)
@@ -264,9 +262,6 @@ class _GroupDual:
         value = w.reshape(self.batch, -1).sum(axis=1) / self.n_s - _rowdot(theta, self.target)
         return np.where(top <= self.cap, value, np.inf)
 
-    def value(self, theta):
-        return self.value_grad_hess(theta, with_hess=False)[0]
-
     def value_grad_hess(self, theta, with_hess=True):
         """Value, gradient and Hessian at theta; a member past the score cap
         gets +inf and NaN rows, its overflowed weights never summed."""
@@ -296,10 +291,6 @@ class _GroupDual:
     def in_source_order(self, w):
         """The members' weights from a tilt, back to back in source row order."""
         return w.reshape(-1)[self.rows]
-
-    def weights(self, theta):
-        sizes = np.bincount(self.rows // self.base[0].size, minlength=self.batch)
-        return np.split(self.in_source_order(self.tilt(theta)[0]), np.cumsum(sizes)[:-1])
 
 
 def _rowdot(a, b):
@@ -351,7 +342,7 @@ def dual_objective(lambda1, lambda0, gamma, design, target, treated, score_cap=3
     H block, control-arm H block, then the G gap. If any linear score
     exceeds ``score_cap`` the value is +inf and gradient/Hessian are NaN.
     """
-    problem = _JointDual([design], [target], [treated], score_cap)
+    problem = _JointDual([design], [target], [treated], SolverOptions(score_cap=score_cap).score_cap)
     theta = np.concatenate([np.asarray(v, dtype=float) for v in (lambda1, lambda0, gamma)])
     if theta.shape[0] != problem.dim:
         raise ValidationError("dual parameter dimensions do not match the design")
@@ -494,32 +485,23 @@ def _joint_weights(method, designs, targets, treateds, options=None):
     return outcomes, problem.in_source_order(w)
 
 
-def _weight_sets(solved, designs, treated, method, normalize):
-    """Each member's (solution, WeightSet) from (outcomes, the members'
-    weights back to back), or its error; with ``normalize``, each arm of
-    ``treated`` sums to the member's size."""
-    outcomes, w = solved
-    sizes = [d.n for d in designs]
-    w = _normalize_arms(w, treated, sizes) if normalize else w
-    pack = lambda solution, w: (solution, WeightSet(w, method, normalize))  # noqa: E731
-    return list(map(_attempt, [pack] * len(outcomes), outcomes, np.split(w, np.cumsum(sizes)[:-1])))
-
-
-def _solve_joint(method, designs, targets, treateds, options=None, normalize=False):
-    """The extended (or ebal) solve of each member: (DualSolution,
-    WeightSet) or its error."""
-    return _weight_sets(_joint_weights(method, designs, targets, treateds, options), designs,
-                        np.concatenate(treateds).astype(bool, copy=False), method, normalize)
+def _weight_set(w, treated, method, normalize):
+    """One data set's weights as a WeightSet; with ``normalize``, each arm
+    of ``treated`` sums to the sample size."""
+    t = np.asarray(treated, dtype=bool)
+    return WeightSet(_normalize_arms(w, t, [len(w)]) if normalize else w, method, normalize)
 
 
 def solve_extended(design, target, treated, options=None, normalize=False):
     """Weights balancing H per arm to the target and G across arms."""
-    return _one(_solve_joint(Method.EXTENDED, [design], [target], [treated], options, normalize)[0])
+    (solution,), w = _joint_weights(Method.EXTENDED, [design], [target], [treated], options)
+    return _one(solution), _weight_set(w, treated, Method.EXTENDED, normalize)
 
 
 def solve_ebal(design, target, treated, options=None, normalize=False):
     """H-only special case: drop the G columns and balance per arm."""
-    return _one(_solve_joint(Method.EBAL, [design], [target], [treated], options, normalize)[0])
+    (solution,), w = _joint_weights(Method.EBAL, [design], [target], [treated], options)
+    return _one(solution), _weight_set(w, treated, Method.EBAL, normalize)
 
 
 def _calibrate_groups(Fs, bases, target_vals, n_s, opts, what):
@@ -537,19 +519,14 @@ def _et_weights(designs, targets, options=None):
                              options or SolverOptions(), "H design")
 
 
-def _et_calibration(designs, targets, options=None, normalize=False):
-    # every row treated: the whole sample is normalized as one arm
-    return _weight_sets(_et_weights(designs, targets, options), designs,
-                        np.ones(sum(d.n for d in designs), dtype=bool), Method.ET, normalize)
-
-
 def solve_et_calibration(design, target, options=None, normalize=False):
     """Whole-sample exponential-tilting calibration of H means to the target.
 
     Ignores treatment arms: the weighted source means of every H term are
-    pushed onto the target summary.
+    pushed onto the target summary; every row is one arm for ``normalize``.
     """
-    return _one(_et_calibration([design], [target], options, normalize)[0])
+    (solution,), w = _et_weights([design], [target], options)
+    return _one(solution), _weight_set(w, np.ones(design.n), Method.ET, normalize)
 
 
 def solve_two_step(design, target, treated, options=None, normalize=False, q_weights=None):
@@ -580,9 +557,7 @@ def solve_two_step(design, target, treated, options=None, normalize=False, q_wei
             [design.h[arm_mask]], [q[arm_mask]], [rhs], [design.n], opts, label
         )
         _one(solution)
-    if normalize:
-        w = _normalize_arms(w, t, [design.n])
-    return WeightSet(w, Method.TWO_STEP, normalize)
+    return _weight_set(w, t, Method.TWO_STEP, normalize)
 
 
 def solve_att(design, treated, options=None, normalize=False):
@@ -602,6 +577,4 @@ def solve_att(design, treated, options=None, normalize=False):
                                            [design.n], opts, "control arm")
     _one(solution)
     w[t] = design.n / t.sum()
-    if normalize:
-        w = _normalize_arms(w, t, [design.n])
-    return WeightSet(w, Method.ATT, normalize)
+    return _weight_set(w, t, Method.ATT, normalize)

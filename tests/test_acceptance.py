@@ -125,7 +125,9 @@ def test_criterion_4_gradient_hessian_finite_differences():
         problem = _JointDual([design], [target], [sample.treated], score_cap=30.0)
         theta = 0.3 * rng.standard_normal(problem.dim)
         _, (grad,), (hess,) = problem.value_grad_hess(theta[None])
-        fd_g = finite_difference_gradient(lambda th: problem.value(th[None])[0], theta)
+        fd_g = finite_difference_gradient(
+            lambda th: problem.value_grad_hess(th[None], with_hess=False)[0][0], theta
+        )
         fd_h = finite_difference_hessian(
             lambda th: problem.value_grad_hess(th[None], with_hess=False)[1][0], theta
         )

@@ -21,7 +21,7 @@ from genbal import estimators
 from genbal.basis import _design_batch
 from genbal.errors import GenbalError, ValidationError
 from genbal.estimators import ESTIMATORS, _SharedWork
-from genbal.solver import Method, _et_calibration, _solve_joint
+from genbal.solver import Method, _et_weights, _joint_weights
 
 SPEC = gb.BasisSpec.from_names(["const", "x1", "x2"], ["x3"])
 KINDS = ("feasible", "collinear", "infeasible", "separated", "duplicated")
@@ -89,17 +89,17 @@ def _check(batched, alone, exact):
 
 
 def _same_solution(batched, alone):
-    """Two solve outcomes, (solution, WeightSet) or errors: same class, and
-    for a success the same iterations, parameters and weights."""
-    assert type(batched) is type(alone), (batched, alone)
-    if isinstance(alone, GenbalError):
+    """Two solve outcomes, each (solution or error, weights): same class,
+    and for a success the same iterations, parameters and weights."""
+    (out_b, w_b), (out_a, w_a) = batched, alone
+    assert type(out_b) is type(out_a), (out_b, out_a)
+    if isinstance(out_a, GenbalError):
         return
-    (sol_b, ws_b), (sol_a, ws_a) = batched, alone
-    assert sol_b.iterations == sol_a.iterations
+    assert out_b.iterations == out_a.iterations
     theta = lambda s: np.concatenate([np.atleast_1d(v) for v in vars(s).values()
                                       if isinstance(v, np.ndarray)])
-    assert _close(theta(sol_b), theta(sol_a))
-    assert _close(ws_b.w, ws_a.w)
+    assert _close(theta(out_b), theta(out_a))
+    assert _close(w_b, w_a)
 
 
 @settings(
@@ -132,14 +132,14 @@ def test_batch_members_get_the_outcome_they_get_alone(batch):
     designs = [shared.designs[i] for i in ok]
     targets = [shared.targets[i] for i in ok]
     treateds = [samples[i].treated for i in ok]
-    if ok:
-        for method in (Method.EXTENDED, Method.EBAL):
-            solved = _solve_joint(method, designs, targets, treateds, options)
-            for r, out in enumerate(solved):
-                alone = _solve_joint(method, [designs[r]], [targets[r]], [treateds[r]], options)
-                _same_solution(out, alone[0])
-        for r, out in enumerate(_et_calibration(designs, targets, options)):
-            _same_solution(out, _et_calibration([designs[r]], [targets[r]], options)[0])
+    solves = (lambda ds, ts, trs: _joint_weights(Method.EXTENDED, ds, ts, trs, options),
+              lambda ds, ts, trs: _joint_weights(Method.EBAL, ds, ts, trs, options),
+              lambda ds, ts, _: _et_weights(ds, ts, options))
+    for solve in solves if ok else ():
+        outcomes, w = solve(designs, targets, treateds)
+        for r, member in enumerate(zip(outcomes, np.split(w, np.cumsum([d.n for d in designs])[:-1]))):
+            (out,), w_alone = solve([designs[r]], [targets[r]], [treateds[r]])
+            _same_solution(member, (out, w_alone))
     for sample, out in zip(samples, estimators._fit_logistic(samples)):
         (mine,) = estimators._fit_logistic([sample])
         assert type(out) is type(mine)

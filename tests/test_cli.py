@@ -397,3 +397,73 @@ def test_cli_simulate_nonpositive_jobs_is_validation_error(tmp_path, capsys, job
     code = main(["simulate", "--scenario", str(scen), "--methods", "ipw", "--jobs", jobs])
     assert code == 2
     assert f"jobs must be an int >= 1, got {jobs}" in capsys.readouterr().err
+
+
+def _validation_error(capsys):
+    """The one stderr line of a command that exited 2."""
+    err = capsys.readouterr().err
+    assert err.startswith("genbal: validation error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_cli_empty_source_csv_is_validation_error(tmp_path, capsys):
+    _, _, _, basis, target = _write_inputs(tmp_path)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    code = main(["estimate", "--source", str(empty), "--basis", str(basis),
+                 "--target-summary", str(target)])
+    assert code == 2
+    assert _validation_error(capsys) == f"genbal: validation error: {empty}: empty file\n"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("estimate", "--target-summary"), ("weights", "--basis"),
+    ("simulate", "--scenario"), ("oracle", "--scenario"),
+])
+def test_cli_malformed_json_is_validation_error(tmp_path, capsys, command, flag):
+    _, _, source, basis, target = _write_inputs(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    if command in ("estimate", "weights"):
+        paths = {"--basis": basis, "--target-summary": target, flag: bad}
+        args = ["--source", str(source), *(a for k, v in paths.items() for a in (k, str(v)))]
+        args += ["--out", str(tmp_path / "w.csv")] if command == "weights" else []
+    else:
+        args = [flag, str(bad)]
+    assert main([command, *args]) == 2
+    assert f"{bad}: malformed JSON at line 1, column 2" in _validation_error(capsys)
+
+
+@pytest.mark.parametrize("n_t", ["many", 1.5, True, 0, -3])
+def test_cli_bad_target_size_is_validation_error(tmp_path, capsys, n_t):
+    _, _, source, basis, target = _write_inputs(tmp_path)
+    target.write_text(json.dumps({"const": 1, "x1": 0.12, "x2": -0.03, "x3": 0.05, "n_t": n_t}))
+    code = main(["estimate", "--source", str(source), "--basis", str(basis),
+                 "--target-summary", str(target), "--methods", "ebal"])
+    assert code == 2
+    assert f"n_t must be a positive whole number, got {n_t!r}" in _validation_error(capsys)
+
+
+def test_target_size_loads_whole_floats_as_ints(tmp_path):
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps({"const": 1, "x1": 0.12, "x2": -0.03, "x3": 0.05, "n_t": 460.0}))
+    _, n_t = load_target_summary(target, SPEC)
+    assert n_t == 460 and isinstance(n_t, int)
+
+
+CELL = {"name": "cell", "propensity": "P1", "cate": "T1", "baseline": "M1", "n": 50, "replicates": 2}
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+@pytest.mark.parametrize("payload, message", [
+    ({"scenarios": [{**CELL, "n": "x"}]}, "scenario 'cell': n must be an integer, got 'x'"),
+    ({"scenarios": [{**CELL, "seed": None}]}, "scenario 'cell': seed must be an integer, got None"),
+    ({"scenarios": [{**CELL, "low": [1]}]}, "scenario 'cell': low must be a number, got [1]"),
+    ({"builtin_grid": {"n": "x"}}, "builtin_grid: n must be an integer, got 'x'"),
+    ({"builtin_grid": [800]}, "'builtin_grid' must be a JSON object"),
+], ids=["n", "seed", "low", "builtin-n", "builtin-list"])
+def test_cli_bad_scenario_number_is_validation_error(tmp_path, capsys, command, payload, message):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(payload))
+    assert main([command, "--scenario", str(scen)]) == 2
+    assert message in _validation_error(capsys)

@@ -46,7 +46,9 @@ def test_gradient_matches_finite_differences_on_ten_rows():
     problem = _JointDual([design], [target], [sample.treated], score_cap=30.0)
     theta = 0.3 * rng.standard_normal(problem.dim)
     _, (grad,), (hess,) = problem.value_grad_hess(theta[None])
-    fd_grad = finite_difference_gradient(lambda th: problem.value(th[None])[0], theta)
+    fd_grad = finite_difference_gradient(
+        lambda th: problem.value_grad_hess(th[None], with_hess=False)[0][0], theta
+    )
     np.testing.assert_allclose(grad, fd_grad, atol=1e-6)
     fd_hess = finite_difference_hessian(
         lambda th: problem.value_grad_hess(th[None], with_hess=False)[1][0], theta
@@ -61,7 +63,7 @@ def test_gradient_equals_balance_residuals_exactly():
         problem = _JointDual([design], [target], [sample.treated], score_cap=30.0)
         theta = 0.2 * rng.standard_normal(problem.dim)
         _, (grad,), _ = problem.value_grad_hess(theta[None])
-        (w,) = problem.weights(theta[None])
+        w = problem.in_source_order(problem.tilt(theta[None])[0])
         res = gb.balance_residuals(design, target, sample.treated, w)
         np.testing.assert_allclose(grad, res.stacked(), atol=1e-12)
 
