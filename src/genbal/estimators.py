@@ -11,10 +11,10 @@ invariant to outcome location shifts.
 All four read one data set's basis design and aligned target, and both
 IPW variants read one treatment logit. :data:`ESTIMATORS` runs each
 method once over a batch of data sets that share a basis: a shared
-object builds every member's design in one pass and fits every logit at
-once, every solve runs the whole batch together, and one pass over the
-members' weights, back to back, reports every member's estimate or
-error. Every public ``estimate_*`` is a batch of one.
+object builds every member's design in one pass, every solve (the logit
+fits included) runs the whole batch through the one Newton loop of
+:mod:`genbal.solver`, and one pass over the members' weights reports
+every member's estimate or error. Every ``estimate_*`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 
 from .basis import BasisSpec, SourceSample, _design_batch, align_target_summary
 from .errors import GenbalError, NonConvergenceError, SeparationError, ValidationError, _attempt, _one
-from .mathutil import sigmoid, solve_each, stack_padded
-from .solver import Method, SolverOptions, WeightSet, _et_weights, _joint_weights, _normalize_arms
+from .solver import (CalibrationSolution, Method, SolverOptions, WeightSet, _et_weights, _joint_weights,
+                     _normalize_arms, _solve_dual)
 
 __all__ = [
     "ESTIMATORS",
@@ -48,7 +48,9 @@ COEF_NORM_LIMIT = 1e3
 
 @dataclasses.dataclass(frozen=True)
 class LogisticModel:
-    """Logistic regression fit for the treatment indicator."""
+    """Logistic fit of treatment: ``coefficients`` on the raw Z = [1 | X], ``iterations``
+    damped Newton steps, ``score_norm`` the raw score sup-norm max |Z'(A - p)|; an
+    unconverged fit is only seen as a NonConvergenceError's ``solution``."""
 
     coefficients: np.ndarray
     propensities: np.ndarray
@@ -70,71 +72,71 @@ class EstimateReport:
     solver_info: dict
 
 
-def _fit_logistic(samples, columns=None, tol=1e-8, max_iter=100):
-    """Logistic fits of samples sharing the regressor columns: per member a
-    LogisticModel or its SeparationError. Zero pad rows add nothing to the
-    score or information; a member is frozen once it converges or fails.
+class _Logit:
+    """Logistic fits for ``_solve_dual``: minimize sum log(1 + e^s) - A s,
+    s = Z theta, over a zero-padded (R, m, d) stack Z, ``base`` 0 on pad
+    rows; gradient Z'(p - A), Hessian Z' diag(p (1 - p)) Z. The tilt is
+    (p, loss per row) from one exp of -|s|, which never overflows."""
 
-    A member whose regressors [1 | X] are numerically rank deficient (a
-    Gram eigenvalue at or below ``n * dim * eps * max``, the rounding of its
-    sums) has a singular information matrix at every step, so where its fit
-    ends rests on rounding, which batch padding changes: it is fit alone.
-    """
+    cap = np.inf
+
+    def __init__(self, Z, A, base):
+        self.E, self.A, self.base, (self.batch, _, self.dim) = Z, A, base, Z.shape
+
+    def scores(self, theta):
+        return np.matmul(self.E, theta[..., None])[..., 0]
+
+    def tilt(self, theta):
+        s = self.scores(theta)
+        e = np.exp(-np.abs(s))
+        pos = (s >= 0).astype(float)
+        loss = ((pos - self.A) * s + np.log1p(e)) * self.base  # log(1 + e^s) - A s
+        return (np.maximum(e, pos) / (1.0 + e), loss), np.full(self.batch, -np.inf)  # p as sigmoid() has it
+
+    def value_at(self, theta, w, top):
+        return w[1].sum(axis=1)
+
+    def gradient(self, w):
+        return np.matmul((w[0] - self.A)[:, None], self.E)[:, 0]
+
+    def hessian(self, w):
+        return np.matmul(self.E.swapaxes(1, 2), self.E * (w[0] * (1.0 - w[0]))[..., None])
+
+
+def _fit_logistic(samples, columns=None, tol=1e-8, max_iter=100):
+    """Logistic fits of samples sharing the regressor columns, per member a
+    LogisticModel or its error, from one ``_solve_dual``. Each column of
+    [1 | X] is scaled by a power of two to a largest magnitude in [1, 2);
+    ``tol`` bounds the scaled score, and a scaled coefficient past
+    COEF_NORM_LIMIT is a SeparationError."""
     cols = list(range(samples[0].p)) if columns is None else list(columns)
-    Zs = [np.empty((len(cols) + 1, sample.n_s)).T for sample in samples]  # [1 | X] column-major
-    for z, sample in zip(Zs, samples):
-        z[:, 0], z[:, 1:] = 1.0, sample.X[:, cols]
-    Z = stack_padded(Zs)
-    Zt = Z.swapaxes(1, 2)
-    if len(samples) > 1:
-        eig = np.linalg.eigvalsh(np.matmul(Zt, Z))
-        alone = eig[:, 0] <= Z.shape[1] * Z.shape[2] * np.finfo(float).eps * eig[:, -1]
-        if alone.any():
-            rest = [s for s, a in zip(samples, alone) if not a]
-            rest = iter(_fit_logistic(rest, columns, tol, max_iter) if rest else ())
-            return [_fit_logistic([s], columns, tol, max_iter)[0] if a else next(rest)
-                    for s, a in zip(samples, alone)]
-    A = stack_padded([sample.A.astype(float) for sample in samples])
-    beta = np.zeros((Z.shape[0], Z.shape[2]))
-    failed = [None] * len(samples)
-    active = np.ones(len(samples), dtype=bool)
-    steps = np.zeros(len(samples), dtype=int)
-    identity = np.eye(Z.shape[2])
-    for it in range(max_iter + 1):
-        p = sigmoid(np.matmul(Z, beta[..., None])[..., 0])
-        score = np.matmul(Zt, (A - p)[..., None])[..., 0]
-        score_norm = np.abs(score).max(axis=1)
-        active &= score_norm > tol
-        if it == max_iter or not np.count_nonzero(active):
-            break
-        info = np.matmul(Zt, Z * (p * (1.0 - p))[..., None])
-        # frozen members solve an identity system for a zero step
-        info = np.where(active[:, None, None], info, identity)
-        step, singular = solve_each(info, np.where(active[:, None], score, 0.0))
-        for r in singular:
-            failed[r] = SeparationError("singular information matrix; data may be separated or degenerate")
-            active[r], step[r] = False, 0.0
-        beta += step
-        steps += active
-        for r in np.flatnonzero(active & (np.abs(beta).max(axis=1) > COEF_NORM_LIMIT)):
-            failed[r] = SeparationError(f"logistic coefficients diverged past {COEF_NORM_LIMIT:g}; "
-                                        "treatment looks perfectly separated")
-            active[r] = False
-    # a member that took every step reports max_iter - 1
-    iterations = np.where(steps == max_iter, max(max_iter - 1, 0), steps)
-    return [err if err is not None else LogisticModel(
-        beta[r], p[r, :sample.n_s], int(iterations[r]), bool(score_norm[r] <= tol),
-        float(score_norm[r]),
-    ) for r, (sample, err) in enumerate(zip(samples, failed))]
+    n = [sample.n_s for sample in samples]
+    Z = np.zeros((len(n), len(cols) + 1, max(n))).swapaxes(1, 2)  # [1 | X] zero-padded, column-major
+    A = np.zeros(Z.shape[:2])
+    for z, a, sample in zip(Z, A, samples):
+        z[:sample.n_s, 0], z[:sample.n_s, 1:], a[:sample.n_s] = 1.0, sample.X[:, cols], sample.A
+    shift = 1 - np.maximum(np.frexp(np.maximum(Z.max(axis=1), -Z.min(axis=1)))[1], -1021)
+    Z *= np.ldexp(1.0, shift)[:, None, :]
+    problem = _Logit(Z, A, np.arange(Z.shape[1]) < np.array(n)[:, None])
+    outcomes, w = _solve_dual(problem, "logit [1 | X]", SolverOptions(tol, max_iter, np.inf), CalibrationSolution)
+    fits = [getattr(out, "solution", out) for out in outcomes]  # no fit in a RankDeficiencyError
+    if not all(getattr(fit, "converged", True) for fit in fits):  # a stalled fit's tilt is of a rejected step
+        w, _ = problem.tilt(np.array([getattr(fit, "beta", np.zeros(problem.dim)) for fit in fits]))
+    score = np.abs(np.ldexp(problem.gradient(w), -shift)).max(axis=1).tolist()
+    for r, (out, fit) in enumerate(zip(outcomes, fits)):
+        if isinstance(fit, CalibrationSolution):
+            model = LogisticModel(np.ldexp(fit.beta, shift[r]), w[0][r, :n[r]], fit.iterations, fit.converged,
+                                  score[r])
+            outcomes[r] = (SeparationError(f"logistic coefficients diverged past {COEF_NORM_LIMIT:g}; treatment "
+                                           "looks perfectly separated") if np.abs(fit.beta).max() > COEF_NORM_LIMIT
+                           else model if fit is out else NonConvergenceError(str(out), model, out.residuals))
+    return outcomes
 
 
 def fit_logistic_irls(sample: SourceSample, columns=None, tol: float = 1e-8, max_iter: int = 100) -> LogisticModel:
-    """Maximum-likelihood logistic regression of treatment on covariates.
-
-    Newton (iteratively reweighted least squares) steps until the score
-    sup-norm drops below ``tol``. Raises :class:`SeparationError` when the
-    coefficients diverge, which signals (quasi-)separated data.
-    """
+    """Maximum-likelihood logistic regression of treatment on covariates by damped
+    Newton steps (here IRLS), as :func:`_fit_logistic` runs them; raises its
+    RankDeficiencyError, NonConvergenceError or SeparationError."""
     return _one(_fit_logistic([sample], columns, tol, max_iter)[0])
 
 
@@ -168,9 +170,7 @@ class _SharedWork:
 
     @functools.cached_property
     def logits(self):
-        return [m if isinstance(m, SeparationError) or m.converged else NonConvergenceError(
-            f"logistic fit did not converge (score sup-norm {m.score_norm:.3g})"
-        ) for m in _fit_logistic(self.samples, self.columns)]
+        return _fit_logistic(self.samples, self.columns)
 
     @functools.cached_property
     def flat(self):

@@ -1,5 +1,7 @@
 """Small numeric helpers used by several modules."""
 
+import contextlib
+
 import numpy as np
 
 
@@ -22,32 +24,24 @@ def sigmoid(s):
 
 
 def stack_padded(arrays):
-    """The arrays stacked on a new axis, zero-padded to the longest; each
-    slice keeps the memory order of arrays[0], and a stack of one is a view."""
+    """The arrays stacked on a new axis, zero-padded to the longest; a stack
+    of one is a view."""
     if len(arrays) == 1:
         return arrays[0][None]
-    first = arrays[0]
-    shape = (len(arrays), max(len(a) for a in arrays)) + first.shape[1:]
-    if first.ndim == 2 and first.flags.f_contiguous and not first.flags.c_contiguous:
-        out = np.zeros(shape[::2] + shape[1:2]).swapaxes(1, 2)
-    else:
-        out = np.zeros(shape)
+    out = np.zeros((len(arrays), max(len(a) for a in arrays)) + arrays[0].shape[1:])
     for slot, a in zip(out, arrays):
         slot[:len(a)] = a
     return out
 
 
 def solve_each(a, b):
-    """Solutions of the systems a[r] x = b[r] from one batched solve, and
-    the indices r of the singular ones. If the batched solve fails, each is
-    solved alone, so only the singular ones get NaN."""
+    """Solutions of the systems a[r] x = b[r] from one batched solve. If
+    that fails, each is solved alone, so only the singular ones get NaN."""
     try:
-        return np.linalg.solve(a, b[..., None])[..., 0], []
+        return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        x, singular = np.full_like(b, np.nan), []
+        x = np.full_like(b, np.nan)
         for r in range(len(b)):
-            try:
+            with contextlib.suppress(np.linalg.LinAlgError):
                 x[r] = np.linalg.solve(a[r], b[r])
-            except np.linalg.LinAlgError:
-                singular.append(r)
-        return x, singular
+        return x

@@ -9,6 +9,7 @@ indices are 1-based ("x3" means the third covariate).
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 
@@ -74,21 +75,25 @@ class FunctionTerm:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FunctionTerm":
-        slopes = ()
-        if "slopes" in d:
-            pairs = []
-            for key, c in d["slopes"].items():
-                if not (isinstance(key, str) and key.startswith("x")):
-                    raise ValidationError(f"bad slope key {key!r}; expected e.g. 'x3'")
-                pairs.append((int(key[1:]) - 1, float(c)))
-            slopes = tuple(sorted(pairs))
+        """A term from its JSON object; a bad key is a ValidationError naming it."""
+        if not isinstance(d, dict) or "kind" not in d or "coef" not in d:
+            raise ValidationError(f"a model term must be an object with 'kind' and 'coef', got {d!r}")
+        for key in ("index", "index2"):
+            if key in d and not (type(d[key]) is int and d[key] >= 1):
+                raise ValidationError(f"model term {key} must be an integer >= 1, got {d[key]!r}")
+        slopes = d.get("slopes", {})
+        if not (isinstance(slopes, dict) and all(re.fullmatch("x[1-9][0-9]*", str(k)) for k in slopes)):
+            raise ValidationError(f"model term slopes must map names like 'x3' to numbers, got {slopes!r}")
+        for key, value in {"coef": d["coef"], "offset": d.get("offset", 0.0), **slopes}.items():
+            if type(value) not in (int, float):  # bool is neither
+                raise ValidationError(f"model term {key} must be a number, got {value!r}")
         return cls(
             kind=d["kind"],
             coef=float(d["coef"]),
             index=d["index"] - 1 if "index" in d else None,
             index2=d["index2"] - 1 if "index2" in d else None,
             offset=float(d.get("offset", 0.0)),
-            slopes=slopes,
+            slopes=tuple(sorted((int(key[1:]) - 1, float(c)) for key, c in slopes.items())),
         )
 
 
@@ -116,6 +121,8 @@ class CovariateFunction:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CovariateFunction":
+        if not (isinstance(d, dict) and isinstance(d.get("terms"), list)):
+            raise ValidationError(f"expected a model tag or an object with a 'terms' list, got {d!r}")
         return cls(tuple(FunctionTerm.from_dict(t) for t in d["terms"]))
 
 

@@ -132,30 +132,26 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        def model(value, registry, what):
-            if isinstance(value, str):
-                if value not in registry:
-                    raise ValidationError(
-                        f"unknown {what} tag {value!r}; known: {sorted(registry)}"
-                    )
-                return registry[value]
-            if isinstance(value, dict):
-                return CovariateFunction.from_dict(value)
-            raise ValidationError(f"{what} must be a tag or a model object")
-
-        if "name" not in d:
-            raise ValidationError("scenario needs a name")
+        """A cell from its JSON object; a bad key is a ValidationError naming the scenario and the key."""
+        if not isinstance(d, dict) or "name" not in d:
+            raise ValidationError(f"a scenario must be a JSON object with a 'name', got {d!r}")
         name, participation = str(d["name"]), d.get("participation")
+
+        def model(key, registry):
+            value = d.get(key)
+            if isinstance(value, str) and value not in registry:
+                raise ValidationError(f"scenario {name!r}: unknown {key} tag {value!r}; known: {sorted(registry)}")
+            try:
+                return registry[value] if isinstance(value, str) else CovariateFunction.from_dict(value)
+            except ValidationError as exc:
+                raise ValidationError(f"scenario {name!r}: {key}: {exc}") from None
+
         return cls(
             name=name,
-            propensity_logit=model(d["propensity"], PROPENSITY_MODELS, "propensity"),
-            cate=model(d["cate"], CATE_MODELS, "cate"),
-            baseline=model(d["baseline"], BASELINE_MODELS, "baseline"),
-            participation_logit=(
-                PARTICIPATION_LOGIT
-                if participation is None
-                else model(participation, {}, "participation")
-            ),
+            propensity_logit=model("propensity", PROPENSITY_MODELS),
+            cate=model("cate", CATE_MODELS),
+            baseline=model("baseline", BASELINE_MODELS),
+            participation_logit=PARTICIPATION_LOGIT if participation is None else model("participation", {}),
             h_names=tuple(d.get("h", ("const", "x1", "x2", "x3"))),
             g_names=tuple(d.get("g", ("x4", "x5"))),
             **_numeric_fields(d, f"scenario {name!r}"),
@@ -164,13 +160,15 @@ class ScenarioConfig:
 
 def _numeric_fields(d: dict, where: str) -> dict:
     """The numeric ScenarioConfig fields set in ``d``, each cast to the type
-    of its default; a value that does not cast is a ValidationError naming
-    ``where`` and the key."""
+    of its default (an int field takes a whole number only); a value that
+    does not cast is a ValidationError naming ``where`` and the key."""
     fields = {}
     for f in dataclasses.fields(ScenarioConfig):
         cast = type(f.default)
         try:
             if f.name in d and cast in (int, float):
+                if cast is int and not (type(d[f.name]) in (int, float) and d[f.name] % 1 == 0):  # bool is neither
+                    raise TypeError
                 fields[f.name] = cast(d[f.name])
         except (TypeError, ValueError, OverflowError):
             kind = "an integer" if cast is int else "a number"

@@ -20,15 +20,15 @@ The joint dual is two blocks: the treated rows over [H | G] reading
 gamma), with base 1 and target (hbar, hbar, 0). Its Hessian is the two
 per-arm Gram matrices laid into theta coordinates; they overlap only in
 the gamma block. The per-group calibrations are one block of their arm's
-H columns; the population oracle in :mod:`genbal.oracle` is one block
-over the quadrature grid. One damped-Newton loop, ``_solve_dual``, solves
-them all, for a batch of data sets at once: the blocks carry a leading
-batch axis, each member runs its own line search and is frozen when it
-converges or fails, and every public ``solve_*`` is a batch of one. Its
-first Hessian, taken at zero, is the base-weighted Gram matrix of the
-problem, so that matrix's eigenvalues are the rank check: the dual has a
-unique solution only when it is nonsingular, and a design that is
-collinear within one arm is rejected before the first step. The
+H columns, the oracle of :mod:`genbal.oracle` one block over a quadrature
+grid. The treatment logit of :mod:`genbal.estimators` has the same
+interface. One damped-Newton loop, ``_solve_dual``, solves them all, for
+a batch of data sets at once: the blocks carry a leading batch axis, each
+member runs its own line search and is frozen when it converges or
+fails, and every public ``solve_*`` is a batch of one. Its first Hessian,
+taken at zero, is the weighted Gram matrix of the problem, whose
+eigenvalues are the rank check: a design collinear within one arm, or a
+rank-deficient logit, is rejected before the first step. The
 dual gradient equals the primal balance residuals, which is what the
 convergence test monitors. All solves run in the coordinates of the
 supplied design (standardized by default); weights are invariant to that
@@ -367,7 +367,7 @@ def _newton_directions(hess, grad, active, identity):
     identity system for a zero gradient. Overflows are the caller's to
     silence."""
     grad = np.where(active[:, None], grad, 0.0)
-    step, _ = solve_each(np.where(active[:, None, None], hess, identity), grad)
+    step = solve_each(np.where(active[:, None, None], hess, identity), grad)
     descent = _rowdot(grad, step)  # not finite when any step entry is not
     return -np.where((np.isfinite(descent) & (descent > 0))[:, None], step, grad)
 

@@ -461,9 +461,36 @@ CELL = {"name": "cell", "propensity": "P1", "cate": "T1", "baseline": "M1", "n":
     ({"scenarios": [{**CELL, "low": [1]}]}, "scenario 'cell': low must be a number, got [1]"),
     ({"builtin_grid": {"n": "x"}}, "builtin_grid: n must be an integer, got 'x'"),
     ({"builtin_grid": [800]}, "'builtin_grid' must be a JSON object"),
-], ids=["n", "seed", "low", "builtin-n", "builtin-list"])
+    ({"builtin_grid": {"n": 800.7}}, "builtin_grid: n must be an integer, got 800.7"),
+    ({"scenarios": [{**CELL, "replicates": 2.5}]}, "scenario 'cell': replicates must be an integer, got 2.5"),
+    ({"scenarios": [{**CELL, "seed": True}]}, "scenario 'cell': seed must be an integer, got True"),
+    ({"scenarios": [{k: v for k, v in CELL.items() if k != "propensity"}]},
+     "scenario 'cell': propensity: expected a model tag or an object with a 'terms' list, got None"),
+    ({"scenarios": [{k: v for k, v in CELL.items() if k != "baseline"}]}, "scenario 'cell': baseline: expected"),
+    ({"scenarios": [5]}, "a scenario must be a JSON object with a 'name', got 5"),
+    ({"scenarios": [{**CELL, "cate": {"terms": [{"kind": "linear", "coef": 1.0, "index": "2"}]}}]},
+     "scenario 'cell': cate: model term index must be an integer >= 1, got '2'"),
+    ({"scenarios": [{**CELL, "cate": {"terms": [{"coef": 1.0, "index": 2}]}}]},
+     "scenario 'cell': cate: a model term must be an object with 'kind' and 'coef'"),
+    ({"scenarios": [{**CELL, "cate": {"terms": [{"kind": "linear", "index": 2}]}}]},
+     "scenario 'cell': cate: a model term must be an object with 'kind' and 'coef'"),
+    ({"scenarios": [{**CELL, "cate": {"terms": [{"kind": "linear", "coef": "1", "index": 2}]}}]},
+     "scenario 'cell': cate: model term coef must be a number, got '1'"),
+    ({"scenarios": [{**CELL, "cate": {"terms": [{"kind": "expaffine", "coef": 1.0, "slopes": {"y2": 1.0}}]}}]},
+     "scenario 'cell': cate: model term slopes must map names like 'x3' to numbers"),
+], ids=["n", "seed", "low", "builtin-n", "builtin-list", "builtin-fractional-n", "fractional-replicates",
+        "bool-seed", "no-propensity", "no-baseline", "cell-not-object", "string-index", "no-kind", "no-coef",
+        "string-coef", "bad-slope-key"])
 def test_cli_bad_scenario_number_is_validation_error(tmp_path, capsys, command, payload, message):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(payload))
     assert main([command, "--scenario", str(scen)]) == 2
     assert message in _validation_error(capsys)
+
+
+def test_scenario_whole_float_sizes_load_as_ints(tmp_path):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({"scenarios": [{**CELL, "n": 50.0, "replicates": 2.0}]}))
+    (config,) = load_scenarios_json(path)
+    assert (config.n, config.replicates) == (50, 2)
+    assert isinstance(config.n, int) and isinstance(config.replicates, int)

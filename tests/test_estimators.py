@@ -7,7 +7,7 @@ import pytest
 
 import genbal as gb
 import genbal.estimators as estimators
-from genbal.errors import SeparationError, ValidationError
+from genbal.errors import NonConvergenceError, RankDeficiencyError, SeparationError, ValidationError
 from genbal.mathutil import sigmoid
 from genbal.solver import Method, WeightSet
 
@@ -82,6 +82,51 @@ def test_logistic_separation_detected():
     sample = gb.SourceSample(x.reshape(-1, 1), A, np.zeros(20))
     with pytest.raises(SeparationError):
         gb.fit_logistic_irls(sample)
+
+
+def _unconverged_fit(sample, max_iter):
+    with pytest.raises(NonConvergenceError) as info:
+        gb.fit_logistic_irls(sample, max_iter=max_iter)
+    return info.value.solution
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_logit_is_scale_safe(scale):
+    # a RuntimeWarning would fail the test: pytest makes it an error
+    rng = np.random.default_rng(16)
+    U = rng.uniform(-1, 1, (200, 3))
+    A = (rng.random(200) < sigmoid(0.8 * U[:, 0] - 0.5 * U[:, 1])).astype(int)
+    Y = U[:, 0] + A + rng.standard_normal(200)
+    spec = gb.BasisSpec.from_names(["const", "x1"], ["x2"])
+
+    def estimates(c):
+        sample = gb.SourceSample(U * c, A, Y)
+        return [gb.estimate_ipw(sample).tau_hat,
+                gb.estimate_ipw_et(sample, spec, [1.0, 0.1 * c]).tau_hat]
+
+    np.testing.assert_allclose(estimates(scale), estimates(1.0), rtol=1e-12, atol=0)
+    # coefficients and score are on the raw covariates: the score is max |Z'(A - p)|, Z = [1 | X]
+    fit = _unconverged_fit(gb.SourceSample(U * scale, A, Y), max_iter=1)
+    Z = np.hstack([np.ones((200, 1)), U * scale])
+    np.testing.assert_allclose(fit.propensities, sigmoid(Z @ fit.coefficients), rtol=1e-13)
+    assert fit.score_norm == pytest.approx(np.abs(Z.T @ (A - fit.propensities)).max(), rel=1e-9)
+
+
+def test_rank_deficient_logit_is_a_rank_deficiency_error():
+    # 5 rows cannot fit the 6 regressors [1 | X]: alone and in a batch
+    rng = np.random.default_rng(17)
+    short = gb.SourceSample(rng.normal(size=(5, 5)), np.array([1, 0, 1, 0, 0]), np.zeros(5))
+    X = rng.normal(size=(200, 5))
+    healthy = gb.SourceSample(X, (rng.random(200) < sigmoid(X[:, 0])).astype(int), np.zeros(200))
+    with pytest.raises(RankDeficiencyError, match="rank 5 < 6"):
+        gb.fit_logistic_irls(short)
+    with pytest.raises(RankDeficiencyError):
+        gb.estimate_ipw(short)
+    (alone,) = estimators._fit_logistic([healthy])
+    batched = estimators._fit_logistic([short, healthy, short])
+    assert [type(out) for out in batched] == [RankDeficiencyError, gb.LogisticModel, RankDeficiencyError]
+    assert batched[1].iterations == alone.iterations
+    np.testing.assert_allclose(batched[1].coefficients, alone.coefficients, rtol=1e-12)
 
 
 def test_ipw_randomized_no_shift_recovers_source_ate():
@@ -294,15 +339,17 @@ def test_converged_logistic_fit_evaluates_the_sigmoid_once_per_iterate(monkeypat
     sample = gb.SourceSample(X, A, np.zeros(500))
     want = gb.fit_logistic_irls(sample)
     calls = []
+    real = estimators._Logit.tilt
 
-    def counted(s):
+    def counted(self, theta):
         calls.append(1)
-        return sigmoid(s)
+        return real(self, theta)
 
-    monkeypatch.setattr(estimators, "sigmoid", counted)
+    monkeypatch.setattr(estimators._Logit, "tilt", counted)
     model = gb.fit_logistic_irls(sample)
     assert model.converged
-    # one evaluation at each of the iterations + 1 iterates, none after the loop
+    # every full step is accepted: one tilt (and so one sigmoid) at each of
+    # the iterations + 1 iterates, none after the loop
     assert len(calls) == model.iterations + 1
     np.testing.assert_array_equal(model.coefficients, want.coefficients)
     np.testing.assert_array_equal(model.propensities, want.propensities)
@@ -314,11 +361,14 @@ def test_logistic_fit_out_of_iterations_reports_the_final_iterate():
     X = rng.uniform(-2, 2, (300, 2))
     A = (rng.random(300) < sigmoid(1.5 * X[:, 0])).astype(int)
     sample = gb.SourceSample(X, A, np.zeros(300))
-    model = gb.fit_logistic_irls(sample, max_iter=2)
+    model = _unconverged_fit(sample, max_iter=2)
     assert not model.converged
     # the propensities of the returned coefficients, not of the iterate before
-    p = sigmoid(np.hstack([np.ones((300, 1)), X]) @ model.coefficients)
+    Z = np.hstack([np.ones((300, 1)), X])
+    p = sigmoid(Z @ model.coefficients)
     np.testing.assert_allclose(model.propensities, p, rtol=1e-13, atol=0)
-    none = gb.fit_logistic_irls(sample, max_iter=0)
+    # the raw score sup-norm max |Z'(A - p)|
+    assert model.score_norm == pytest.approx(np.abs(Z.T @ (A - p)).max(), rel=1e-9)
+    none = _unconverged_fit(sample, max_iter=0)
     np.testing.assert_array_equal(none.propensities, 0.5)
     assert none.iterations == 0 and not none.converged
