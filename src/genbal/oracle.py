@@ -14,19 +14,23 @@ participation, and outcome-mean functions), this module evaluates:
 All expectations run over a deterministic quadrature grid for the
 covariate law, so results are exact up to quadrature error; the
 companion Monte Carlo harness provides the stochastic cross-check.
-``asymptotic_variance`` makes one pass over the grid: H, G and each truth
-function are evaluated once, the dual's base q becomes r in place, every
-projection onto a span comes from one Gram matrix, and each grid array is
-dropped after its last use. The limiting dual runs on the sub-grid of the
-covariates H reads: on a tensor grid (one with a ``shape``) H is constant
-along every other axis, so the dual's base and target weights are summed
-over those axes first, and H = (const, x1, x2, x3) on a grid over x1..x5
-solves over nodes**3 rows, not nodes**5.
+Every sum over the grid streams its rows in chunks of ``_CHUNK_ROWS``,
+so no array longer than a chunk lives across chunks and the working set
+does not grow with the grid. ``asymptotic_variance`` makes three passes:
+the first sums the limiting dual's base and target weights, the second,
+given lambda0*, the Gram matrices and moments of every projection, and
+the third, given the projection coefficients, the variance sums. The
+limiting dual runs on the sub-grid of the covariates H reads: on a
+tensor grid (one with a ``shape``) H is constant along every other axis,
+so the dual's base and target weights are summed over those axes, and
+H = (const, x1, x2, x3) on a grid over x1..x5 solves over nodes**3 rows,
+not nodes**5. A grid without a shape keeps one dual row per grid row.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable
 
 import numpy as np
@@ -120,51 +124,62 @@ def _tilt_base(truth, H, G):
     return np.exp(G @ (truth.gamma_pi / 2.0)) / den
 
 
-def _grid_setup(truth, spec, grid):
-    """H, G, participation rho and the source law ws = w rho / E[rho] on the grid."""
+# grid rows evaluated at once: a pass holds a few arrays of this length
+_CHUNK_ROWS = 8_192
+
+
+def _check_dimension(spec, grid):
     p = grid.points.shape[1]
     if spec.max_index() >= p:
         raise ValidationError(
             f"basis references covariate x{spec.max_index() + 1} but the grid has p={p}",
             code="INDEX_OUT_OF_RANGE",
         )
-    H = spec.evaluate_h(grid.points)
-    G = spec.evaluate_g(grid.points)
-    rho = truth.participation(grid.points)
-    ws = grid.weights * rho
-    ws /= ws.sum()
-    return H, G, rho, ws
 
 
-def _limiting_tilt(truth, spec, H, G, rho, ws, grid, tol=1e-8, max_iter=100):
-    """lambda0* and r = q exp(H'lambda0*) on the grid, from the dual over F = H
-    with base ws * q and target E[H | target]; q becomes r in place.
+def _chunks(truth, spec, grid, lam0=None):
+    """One pass over the grid: per chunk of rows, (rows, X, w, H, G, rho,
+    tilt), with tilt the base q, or r = q exp(H'lam0) given lam0."""
+    for start in range(0, grid.size, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, grid.size))
+        X = grid.points[rows]
+        H, G = spec.evaluate_h(X), spec.evaluate_g(X)
+        tilt = _tilt_base(truth, H, G)
+        if lam0 is not None:
+            tilt *= np.exp(H @ lam0)
+        yield rows, X, grid.weights[rows], H, G, truth.participation(X), tilt
 
-    On a tensor grid H is constant along each axis it does not read, so the
-    dual runs on the sub-grid of the axes H reads, with the base and the
-    target weights summed over the others. A grid without a shape, or an H
-    that reads every axis, sums over no axis.
+
+def _limiting_dual(truth, spec, grid, tol=1e-8, max_iter=100):
+    """First pass and the limiting dual: lambda0*, sum w rho and sum w (1 - rho).
+
+    The dual is over F = H, with base w rho q / sum w rho and target
+    E[H | target]. On a tensor grid H is constant along each axis it does
+    not read, so the dual runs on the sub-grid of the axes H reads: each
+    node sums the base and target weights of the rows that differ only on
+    the other axes. A grid without a shape keeps one node per row.
     """
+    _check_dimension(spec, grid)
     _require_decomposition(truth)
-    q = _tilt_base(truth, H, G)
-    shape, summed = (grid.size,), ()
+    shape, read = (grid.size,), {0}
     if grid.shape is not None:
-        read = frozenset().union(*(t.indices() for t in spec.h_terms))
-        shape, summed = grid.shape, tuple(j for j in range(len(grid.shape)) if j not in read)
-    at_first = tuple(0 if j in summed else slice(None) for j in range(len(shape)))
-    Hs = H.reshape(shape + H.shape[1:])[at_first].reshape(-1, H.shape[1])
-
-    def reduce(v):
-        return v.reshape(shape).sum(axis=summed).ravel()
-
+        shape, read = grid.shape, frozenset().union(*(t.indices() for t in spec.h_terms))
+    n_sub = math.prod(n for j, n in enumerate(shape) if j in read)
+    Hs, base, wt, w_rho = np.empty((n_sub, len(spec.h_terms))), np.zeros(n_sub), np.zeros(n_sub), 0.0
+    for rows, _, w, H, G, rho, q in _chunks(truth, spec, grid):
+        i = np.arange(rows.start, rows.stop)
+        node = np.zeros_like(i)
+        for j in sorted(read):
+            node = node * shape[j] + i // math.prod(shape[j + 1:]) % shape[j]
+        Hs[node] = H  # the rows of one node share their H row
+        base += np.bincount(node, w * rho * q, n_sub)
+        wt += np.bincount(node, w * (1.0 - rho), n_sub)
+        w_rho += float(w @ rho)
     opts = SolverOptions(tol=tol, max_iter=max_iter, score_cap=np.inf)
-    wt = grid.weights * (1.0 - rho)
-    target = Hs.T @ reduce(wt) / wt.sum()
-    problem = _GroupDual.one_block([Hs], [reduce(ws * q)], [target], [1], opts.score_cap)
+    target = Hs.T @ wt / wt.sum()
+    problem = _GroupDual.one_block([Hs], [base / w_rho], [target], [1], opts.score_cap)
     (solution,), _ = _solve_dual(problem, "H on the quadrature grid", opts, CalibrationSolution)
-    lam0 = _one(solution).beta
-    q *= np.exp(H @ lam0)
-    return lam0, q
+    return _one(solution).beta, w_rho, float(wt.sum())
 
 
 def solve_limiting_dual(
@@ -184,7 +199,7 @@ def solve_limiting_dual(
     cap on the linear scores. An H term that is degenerate on the grid
     (identically zero, say) raises RankDeficiencyError.
     """
-    return _limiting_tilt(truth, spec, *_grid_setup(truth, spec, grid), grid, tol, max_iter)[0]
+    return _limiting_dual(truth, spec, grid, tol, max_iter)[0]
 
 
 def tilde_r(truth: TruthFunctions, spec: BasisSpec, lambda0_star: np.ndarray) -> Callable:
@@ -209,13 +224,9 @@ class ProjectedFunction:
         return self.basis_eval(X) @ self.coefficients
 
 
-def _project(B, measure, columns, span, names):
-    """Measure-weighted least-squares coefficients of each column (vector
-    or matrix) on span{B}, from one Gram matrix and one multi-column solve;
-    a singular Gram raises RankDeficiencyError naming its null-space terms."""
-    Bm = B * measure[:, None]
-    gram = B.T @ Bm
-    rhs = np.column_stack([Bm.T @ c for c in columns])
+def _solve_gram(gram, rhs, span, names):
+    """Projection coefficients on span from its Gram matrix and moments; a
+    singular Gram raises RankDeficiencyError naming its null-space terms."""
     try:
         return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
@@ -227,14 +238,23 @@ def _project(B, measure, columns, span, names):
         ) from None
 
 
+def _project(B, measure, columns, span, names):
+    """Measure-weighted least-squares coefficients of each column (vector
+    or matrix) on span{B}, from one Gram matrix and one multi-column solve."""
+    Bm = B * measure[:, None]
+    return _solve_gram(B.T @ Bm, np.column_stack([Bm.T @ c for c in columns]), span, names)
+
+
 _G_PERP = "G⊥ (G residualised on H)"
 
 
 def _tilted_measure(truth, spec, grid, r):
-    """H, G and the r-tilted source law ws * r (r=None: the limiting tilt)."""
-    H, G, rho, ws = _grid_setup(truth, spec, grid)
-    tilt = _limiting_tilt(truth, spec, H, G, rho, ws, grid)[1] if r is None else r(grid.points)
-    return H, G, ws * tilt
+    """H, G and the r-tilted source law w rho r (r=None: the limiting tilt)."""
+    _check_dimension(spec, grid)
+    if r is None:
+        r = tilde_r(truth, spec, _limiting_dual(truth, spec, grid)[0])
+    X = grid.points
+    return spec.evaluate_h(X), spec.evaluate_g(X), grid.weights * truth.participation(X) * r(X)
 
 
 def project_h(
@@ -318,35 +338,45 @@ def asymptotic_variance(
     (recorded, not enforced); automated detectors for the special cases
     are reported alongside.
     """
-    pts, w = grid.points, grid.weights
-    H, G, rho, measure = _grid_setup(truth, spec, grid)
-    lam0, r = _limiting_tilt(truth, spec, H, G, rho, measure, grid)
-    measure *= r
-    mu1 = truth.mu1(pts)
-    mu0 = truth.mu0(pts)
-    tau = mu1 - mu0
-    # the H projections of tau, mu1, mu0 and of each G column share a Gram
-    coef = _project(H, measure, (tau, mu1, mu0, G), "H", spec.h_names)
-    G -= H @ coef[:, 3:]
-    pi_gp_m = G @ _project(G, measure, (0.5 * (mu1 + mu0),), _G_PERP, spec.g_names)[:, 0]
-    res1 = mu1 - H @ coef[:, 1] - pi_gp_m
-    res0 = mu0 - H @ coef[:, 2] - pi_gp_m
-    pi_h_tau = H @ coef[:, 0]
-    # drop what the rest no longer reads: the call's peak memory stays the dual's
-    del H, G, measure, mu1, mu0, pi_gp_m
-
-    rho_bar = float(w @ rho)
-    tau_star = float(w @ ((1.0 - rho) * tau)) / float(w @ (1.0 - rho))
-    pi = truth.propensity(pts)
-    noise = truth.sigma2_1(pts) / pi + truth.sigma2_0(pts) / (1.0 - pi)
-    tilt2 = rho * r ** 2
-    v1 = float(w @ (tilt2 * noise)) / rho_bar ** 2
-    v3 = float(w @ (tilt2 * (res1 ** 2 / pi + res0 ** 2 / (1.0 - pi)))) / rho_bar ** 2
-    v2 = float(w @ ((1.0 - rho) * (pi_h_tau - tau_star) ** 2)) / (1.0 - rho_bar) ** 2
-    bound = (
-        float(w @ ((1.0 - rho) ** 2 / rho * noise))
-        + float(w @ ((1.0 - rho) * (tau - tau_star) ** 2))
-    ) / (1.0 - rho_bar) ** 2
+    lam0, rho_bar, not_bar = _limiting_dual(truth, spec, grid)
+    kh, kg = len(spec.h_terms), len(spec.g_terms)
+    # second pass: the H Gram, the H moments of tau, mu1, mu0 and of each G
+    # column, the G Gram, the G moment of m, and sum w (1 - rho) tau
+    hh, hm, tau_sum = np.zeros((kh, kh)), np.zeros((kh, 3 + kg)), 0.0
+    gg, gm = np.zeros((kg, kg)), np.zeros(kg)
+    for _, X, w, H, G, rho, r in _chunks(truth, spec, grid, lam0):
+        mu1, mu0, measure = truth.mu1(X), truth.mu0(X), w * rho * r
+        Hm, Gm = H * measure[:, None], G * measure[:, None]
+        hh += H.T @ Hm
+        hm += Hm.T @ np.column_stack((mu1 - mu0, mu1, mu0, G))
+        gg += G.T @ Gm
+        gm += Gm.T @ (0.5 * (mu1 + mu0))
+        tau_sum += float(w @ ((1.0 - rho) * (mu1 - mu0)))
+    coef = _solve_gram(hh, hm, "H", spec.h_names)
+    # G⊥ = G - H C, C the H coefficients of G, so under the measure
+    # G⊥'G⊥ = G'G - G'H C and G⊥'m = G'm - C'H'm
+    C = coef[:, 3:]
+    b = _solve_gram(gg - hm[:, 3:].T @ C, gm - C.T @ (0.5 * (hm[:, 1] + hm[:, 2])), _G_PERP, spec.g_names)
+    tau_star = tau_sum / not_bar
+    # third pass: the variance sums, with pi_H tau = H a0 and the residuals
+    # mu1 - pi_H mu1 - pi_G⊥ m = mu1 - H a1 - G b (a2 for mu0)
+    a = np.column_stack((coef[:, 0], coef[:, 1] - C @ b, coef[:, 2] - C @ b))
+    sums = np.zeros(5)
+    for _, X, w, H, G, rho, r in _chunks(truth, spec, grid, lam0):
+        mu1, mu0, pi = truth.mu1(X), truth.mu0(X), truth.propensity(X)
+        noise = truth.sigma2_1(X) / pi + truth.sigma2_0(X) / (1.0 - pi)
+        fit, pi_gp_m = H @ a, G @ b
+        res1, res0 = mu1 - fit[:, 1] - pi_gp_m, mu0 - fit[:, 2] - pi_gp_m
+        tilt2, out = rho * r ** 2, 1.0 - rho
+        sums += (
+            w @ (tilt2 * noise),
+            w @ (tilt2 * (res1 ** 2 / pi + res0 ** 2 / (1.0 - pi))),
+            w @ (out * (fit[:, 0] - tau_star) ** 2),
+            w @ (out ** 2 / rho * noise),
+            w @ (out * (mu1 - mu0 - tau_star) ** 2),
+        )
+    v1, v3 = (float(s) / rho_bar ** 2 for s in sums[:2])
+    v2, bound = (float(s) / (1.0 - rho_bar) ** 2 for s in (sums[2], sums[3] + sums[4]))
 
     total = v1 + v2 + v3
     return AsymptoticReport(

@@ -45,6 +45,7 @@ from .quadrature import gauss_legendre_box
 from .solver import SolverOptions
 
 __all__ = [
+    "MAX_DRAW_CELLS",
     "ScenarioConfig",
     "ReplicateDraw",
     "MethodAggregate",
@@ -59,6 +60,9 @@ __all__ = [
 ]
 
 _MAX_REDRAWS = 100
+# Largest n * p of one cell: a draw holds n rows of p covariates, so the
+# budget bounds every array a replicate allocates; 2**24 cells take 128 MB.
+MAX_DRAW_CELLS = 2 ** 24
 # source-sample rows (config.n times replicates) solved together in one batch
 _BATCH_ROWS = 16_000
 
@@ -100,6 +104,12 @@ class ScenarioConfig:
             problems.append(f"noise_sd={self.noise_sd} must be >= 0")
         if problems:
             raise ValidationError(f"scenario {self.name!r}: " + "; ".join(problems))
+        if self.n * self.p > MAX_DRAW_CELLS:
+            raise ValidationError(
+                f"scenario {self.name!r}: n={self.n} rows of p={self.p} covariates are "
+                f"{self.n * self.p} cells, over the budget of {MAX_DRAW_CELLS}",
+                code="DRAW_BUDGET",
+            )
         object.__setattr__(self, "_basis", BasisSpec.from_names(self.h_names, self.g_names))
         models = (self.propensity_logit, self.cate, self.baseline, self.participation_logit)
         used = frozenset().union(*(m.indices() for m in models))
@@ -146,6 +156,12 @@ class ScenarioConfig:
             except ValidationError as exc:
                 raise ValidationError(f"scenario {name!r}: {key}: {exc}") from None
 
+        for key in ("h", "g"):
+            if key in d and not (isinstance(d[key], list) and all(isinstance(t, str) for t in d[key])):
+                raise ValidationError(
+                    f"scenario {name!r}: {key} must be a list of term names, got {d[key]!r}",
+                    code="UNKNOWN_TERM",
+                )
         return cls(
             name=name,
             propensity_logit=model("propensity", PROPENSITY_MODELS),

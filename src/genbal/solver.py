@@ -436,9 +436,10 @@ def _solve_dual(problem, what, opts, make_solution, arms=None):
             active &= ~stalled
             hess = None
             iterations += active
-    zeros = ((w == 0) & (problem.base > 0)).any(axis=(1, 2)) if arms else np.zeros(R, dtype=bool)
-    if zeros.any():
-        low = ((problem.scores(theta) < np.log(np.finfo(float).tiny)) & (problem.base > 0)).sum(axis=2)
+        # a diverged member's scores may overflow; they only count rows
+        zeros = ((w == 0) & (problem.base > 0)).any(axis=(1, 2)) if arms else np.zeros(R, dtype=bool)
+        if zeros.any():
+            low = ((problem.scores(theta) < np.log(np.finfo(float).tiny)) & (problem.base > 0)).sum(axis=2)
     outcomes = []
     for r, e in enumerate(eig):
         if rank[r] < d:

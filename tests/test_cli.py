@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from genbal.fileio import (
     write_weights_csv,
 )
 from genbal.mathutil import sigmoid
+from genbal.simulation import MAX_DRAW_CELLS
 
 SPEC = gb.BasisSpec.from_names(["const", "x1", "x2", "x3"], ["x4", "x5"])
 
@@ -478,14 +480,37 @@ CELL = {"name": "cell", "propensity": "P1", "cate": "T1", "baseline": "M1", "n":
      "scenario 'cell': cate: model term coef must be a number, got '1'"),
     ({"scenarios": [{**CELL, "cate": {"terms": [{"kind": "expaffine", "coef": 1.0, "slopes": {"y2": 1.0}}]}}]},
      "scenario 'cell': cate: model term slopes must map names like 'x3' to numbers"),
+    ({"scenarios": [{**CELL, "h": 5}]}, "scenario 'cell': h must be a list of term names, got 5"),
+    ({"scenarios": [{**CELL, "h": ["const", 3]}]},
+     "scenario 'cell': h must be a list of term names, got ['const', 3]"),
+    ({"scenarios": [{**CELL, "g": "x4"}]}, "scenario 'cell': g must be a list of term names, got 'x4'"),
 ], ids=["n", "seed", "low", "builtin-n", "builtin-list", "builtin-fractional-n", "fractional-replicates",
         "bool-seed", "no-propensity", "no-baseline", "cell-not-object", "string-index", "no-kind", "no-coef",
-        "string-coef", "bad-slope-key"])
+        "string-coef", "bad-slope-key", "h-not-list", "h-non-string-term", "g-string"])
 def test_cli_bad_scenario_number_is_validation_error(tmp_path, capsys, command, payload, message):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(payload))
     assert main([command, "--scenario", str(scen)]) == 2
     assert message in _validation_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_cli_scenario_over_the_draw_budget_fails_before_allocating(tmp_path, capsys, command):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"scenarios": [{**CELL, "n": 1_000_000_000}]}))
+    tracemalloc.start()
+    try:
+        code = main([command, "--scenario", str(scen)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+    assert "scenario 'cell': n=1000000000 rows of p=5 covariates are 5000000000 cells, over the budget of " \
+        f"{MAX_DRAW_CELLS}" in _validation_error(capsys)
+    with pytest.raises(ValidationError) as info:
+        load_scenarios_json(scen)
+    assert info.value.code == "DRAW_BUDGET"
 
 
 def test_scenario_whole_float_sizes_load_as_ints(tmp_path):

@@ -1,6 +1,10 @@
 """Theory oracle: limiting tilt, projections, variance decomposition."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genbal as gb
+from genbal import oracle
 from genbal.errors import (
     HypothesisViolationError,
     NonConvergenceError,
@@ -368,31 +373,37 @@ def test_h_only_spec_report_matches_pinned_values():
     np.testing.assert_array_equal(proj(grid.points), 0.0)
 
 
-def _counting(fn, calls, name):
+def _counting(fn, rows, name):
     def counted(*args, **kwargs):
-        calls[name] += 1
+        rows[name] += len(args[-1])
         return fn(*args, **kwargs)
 
     return counted
 
 
-def test_variance_evaluates_each_grid_function_once(monkeypatch, grid5, p2_truth):
-    calls = dict.fromkeys(
-        ["evaluate_h", "evaluate_g", "participation", "propensity", "mu1", "mu0"], 0
+def test_variance_evaluates_each_grid_function_once_per_pass_that_reads_it(
+    monkeypatch, grid5, p2_truth
+):
+    # pass 1 (the dual) reads H, G and rho; pass 2 (the projections) also
+    # mu1 and mu0; pass 3 (the variance sums) every function
+    rows = dict.fromkeys(
+        ["evaluate_h", "evaluate_g", "participation", "propensity", "mu1", "mu0",
+         "sigma2_1", "sigma2_0"], 0
     )
     for name in ("evaluate_h", "evaluate_g"):
-        counted = _counting(getattr(gb.BasisSpec, name), calls, name)
-        monkeypatch.setattr(gb.BasisSpec, name, counted)
-    truths = ("participation", "propensity", "mu1", "mu0")
+        monkeypatch.setattr(gb.BasisSpec, name, _counting(getattr(gb.BasisSpec, name), rows, name))
+    truths = ("participation", "propensity", "mu1", "mu0", "sigma2_1", "sigma2_0")
     truth = dataclasses.replace(
-        p2_truth, **{n: _counting(getattr(p2_truth, n), calls, n) for n in truths}
+        p2_truth, **{n: _counting(getattr(p2_truth, n), rows, n) for n in truths}
     )
     gb.asymptotic_variance(truth, _SPEC5, grid5)
-    assert calls == dict.fromkeys(calls, 1)
+    passes = {"evaluate_h": 3, "evaluate_g": 3, "participation": 3, "mu1": 2, "mu0": 2}
+    assert rows == {name: passes.get(name, 1) * grid5.size for name in rows}
 
 
-def test_variance_peak_memory_stays_within_24_grid_vectors(p2_truth):
-    grid = gb.gauss_legendre_box(5, -2.0, 2.0, 8)
+def test_variance_peak_memory_stays_within_2_grid_vectors(p2_truth):
+    # the passes stream the grid in chunks; only the grid itself is grid-sized
+    grid = gb.gauss_legendre_box(5, -2.0, 2.0, 14)
     gb.asymptotic_variance(p2_truth, _SPEC5, grid)  # warm caches outside the trace
     tracemalloc.start()
     try:
@@ -400,7 +411,84 @@ def test_variance_peak_memory_stays_within_24_grid_vectors(p2_truth):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * grid.size * 8
+    assert peak <= 2 * grid.size * 8
+
+
+def _values(report):
+    d = report.to_dict()
+    return np.array(d["lambda0_star"] + [d[k] for k in _REPORT_KEYS])
+
+
+def _assert_close(got, want):
+    # absolute floor: v3 is ~1e-27 on M1 cells, pure round-off
+    np.testing.assert_array_less(np.abs(got - want), 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("shaped", [True, False], ids=["shaped", "shapeless"])
+@pytest.mark.parametrize(
+    "chunk", [lambda n: n + 1, lambda n: n, lambda n: n - 1, lambda n: 7],
+    ids=["chunk-1-points", "chunk-points", "chunk+1-points", "chunk-7"],
+)
+def test_chunked_passes_give_the_one_chunk_report(monkeypatch, p2_truth, shaped, chunk):
+    grid = gb.gauss_legendre_box(5, -2.0, 2.0, 4)
+    if not shaped:
+        grid = gb.QuadratureGrid(grid.points, grid.weights)
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", grid.size)
+    whole = gb.asymptotic_variance(p2_truth, _SPEC5, grid)
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk(grid.size))
+    report = gb.asymptotic_variance(p2_truth, _SPEC5, grid)
+    _assert_close(_values(report), _values(whole))
+    # one code path: the public dual is the report's, bit for bit
+    lam0 = gb.solve_limiting_dual(p2_truth, _SPEC5, grid)
+    np.testing.assert_array_equal(lam0, report.lambda0_star)
+
+
+@pytest.mark.parametrize("shaped", [True, False], ids=["shaped", "shapeless"])
+def test_one_point_grid_gives_a_finite_report(monkeypatch, shaped):
+    spec = gb.BasisSpec.from_names(["const"])
+    config = gb.ScenarioConfig(
+        name="point", propensity_logit=_const(0.3), cate=_linear((0, 1.0)),
+        baseline=_linear((0, 0.5)), participation_logit=_const(-0.2), p=1,
+        h_names=("const",), g_names=(),
+    )
+    truth = gb.TruthFunctions.from_scenario(config, spec)
+    grid = gb.gauss_legendre_box(1, -2.0, 2.0, 1)
+    if not shaped:
+        grid = gb.QuadratureGrid(grid.points, grid.weights)
+    whole = gb.asymptotic_variance(truth, spec, grid)
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", 1)
+    report = gb.asymptotic_variance(truth, spec, grid)
+    assert np.isfinite(_values(report)).all()
+    _assert_close(_values(report), _values(whole))
+    np.testing.assert_array_equal(gb.solve_limiting_dual(truth, spec, grid), report.lambda0_star)
+
+
+def test_oracle_cli_at_16_nodes_keeps_its_peak_rss_small(tmp_path):
+    # the child reads its own high-water mark: a child's rusage would
+    # inherit the test process's
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({
+        "scenarios": [{"name": "P2-T1-M1", "propensity": "P2", "cate": "T1", "baseline": "M1"}]
+    }))
+    code = (
+        "import sys, genbal.cli\n"
+        "code = genbal.cli.main(sys.argv[1:])\n"
+        "hwm = [ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:')]\n"
+        "print(code, int(hwm[0].split()[1]))\n"
+    )
+    args = ["oracle", "--scenario", str(scen), "--cell", "P2-T1-M1", "--nodes", "16",
+            "--format", "json", "--out", str(tmp_path / "oracle.json")]
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gb.__file__))},
+    )
+    status, hwm_kb = map(int, out.stdout.split())
+    assert status == 0, out.stderr[-2000:]
+    # the 16**5-point grid alone is 50 MB; passes that each hold
+    # grid-length arrays put the mark near 210 MB
+    assert hwm_kb <= 130 * 1024
 
 
 @pytest.mark.parametrize(

@@ -476,6 +476,16 @@ def test_failure_census_of_a_tiny_cell_is_the_unbatched_one():
     }
 
 
+def test_diverging_joint_solve_leaks_no_overflow_warning():
+    # replicate 1's joint dual diverges, so its scores overflow when the
+    # solver counts underflowed rows; pytest turns a leaked RuntimeWarning
+    # into an error
+    config = gb.builtin_scenario("P3", "T1", "M1", n=20, replicates=2, seed=7)
+    result = gb.run_grid([config])
+    assert result.cell("P3-T1-M1", "ebal").failures == 2
+    assert result.cell("P3-T1-M1", "extended").failures == 2
+
+
 @pytest.mark.parametrize("name", ["P1-T1-M1", "P1-T2-M1", "P2-T1-M1"])
 def test_tiny_cell_replicates_fail_in_a_batch_as_they_fail_alone(name):
     # at n=20 some replicates draw fewer source rows than logistic
