@@ -14,9 +14,10 @@ participation, and outcome-mean functions), this module evaluates:
 All expectations run over a deterministic quadrature grid for the
 covariate law, so results are exact up to quadrature error; the
 companion Monte Carlo harness provides the stochastic cross-check.
-Every sum over the grid streams its rows in chunks of ``_CHUNK_ROWS``,
-so no array longer than a chunk lives across chunks and the working set
-does not grow with the grid. ``asymptotic_variance`` makes three passes:
+Every sum over the grid reads its rows in blocks of ``_CHUNK_ROWS``
+through ``grid.rows``, which a ``gauss_legendre_box`` grid builds on
+request, so no grid-length array is built and the working set does not
+grow with the grid. ``asymptotic_variance`` makes three passes:
 the first sums the limiting dual's base and target weights, the second,
 given lambda0*, the Gram matrices and moments of every projection, and
 the third, given the projection coefficients, the variance sums. The
@@ -39,7 +40,7 @@ from .basis import BasisSpec
 from .errors import HypothesisViolationError, RankDeficiencyError, ValidationError, _one
 from .mathutil import sigmoid
 from .models import basis_coefficients, in_h_span
-from .quadrature import QuadratureGrid
+from .quadrature import _CHUNK_ROWS, QuadratureGrid
 from .solver import CalibrationSolution, SolverOptions, _GroupDual, _solve_dual
 
 __all__ = [
@@ -124,12 +125,8 @@ def _tilt_base(truth, H, G):
     return np.exp(G @ (truth.gamma_pi / 2.0)) / den
 
 
-# grid rows evaluated at once: a pass holds a few arrays of this length
-_CHUNK_ROWS = 8_192
-
-
 def _check_dimension(spec, grid):
-    p = grid.points.shape[1]
+    p = grid.dim
     if spec.max_index() >= p:
         raise ValidationError(
             f"basis references covariate x{spec.max_index() + 1} but the grid has p={p}",
@@ -142,12 +139,12 @@ def _chunks(truth, spec, grid, lam0=None):
     tilt), with tilt the base q, or r = q exp(H'lam0) given lam0."""
     for start in range(0, grid.size, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, grid.size))
-        X = grid.points[rows]
+        X, w = grid.rows(rows.start, rows.stop)
         H, G = spec.evaluate_h(X), spec.evaluate_g(X)
         tilt = _tilt_base(truth, H, G)
         if lam0 is not None:
             tilt *= np.exp(H @ lam0)
-        yield rows, X, grid.weights[rows], H, G, truth.participation(X), tilt
+        yield rows, X, w, H, G, truth.participation(X), tilt
 
 
 def _limiting_dual(truth, spec, grid, tol=1e-8, max_iter=100):

@@ -4,12 +4,15 @@ A grid is points and probability weights. A tensor grid also records its
 ``shape``, the node count per covariate axis with the first axis varying
 slowest, so a sum over the grid of a function that reads only some axes
 can first sum the weights over the others: the oracle's limiting dual
-runs on the sub-grid of the axes its H terms read.
+runs on the sub-grid of the axes its H terms read. Callers read a grid
+in row blocks of ``_CHUNK_ROWS`` through ``grid.rows``; a grid from
+``gauss_legendre_box`` keeps only its nodes and weights per axis and
+builds each block on request, and its whole ``points`` only when read.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import math
 import numbers
 
@@ -19,12 +22,14 @@ from .errors import ValidationError
 
 __all__ = ["QuadratureGrid", "gauss_legendre_box", "MAX_POINTS"]
 
-# Largest tensor grid gauss_legendre_box builds; 2**24 points in 6
-# dimensions already take 0.8 GB.
+# Largest tensor grid gauss_legendre_box accepts. Rows are built block by
+# block, so it bounds the work of a pass, not memory; only reading
+# ``points`` whole would take 0.8 GB at 2**24 points in 6 dimensions.
 MAX_POINTS = 2 ** 24
+# grid rows read at once: a pass over a grid holds a few arrays this long
+_CHUNK_ROWS = 8_192
 
 
-@dataclasses.dataclass(frozen=True)
 class QuadratureGrid:
     """Points and probability weights: E[f(X)] ~= weights @ f(points).
 
@@ -33,17 +38,14 @@ class QuadratureGrid:
     ``shape[j]`` nodes on axis j, the first axis varying slowest.
     Construction checks the shape against the number and dimension of
     the points, not point by point, so a hand-given shape is the caller's
-    promise: sums that regroup the grid by axis rely on it.
+    promise: sums that regroup the grid by axis rely on it. ``size``,
+    ``dim`` and ``shape`` never build the rows of a tensor grid.
     """
 
-    points: np.ndarray
-    weights: np.ndarray
-    shape: tuple[int, ...] | None = None
-
-    def __post_init__(self):
+    def __init__(self, points, weights, shape: tuple[int, ...] | None = None):
         try:
-            points = np.asarray(self.points, dtype=float)
-            weights = np.asarray(self.weights, dtype=float)
+            points = np.asarray(points, dtype=float)
+            weights = np.asarray(weights, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"grid points and weights must be numeric arrays: {exc}") from None
         if points.ndim != 2:
@@ -57,19 +59,80 @@ class QuadratureGrid:
             )
         if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
             raise ValidationError("grid weights must be finite and non-negative")
-        if self.shape is not None:
-            object.__setattr__(self, "shape", _checked_shape(points, self.shape))
-        points.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
+        self.shape = None if shape is None else _checked_shape(points, shape)
+        self.size, self.dim = points.shape
+        self._axes, self._arrays = None, (points, weights)
+        for a in self._arrays:
+            a.setflags(write=False)
 
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
+    @classmethod
+    def _tensor(cls, axes):
+        """Tensor grid of one (nodes, weights) pair of 1-d arrays per axis."""
+        grid = cls.__new__(cls)
+        grid._axes, grid.shape = axes, tuple(len(x) for x, _ in axes)
+        grid.size, grid.dim = math.prod(grid.shape), len(axes)
+        return grid
+
+    @functools.cached_property
+    def _arrays(self):
+        """(points, weights): set by __init__, or built here for a tensor grid."""
+        X, w = np.empty((self.size, self.dim)), np.empty(self.size)
+        for a in range(0, self.size, _CHUNK_ROWS):
+            X[a:a + _CHUNK_ROWS], w[a:a + _CHUNK_ROWS] = self.rows(a, min(a + _CHUNK_ROWS, self.size))
+        X.setflags(write=False)
+        w.setflags(write=False)
+        return X, w
+
+    points = property(lambda self: self._arrays[0], doc="(size, dim) points, read-only")
+    weights = property(lambda self: self._arrays[1], doc="(size,) weights, read-only")
 
     def expect(self, values) -> float:
         return float(self.weights @ np.asarray(values, dtype=float))
+
+    @functools.cached_property
+    def _tile(self):
+        """(t, block, tile): t the first axis whose trailing node product
+        ``block`` is at most _CHUNK_ROWS; tile[0] and tile[1] the nodes and
+        weights of axes t.. over _CHUNK_ROWS // block + 2 blocks of rows."""
+        shape, p = self.shape, self.dim
+        t = next(j for j in range(p + 1) if math.prod(shape[j:]) <= _CHUNK_ROWS)
+        block = math.prod(shape[t:])
+        tiled = (_CHUNK_ROWS // block + 2,) + shape[t:]
+        tile = np.empty((2, p - t) + tiled)
+        for j in range(t, p):
+            along = (-1,) + (1,) * (p - 1 - j)
+            tile[0, j - t] = self._axes[j][0].reshape(along)
+            tile[1, j - t] = self._axes[j][1].reshape(along)
+        return t, block, tile.reshape(2, p - t, math.prod(tiled))
+
+    def rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows start:stop (0 <= start <= stop <= size) as (X, w), equal bit
+        for bit to ``points[start:stop]`` and ``weights[start:stop]``. A
+        tensor grid builds them, X column by column (so in Fortran order):
+        coordinates are copied from the axis nodes and each weight is the
+        product w_0 w_1 ... of its axes' weights, taken left to right."""
+        if self._axes is None:
+            points, weights = self._arrays
+            return points[start:stop], weights[start:stop]
+        t, block, tile = self._tile
+        XT, w = np.empty((self.dim, stop - start)), np.empty(stop - start)
+        step = tile.shape[2] - block + 1
+        for a in range(start, stop, step):
+            b, o = min(a + step, stop), a % block
+            cols, wa = XT[:, a - start:b - start], w[a - start:b - start]
+            cols[t:] = tile[0, :, o:o + b - a]
+            # runs of rows that share their nodes on axes 0..t-1
+            lead = np.arange(a // block, (b - 1) // block + 1)
+            runs = np.minimum(lead * block + block, b) - np.maximum(lead * block, a)
+            lead_w = np.ones(len(lead))
+            for j in range(t):
+                digit = lead // math.prod(self.shape[j + 1:t]) % self.shape[j]
+                cols[j] = np.repeat(self._axes[j][0][digit], runs)
+                lead_w *= self._axes[j][1][digit]
+            wa[:] = np.repeat(lead_w, runs)
+            for w_axis in tile[1]:
+                wa *= w_axis[o:o + b - a]
+        return XT.T, w
 
 
 def _checked_shape(points, shape):
@@ -99,10 +162,11 @@ def gauss_legendre_box(p: int, low: float = -2.0, high: float = 2.0, nodes: int 
     Weights are normalized to sum to one, so sums against them are
     expectations under the uniform law. The grid has nodes**p points, the
     first axis varying slowest, and shape (nodes,) * p; p=0 gives the
-    empty product, one point with weight 1. Raises ValidationError naming
-    the argument, before allocating anything, for a p or nodes that is
-    not an integer (bools included), p < 0, nodes < 1, bounds that are
-    not finite or not increasing, or a grid larger than MAX_POINTS.
+    empty product, one point with weight 1. The grid keeps one axis's
+    nodes and weights and builds rows on request. Raises ValidationError
+    naming the argument, before allocating anything, for a p or nodes
+    that is not an integer (bools included), p < 0, nodes < 1, bounds
+    that are not finite or not increasing, or a grid over MAX_POINTS.
     """
     for name, value in (("p", p), ("nodes", nodes)):
         if not _is_int(value):
@@ -127,11 +191,4 @@ def gauss_legendre_box(p: int, low: float = -2.0, high: float = 2.0, nodes: int 
     x, w = np.polynomial.legendre.leggauss(nodes)
     x = low + (high - low) * (x + 1.0) / 2.0
     w = w / w.sum()
-    points = np.empty((n_points, p))
-    axes = points.reshape((nodes,) * p + (p,))
-    for j in range(p):
-        axes[..., j] = x.reshape((nodes,) + (1,) * (p - 1 - j))
-    weights = np.ones(1)
-    for _ in range(p):
-        weights = np.multiply.outer(weights, w).ravel()
-    return QuadratureGrid(points, weights, (nodes,) * p)
+    return QuadratureGrid._tensor(((x, w),) * p)

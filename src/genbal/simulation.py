@@ -41,11 +41,12 @@ from .models import (
     PROPENSITY_MODELS,
     CovariateFunction,
 )
-from .quadrature import gauss_legendre_box
+from .quadrature import _CHUNK_ROWS, gauss_legendre_box
 from .solver import SolverOptions
 
 __all__ = [
     "MAX_DRAW_CELLS",
+    "MAX_REPLICATES",
     "ScenarioConfig",
     "ReplicateDraw",
     "MethodAggregate",
@@ -63,6 +64,9 @@ _MAX_REDRAWS = 100
 # Largest n * p of one cell: a draw holds n rows of p covariates, so the
 # budget bounds every array a replicate allocates; 2**24 cells take 128 MB.
 MAX_DRAW_CELLS = 2 ** 24
+# Most replicates of one cell: a grid run keeps a few KB per replicate
+# (batch ranges, result rows), so 2**16 replicates stay near 175 MB.
+MAX_REPLICATES = 2 ** 16
 # source-sample rows (config.n times replicates) solved together in one batch
 _BATCH_ROWS = 16_000
 
@@ -109,6 +113,11 @@ class ScenarioConfig:
                 f"scenario {self.name!r}: n={self.n} rows of p={self.p} covariates are "
                 f"{self.n * self.p} cells, over the budget of {MAX_DRAW_CELLS}",
                 code="DRAW_BUDGET",
+            )
+        if self.replicates > MAX_REPLICATES:
+            raise ValidationError(
+                f"scenario {self.name!r}: replicates={self.replicates} is over the budget of {MAX_REPLICATES}",
+                code="REPLICATE_BUDGET",
             )
         object.__setattr__(self, "_basis", BasisSpec.from_names(self.h_names, self.g_names))
         models = (self.propensity_logit, self.cate, self.baseline, self.participation_logit)
@@ -219,15 +228,20 @@ def true_target_ate(config: ScenarioConfig, nodes: int = 16) -> float:
     Integrates by tensor Gauss-Legendre quadrature over only the
     covariates the participation and CATE models read: summing out any
     other axis multiplies numerator and denominator alike by that axis's
-    weight total, which is 1. Columns of unread covariates stay zero.
+    weight total, which is 1. Rows are read in blocks, with zero columns
+    for unread covariates; only rho, tau and the weights are kept whole.
     """
     used = sorted(config.participation_logit.indices() | config.cate.indices())
     grid = gauss_legendre_box(len(used), config.low, config.high, nodes)
-    points = np.zeros((grid.size, config.p))
-    points[:, used] = grid.points
-    rho = sigmoid(config.participation_logit(points))
-    tau = config.cate(points)
-    wt = grid.weights * (1.0 - rho)
+    w, rho, tau = np.empty(grid.size), np.empty(grid.size), np.empty(grid.size)
+    for start in range(0, grid.size, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, grid.size))
+        X, w[rows] = grid.rows(rows.start, rows.stop)
+        points = np.zeros((len(X), config.p))
+        points[:, used] = X
+        rho[rows] = sigmoid(config.participation_logit(points))
+        tau[rows] = config.cate(points)
+    wt = w * (1.0 - rho)
     return float(wt @ tau / wt.sum())
 
 

@@ -21,7 +21,7 @@ from genbal.fileio import (
     write_weights_csv,
 )
 from genbal.mathutil import sigmoid
-from genbal.simulation import MAX_DRAW_CELLS
+from genbal.simulation import MAX_DRAW_CELLS, MAX_REPLICATES
 
 SPEC = gb.BasisSpec.from_names(["const", "x1", "x2", "x3"], ["x4", "x5"])
 
@@ -511,6 +511,29 @@ def test_cli_scenario_over_the_draw_budget_fails_before_allocating(tmp_path, cap
     with pytest.raises(ValidationError) as info:
         load_scenarios_json(scen)
     assert info.value.code == "DRAW_BUDGET"
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_cli_scenario_over_the_replicate_budget_fails_before_allocating(tmp_path, capsys, command):
+    # at n >= 16,000 each replicate is its own batch: 10**9 of them would
+    # take ≈120 GB of batch ranges before the first draw
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"scenarios": [{**CELL, "n": 16_000, "replicates": 1_000_000_000}]}))
+    tracemalloc.start()
+    try:
+        code = main([command, "--scenario", str(scen)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+    assert "scenario 'cell': replicates=1000000000 is over the budget of " \
+        f"{MAX_REPLICATES}" in _validation_error(capsys)
+    with pytest.raises(ValidationError) as info:
+        load_scenarios_json(scen)
+    assert info.value.code == "REPLICATE_BUDGET"
+    # the budget itself is allowed
+    assert gb.builtin_scenario("P1", "T1", "M1", replicates=MAX_REPLICATES).replicates == MAX_REPLICATES
 
 
 def test_scenario_whole_float_sizes_load_as_ints(tmp_path):

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import genbal as gb
+import genbal.quadrature as quadrature
 from genbal.errors import ValidationError
+from genbal.oracle import _check_dimension
 from genbal.quadrature import MAX_POINTS
 
 
@@ -113,6 +115,74 @@ def test_over_budget_grid_raises_before_allocating():
         tracemalloc.stop()
     assert info.value.code == "QUADRATURE_BUDGET"
     assert peak < 1 << 20
+
+
+def _whole_grid(p, nodes, low=-2.0, high=2.0):
+    # every point at once: coordinates broadcast from the nodes, each
+    # weight the left-to-right product of its axes' weights
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x = low + (high - low) * (x + 1.0) / 2.0
+    w = w / w.sum()
+    points = np.empty((nodes ** p, p))
+    axes = points.reshape((nodes,) * p + (p,))
+    for j in range(p):
+        axes[..., j] = x.reshape((nodes,) + (1,) * (p - 1 - j))
+    weights = np.ones(1)
+    for _ in range(p):
+        weights = np.multiply.outer(weights, w).ravel()
+    return points, weights
+
+
+@pytest.mark.parametrize("chunk", ["7", "size-1", "size", "size+1", "default"])
+@pytest.mark.parametrize("p, nodes", [(0, 16), (1, 1), (1, 9), (3, 4), (5, 6), (5, 7)])
+def test_row_blocks_are_the_whole_grids_rows_bit_for_bit(monkeypatch, p, nodes, chunk):
+    size = nodes ** p
+    rows = {"7": 7, "size-1": max(size - 1, 1), "size": size, "size+1": size + 1,
+            "default": quadrature._CHUNK_ROWS}[chunk]
+    monkeypatch.setattr(quadrature, "_CHUNK_ROWS", rows)
+    points, weights = _whole_grid(p, nodes)
+    tensor = gb.gauss_legendre_box(p, nodes=nodes)
+    # the chunks a pass reads, blocks that straddle the trailing-axes
+    # block (nodes ** 3 rows, or fewer when that exceeds the chunk), the
+    # last row, an empty block and the whole grid
+    block = nodes ** min(p, 3)
+    blocks = [(a, min(a + rows, size)) for a in range(0, size, rows)]
+    blocks += [(max(block - 2, 0), min(block + 3, size)), (size - 1, size), (size, size), (0, size)]
+    for grid in (tensor, gb.QuadratureGrid(points, weights, tensor.shape),
+                 gb.QuadratureGrid(points, weights)):
+        for a, b in blocks:
+            X, w = grid.rows(a, b)
+            assert np.array_equal(X, points[a:b]) and np.array_equal(w, weights[a:b]), (a, b)
+    # built whole on first access, with the same bits, C order, read-only
+    assert np.array_equal(tensor.points, points) and np.array_equal(tensor.weights, weights)
+    assert tensor.points.flags.c_contiguous
+    assert not tensor.points.flags.writeable and not tensor.weights.flags.writeable
+    assert tensor.points is tensor.points
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tensor_grid_builds_no_rows_until_read():
+    # 16**5 points take 50 MB as points plus weights
+    assert _traced_peak(lambda: gb.gauss_legendre_box(5, nodes=16)) < 1 << 20
+
+
+def test_size_shape_dimension_and_dimension_check_build_no_rows():
+    grid = gb.gauss_legendre_box(5, nodes=16)
+    spec = gb.BasisSpec.from_names(["const", "x1", "x2", "x3"], ["x4", "x5"])
+
+    def read():
+        assert (grid.size, grid.shape, grid.dim) == (16 ** 5, (16,) * 5, 5)
+        _check_dimension(spec, grid)
+
+    assert _traced_peak(read) < 1 << 20
 
 
 def test_import_genbal_leaves_scipy_unloaded():

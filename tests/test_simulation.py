@@ -67,7 +67,7 @@ def test_true_ate_matches_full_tensor_grid(config):
     assert abs(gb.true_target_ate(config, nodes=8) - _full_tensor_tau_star(config, 8)) <= 1e-13
 
 
-def test_true_ate_matches_full_tensor_grid_custom_cell():
+def _custom_cell():
     # participation reads x5 only through max2, the CATE only through an
     # expaffine slope; x4 and x6 are never read
     participation = CovariateFunction((
@@ -78,7 +78,7 @@ def test_true_ate_matches_full_tensor_grid_custom_cell():
         FunctionTerm("linear", 1.0, index=2),
         FunctionTerm("expaffine", -0.5, offset=0.2, slopes=((0, 0.3), (4, -0.7))),
     ))
-    config = gb.ScenarioConfig(
+    return gb.ScenarioConfig(
         name="custom",
         propensity_logit=gb.PROPENSITY_MODELS["P1"],
         cate=cate,
@@ -88,9 +88,30 @@ def test_true_ate_matches_full_tensor_grid_custom_cell():
         low=-1.5,
         high=2.5,
     )
-    assert participation.indices() == {0, 1, 4}
-    assert cate.indices() == {0, 2, 4}
+
+
+def test_true_ate_matches_full_tensor_grid_custom_cell():
+    config = _custom_cell()
+    assert config.participation_logit.indices() == {0, 1, 4}
+    assert config.cate.indices() == {0, 2, 4}
     assert abs(gb.true_target_ate(config, nodes=8) - _full_tensor_tau_star(config, 8)) <= 1e-13
+
+
+def _used_axes_tau_star(config, nodes):
+    # the same ratio over the used-axes grid's materialized points, padded
+    # with zero columns for the unread covariates
+    used = sorted(config.participation_logit.indices() | config.cate.indices())
+    grid = gb.gauss_legendre_box(len(used), config.low, config.high, nodes)
+    points = np.zeros((grid.size, config.p))
+    points[:, used] = grid.points
+    wt = grid.weights * (1.0 - sigmoid(config.participation_logit(points)))
+    return float(wt @ config.cate(points) / wt.sum())
+
+
+@pytest.mark.parametrize("nodes", [8, 20])
+@pytest.mark.parametrize("config", gb.builtin_grid() + (_custom_cell(),), ids=lambda c: c.name)
+def test_true_ate_over_row_blocks_equals_materialized_points_exactly(config, nodes):
+    assert gb.true_target_ate(config, nodes) == _used_axes_tau_star(config, nodes)
 
 
 def test_true_ate_constant_participation_and_effect():
