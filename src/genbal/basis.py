@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import re
 
 import numpy as np
@@ -67,8 +68,8 @@ class BasisTerm:
             raise ValidationError(f"{self.kind} term needs a covariate index")
         if self.kind == "power" and (self.degree is None or self.degree < 2):
             raise ValidationError("power term needs an integer degree >= 2")
-        if self.kind == "indicator" and self.category is None:
-            raise ValidationError("indicator term needs a category value")
+        if self.kind == "indicator" and not (self.category is not None and math.isfinite(self.category)):
+            raise ValidationError(f"indicator term on x{self.index + 1} needs a finite category", "UNKNOWN_TERM")
         if self.kind == "product":
             if self.index2 is None or self.index2 < 0:
                 raise ValidationError("product term needs two covariate indices")
@@ -125,7 +126,7 @@ _TERM_PATTERNS = (
         lambda m, side: BasisTerm("power", side, index=int(m.group(1)) - 1, degree=int(m.group(2))),
     ),
     (
-        re.compile(r"^x(\d+)=([-+0-9.eE]+)$"),
+        re.compile(r"^x(\d+)=([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)$"),
         lambda m, side: BasisTerm("indicator", side, index=int(m.group(1)) - 1,
                                   category=float(m.group(2))),
     ),

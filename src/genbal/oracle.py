@@ -14,18 +14,18 @@ participation, and outcome-mean functions), this module evaluates:
 All expectations run over a deterministic quadrature grid for the
 covariate law, so results are exact up to quadrature error; the
 companion Monte Carlo harness provides the stochastic cross-check.
-Every sum over the grid reads its rows in blocks of ``_CHUNK_ROWS``
-through ``grid.rows``, which a ``gauss_legendre_box`` grid builds on
-request, so no grid-length array is built and the working set does not
-grow with the grid. ``asymptotic_variance`` makes three passes:
-the first sums the limiting dual's base and target weights, the second,
-given lambda0*, the Gram matrices and moments of every projection, and
-the third, given the projection coefficients, the variance sums. The
-limiting dual runs on the sub-grid of the covariates H reads: on a
-tensor grid (one with a ``shape``) H is constant along every other axis,
-so the dual's base and target weights are summed over those axes, and
-H = (const, x1, x2, x3) on a grid over x1..x5 solves over nodes**3 rows,
-not nodes**5. A grid without a shape keeps one dual row per grid row.
+Every sum over the grid reads it through ``grid.blocks()``, which a
+``gauss_legendre_box`` grid builds block by block on request, so the
+working set does not grow with the grid. The first pass sums the
+limiting dual's base and target weights; the second, given lambda0*,
+the Gram matrices and moments of the H and G⊥ projections, for
+``project_h``, ``project_g_perp`` and ``asymptotic_variance`` alike;
+the report's third, given the projection coefficients, the variance
+sums. The limiting dual runs on the sub-grid of the covariates H reads:
+on a tensor grid (one with a ``shape``) H is constant along every other
+axis, so the dual's base and target weights are summed over those axes,
+and H = (const, x1, x2, x3) on a grid over x1..x5 solves over nodes**3
+rows, not nodes**5. A grid without a shape keeps one dual row per row.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .basis import BasisSpec
 from .errors import HypothesisViolationError, RankDeficiencyError, ValidationError, _one
 from .mathutil import sigmoid
 from .models import basis_coefficients, in_h_span
-from .quadrature import _CHUNK_ROWS, QuadratureGrid
+from .quadrature import QuadratureGrid
 from .solver import CalibrationSolution, SolverOptions, _GroupDual, _solve_dual
 
 __all__ = [
@@ -135,16 +135,14 @@ def _check_dimension(spec, grid):
 
 
 def _chunks(truth, spec, grid, lam0=None):
-    """One pass over the grid: per chunk of rows, (rows, X, w, H, G, rho,
+    """One pass over the grid: per block of rows, (rows, X, w, H, G, rho,
     tilt), with tilt the base q, or r = q exp(H'lam0) given lam0."""
-    for start in range(0, grid.size, _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, grid.size))
-        X, w = grid.rows(rows.start, rows.stop)
+    for start, stop, X, w in grid.blocks():
         H, G = spec.evaluate_h(X), spec.evaluate_g(X)
         tilt = _tilt_base(truth, H, G)
         if lam0 is not None:
             tilt *= np.exp(H @ lam0)
-        yield rows, X, w, H, G, truth.participation(X), tilt
+        yield range(start, stop), X, w, H, G, truth.participation(X), tilt
 
 
 def _limiting_dual(truth, spec, grid, tol=1e-8, max_iter=100):
@@ -235,51 +233,49 @@ def _solve_gram(gram, rhs, span, names):
         ) from None
 
 
-def _project(B, measure, columns, span, names):
-    """Measure-weighted least-squares coefficients of each column (vector
-    or matrix) on span{B}, from one Gram matrix and one multi-column solve."""
-    Bm = B * measure[:, None]
-    return _solve_gram(B.T @ Bm, np.column_stack([Bm.T @ c for c in columns]), span, names)
-
-
 _G_PERP = "G⊥ (G residualised on H)"
 
 
-def _tilted_measure(truth, spec, grid, r):
-    """H, G and the r-tilted source law w rho r (r=None: the limiting tilt)."""
-    _check_dimension(spec, grid)
-    if r is None:
-        r = tilde_r(truth, spec, _limiting_dual(truth, spec, grid)[0])
-    X = grid.points
-    return spec.evaluate_h(X), spec.evaluate_g(X), grid.weights * truth.participation(X) * r(X)
+def _second_pass(truth, spec, grid, lam0, columns, mix=None):
+    """Under the tilted source law w rho r, the H coefficients of the k
+    columns F that ``columns(X, w, rho)`` gives per block and of G, as one
+    (kh, k + kg) array, and given ``mix`` the G⊥ coefficients of F @ mix.
+    G⊥ = G - H C, so G⊥'G⊥ = G'G - G'H C and G⊥'f = G'f - C'H'f."""
+    kh, kg = len(spec.h_terms), len(spec.g_terms)
+    hh, hm, gg, gm = np.zeros((kh, kh)), 0.0, np.zeros((kg, kg)), np.zeros(kg)
+    for _, X, w, H, G, rho, r in _chunks(truth, spec, grid, lam0):
+        F, measure = np.column_stack(columns(X, w, rho)), w * rho * r
+        Hm, Gm = H * measure[:, None], G * measure[:, None]
+        hh += H.T @ Hm
+        hm += Hm.T @ np.column_stack((F, G))
+        gg += G.T @ Gm
+        if mix is not None:
+            gm += Gm.T @ (F @ mix)
+    coef = _solve_gram(hh, hm, "H", spec.h_names)
+    if mix is None:
+        return coef, None
+    k = len(mix)
+    C = coef[:, k:]
+    return coef, _solve_gram(gg - hm[:, k:].T @ C, gm - C.T @ (hm[:, :k] @ mix), _G_PERP, spec.g_names)
 
 
 def project_h(
-    f: Callable,
-    truth: TruthFunctions,
-    spec: BasisSpec,
-    grid: QuadratureGrid,
-    r: Callable | None = None,
+    f: Callable, truth: TruthFunctions, spec: BasisSpec, grid: QuadratureGrid
 ) -> ProjectedFunction:
-    """Project f onto span{H} under the r-tilted source covariate law."""
-    H, _, measure = _tilted_measure(truth, spec, grid, r)
-    coef = _project(H, measure, (np.asarray(f(grid.points), dtype=float),), "H", spec.h_names)
+    """Project f onto span{H} under the limiting tilted source covariate law."""
+    lam0 = _limiting_dual(truth, spec, grid)[0]
+    coef, _ = _second_pass(truth, spec, grid, lam0, lambda X, w, rho: (f(X),))
     return ProjectedFunction(coef[:, 0], spec.evaluate_h)
 
 
 def project_g_perp(
-    f: Callable,
-    truth: TruthFunctions,
-    spec: BasisSpec,
-    grid: QuadratureGrid,
-    r: Callable | None = None,
+    f: Callable, truth: TruthFunctions, spec: BasisSpec, grid: QuadratureGrid
 ) -> ProjectedFunction:
-    """Project f onto the H-orthogonalized G span under the tilted law."""
-    H, G, measure = _tilted_measure(truth, spec, grid, r)
-    C = _project(H, measure, (G,), "H", spec.h_names)
-    G -= H @ C
-    coef = _project(G, measure, (np.asarray(f(grid.points), dtype=float),), _G_PERP, spec.g_names)
-    return ProjectedFunction(coef[:, 0], lambda X: spec.evaluate_g(X) - spec.evaluate_h(X) @ C)
+    """Project f onto the H-orthogonalized G span under the limiting tilted law."""
+    lam0 = _limiting_dual(truth, spec, grid)[0]
+    coef, b = _second_pass(truth, spec, grid, lam0, lambda X, w, rho: (f(X),), np.ones(1))
+    C = coef[:, 1:]
+    return ProjectedFunction(b, lambda X: spec.evaluate_g(X) - spec.evaluate_h(X) @ C)
 
 
 _QUANTITIES = ("v1", "v2", "v3", "total", "efficiency_bound", "gap", "tau_star", "rho_marginal")
@@ -336,24 +332,17 @@ def asymptotic_variance(
     are reported alongside.
     """
     lam0, rho_bar, not_bar = _limiting_dual(truth, spec, grid)
-    kh, kg = len(spec.h_terms), len(spec.g_terms)
-    # second pass: the H Gram, the H moments of tau, mu1, mu0 and of each G
-    # column, the G Gram, the G moment of m, and sum w (1 - rho) tau
-    hh, hm, tau_sum = np.zeros((kh, kh)), np.zeros((kh, 3 + kg)), 0.0
-    gg, gm = np.zeros((kg, kg)), np.zeros(kg)
-    for _, X, w, H, G, rho, r in _chunks(truth, spec, grid, lam0):
-        mu1, mu0, measure = truth.mu1(X), truth.mu0(X), w * rho * r
-        Hm, Gm = H * measure[:, None], G * measure[:, None]
-        hh += H.T @ Hm
-        hm += Hm.T @ np.column_stack((mu1 - mu0, mu1, mu0, G))
-        gg += G.T @ Gm
-        gm += Gm.T @ (0.5 * (mu1 + mu0))
+    tau_sum = 0.0
+
+    def columns(X, w, rho):
+        nonlocal tau_sum
+        mu1, mu0 = truth.mu1(X), truth.mu0(X)
         tau_sum += float(w @ ((1.0 - rho) * (mu1 - mu0)))
-    coef = _solve_gram(hh, hm, "H", spec.h_names)
-    # G⊥ = G - H C, C the H coefficients of G, so under the measure
-    # G⊥'G⊥ = G'G - G'H C and G⊥'m = G'm - C'H'm
+        return mu1 - mu0, mu1, mu0
+
+    # G⊥ projects m: the halves are exact, so F @ mix is 0.5 * (mu1 + mu0) bit for bit
+    coef, b = _second_pass(truth, spec, grid, lam0, columns, np.array([0.0, 0.5, 0.5]))
     C = coef[:, 3:]
-    b = _solve_gram(gg - hm[:, 3:].T @ C, gm - C.T @ (0.5 * (hm[:, 1] + hm[:, 2])), _G_PERP, spec.g_names)
     tau_star = tau_sum / not_bar
     # third pass: the variance sums, with pi_H tau = H a0 and the residuals
     # mu1 - pi_H mu1 - pi_G⊥ m = mu1 - H a1 - G b (a2 for mu0)

@@ -1,13 +1,12 @@
 """Deterministic expectation grids over box-uniform covariate laws.
 
-A grid is points and probability weights. A tensor grid also records its
-``shape``, the node count per covariate axis with the first axis varying
-slowest, so a sum over the grid of a function that reads only some axes
-can first sum the weights over the others: the oracle's limiting dual
-runs on the sub-grid of the axes its H terms read. Callers read a grid
-in row blocks of ``_CHUNK_ROWS`` through ``grid.rows``; a grid from
-``gauss_legendre_box`` keeps only its nodes and weights per axis and
-builds each block on request, and its whole ``points`` only when read.
+A grid is points and probability weights. A ``gauss_legendre_box`` grid
+also records its ``shape``, the node count per axis with the first axis
+varying slowest, so a sum of a function that reads only some axes can
+first sum the weights over the others, as the oracle's limiting dual
+does. Callers read a grid through ``grid.blocks()``, one ``(start, stop,
+X, w)`` per block of ``_CHUNK_ROWS`` rows; a tensor grid builds each
+block from its per-axis nodes and weights, and ``points`` only when read.
 """
 
 from __future__ import annotations
@@ -33,16 +32,13 @@ _CHUNK_ROWS = 8_192
 class QuadratureGrid:
     """Points and probability weights: E[f(X)] ~= weights @ f(points).
 
-    ``shape`` is None for a grid of arbitrary points. When given, it
-    declares the points the tensor product of one node set per axis,
-    ``shape[j]`` nodes on axis j, the first axis varying slowest.
-    Construction checks the shape against the number and dimension of
-    the points, not point by point, so a hand-given shape is the caller's
-    promise: sums that regroup the grid by axis rely on it. ``size``,
-    ``dim`` and ``shape`` never build the rows of a tensor grid.
+    ``shape`` is None for a grid built from its points. A grid from
+    ``gauss_legendre_box`` is the tensor product of one node set per axis,
+    ``shape[j]`` nodes on axis j, the first axis varying slowest, and its
+    ``size``, ``dim`` and ``shape`` never build its rows.
     """
 
-    def __init__(self, points, weights, shape: tuple[int, ...] | None = None):
+    def __init__(self, points, weights):
         try:
             points = np.asarray(points, dtype=float)
             weights = np.asarray(weights, dtype=float)
@@ -59,8 +55,7 @@ class QuadratureGrid:
             )
         if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
             raise ValidationError("grid weights must be finite and non-negative")
-        self.shape = None if shape is None else _checked_shape(points, shape)
-        self.size, self.dim = points.shape
+        self.shape, (self.size, self.dim) = None, points.shape
         self._axes, self._arrays = None, (points, weights)
         for a in self._arrays:
             a.setflags(write=False)
@@ -77,8 +72,8 @@ class QuadratureGrid:
     def _arrays(self):
         """(points, weights): set by __init__, or built here for a tensor grid."""
         X, w = np.empty((self.size, self.dim)), np.empty(self.size)
-        for a in range(0, self.size, _CHUNK_ROWS):
-            X[a:a + _CHUNK_ROWS], w[a:a + _CHUNK_ROWS] = self.rows(a, min(a + _CHUNK_ROWS, self.size))
+        for start, stop, X_block, w_block in self.blocks():
+            X[start:stop], w[start:stop] = X_block, w_block
         X.setflags(write=False)
         w.setflags(write=False)
         return X, w
@@ -104,6 +99,13 @@ class QuadratureGrid:
             tile[0, j - t] = self._axes[j][0].reshape(along)
             tile[1, j - t] = self._axes[j][1].reshape(along)
         return t, block, tile.reshape(2, p - t, math.prod(tiled))
+
+    def blocks(self):
+        """(start, stop, X, w) for each block of _CHUNK_ROWS rows in order,
+        the last one shorter, with (X, w) = ``rows(start, stop)``."""
+        for start in range(0, self.size, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, self.size)
+            yield (start, stop, *self.rows(start, stop))
 
     def rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows start:stop (0 <= start <= stop <= size) as (X, w), equal bit
@@ -133,23 +135,6 @@ class QuadratureGrid:
             for w_axis in tile[1]:
                 wa *= w_axis[o:o + b - a]
         return XT.T, w
-
-
-def _checked_shape(points, shape):
-    """shape as a tuple of ints, checked against the points: one positive
-    node count per axis, their product the point count."""
-    n, p = points.shape
-    if (
-        not isinstance(shape, (tuple, list))
-        or len(shape) != p
-        or not all(_is_int(s) and s >= 1 for s in shape)
-        or math.prod(shape) != n
-    ):
-        raise ValidationError(
-            f"grid shape {shape!r} must give a positive integer node count for each of "
-            f"the p={p} axes, with product equal to the {n} points"
-        )
-    return tuple(int(s) for s in shape)
 
 
 def _is_int(value) -> bool:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import numbers
 import zlib
 from itertools import repeat
@@ -41,7 +42,7 @@ from .models import (
     PROPENSITY_MODELS,
     CovariateFunction,
 )
-from .quadrature import _CHUNK_ROWS, gauss_legendre_box
+from .quadrature import gauss_legendre_box
 from .solver import SolverOptions
 
 __all__ = [
@@ -106,6 +107,8 @@ class ScenarioConfig:
             problems.append(f"replicates={self.replicates} must be >= 1")
         if not self.noise_sd >= 0:
             problems.append(f"noise_sd={self.noise_sd} must be >= 0")
+        problems += [f"{k}={getattr(self, k)} must be finite" for k in ("low", "high", "noise_sd")
+                     if math.isinf(getattr(self, k))]
         if problems:
             raise ValidationError(f"scenario {self.name!r}: " + "; ".join(problems))
         if self.n * self.p > MAX_DRAW_CELLS:
@@ -184,15 +187,15 @@ class ScenarioConfig:
 
 
 def _numeric_fields(d: dict, where: str) -> dict:
-    """The numeric ScenarioConfig fields set in ``d``, each cast to the type
-    of its default (an int field takes a whole number only); a value that
-    does not cast is a ValidationError naming ``where`` and the key."""
+    """The numeric ScenarioConfig fields set in ``d``, each a JSON number (no
+    bool) cast to its default's type, an int field taking a whole number
+    only; any other value is a ValidationError naming ``where`` and the key."""
     fields = {}
     for f in dataclasses.fields(ScenarioConfig):
         cast = type(f.default)
         try:
             if f.name in d and cast in (int, float):
-                if cast is int and not (type(d[f.name]) in (int, float) and d[f.name] % 1 == 0):  # bool is neither
+                if type(d[f.name]) not in (int, float) or (cast is int and d[f.name] % 1 != 0):  # bool is neither
                     raise TypeError
                 fields[f.name] = cast(d[f.name])
         except (TypeError, ValueError, OverflowError):
@@ -234,13 +237,11 @@ def true_target_ate(config: ScenarioConfig, nodes: int = 16) -> float:
     used = sorted(config.participation_logit.indices() | config.cate.indices())
     grid = gauss_legendre_box(len(used), config.low, config.high, nodes)
     w, rho, tau = np.empty(grid.size), np.empty(grid.size), np.empty(grid.size)
-    for start in range(0, grid.size, _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, grid.size))
-        X, w[rows] = grid.rows(rows.start, rows.stop)
+    for start, stop, X, w_block in grid.blocks():
         points = np.zeros((len(X), config.p))
         points[:, used] = X
-        rho[rows] = sigmoid(config.participation_logit(points))
-        tau[rows] = config.cate(points)
+        w[start:stop], rho[start:stop] = w_block, sigmoid(config.participation_logit(points))
+        tau[start:stop] = config.cate(points)
     wt = w * (1.0 - rho)
     return float(wt @ tau / wt.sum())
 

@@ -301,6 +301,25 @@ def test_cli_weights_with_underflowed_weights_is_a_solver_failure(tmp_path, caps
     assert "rows of the treated arm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("term, message", [
+    ("x1=e", "cannot parse basis term 'x1=e'"),
+    ("x1=.", "cannot parse basis term 'x1=.'"),
+    ("x1=1e", "cannot parse basis term 'x1=1e'"),
+    ("x1=+-1", "cannot parse basis term 'x1=+-1'"),
+    ("x1=1e999", "indicator term on x1 needs a finite category"),
+])
+def test_cli_indicator_category_that_is_not_a_finite_number_is_validation_error(tmp_path, capsys, term, message):
+    _, _, source, basis, _ = _write_inputs(tmp_path)
+    basis.write_text(json.dumps({"h": ["const", term], "g": []}))
+    code = main(["weights", "--source", str(source), "--basis", str(basis),
+                 "--method", "att", "--out", str(tmp_path / "w.csv")])
+    assert code == 2
+    assert message in _validation_error(capsys)
+    with pytest.raises(ValidationError) as info:
+        load_basis_json(basis)
+    assert info.value.code == "UNKNOWN_TERM"
+
+
 def test_cli_weights_att_needs_no_target(tmp_path):
     _, _, source, basis, _ = _write_inputs(tmp_path)
     out = tmp_path / "w.csv"
@@ -484,9 +503,16 @@ CELL = {"name": "cell", "propensity": "P1", "cate": "T1", "baseline": "M1", "n":
     ({"scenarios": [{**CELL, "h": ["const", 3]}]},
      "scenario 'cell': h must be a list of term names, got ['const', 3]"),
     ({"scenarios": [{**CELL, "g": "x4"}]}, "scenario 'cell': g must be a list of term names, got 'x4'"),
+    ({"builtin_grid": {"noise_sd": "2"}}, "builtin_grid: noise_sd must be a number, got '2'"),
+    ({"builtin_grid": {"noise_sd": True}}, "builtin_grid: noise_sd must be a number, got True"),
+    ({"scenarios": [{**CELL, "low": "-1"}]}, "scenario 'cell': low must be a number, got '-1'"),
+    ({"scenarios": [{**CELL, "high": float("inf")}]}, "scenario 'cell': high=inf must be finite"),
+    ({"scenarios": [{**CELL, "low": float("-inf")}]}, "scenario 'cell': low=-inf must be finite"),
+    ({"builtin_grid": {"noise_sd": float("inf")}}, "scenario 'P1-T1-M1': noise_sd=inf must be finite"),
 ], ids=["n", "seed", "low", "builtin-n", "builtin-list", "builtin-fractional-n", "fractional-replicates",
         "bool-seed", "no-propensity", "no-baseline", "cell-not-object", "string-index", "no-kind", "no-coef",
-        "string-coef", "bad-slope-key", "h-not-list", "h-non-string-term", "g-string"])
+        "string-coef", "bad-slope-key", "h-not-list", "h-non-string-term", "g-string", "builtin-string-noise-sd",
+        "builtin-bool-noise-sd", "string-low", "infinite-high", "infinite-low", "builtin-infinite-noise-sd"])
 def test_cli_bad_scenario_number_is_validation_error(tmp_path, capsys, command, payload, message):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(payload))

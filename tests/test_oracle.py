@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genbal as gb
-from genbal import oracle
+from genbal import quadrature
 from genbal.errors import (
     HypothesisViolationError,
     NonConvergenceError,
@@ -140,24 +140,20 @@ def test_projection_idempotent_on_span_members(grid5, p2_truth):
 
 
 def test_projection_annihilates_orthogonal_functions(grid5, p2_truth):
-    lam0 = gb.solve_limiting_dual(p2_truth, _SPEC5, grid5)
-    r = gb.tilde_r(p2_truth, _SPEC5, lam0)
     f = _linear((3, 1.0))  # x4
-    proj = gb.project_h(f, p2_truth, _SPEC5, grid5, r)
+    proj = gb.project_h(f, p2_truth, _SPEC5, grid5)
 
     def resid(X):
         return f(X) - proj(X)
 
     # the residual is orthogonal to H, so projecting it again gives ~0
-    proj2 = gb.project_h(resid, p2_truth, _SPEC5, grid5, r)
+    proj2 = gb.project_h(resid, p2_truth, _SPEC5, grid5)
     np.testing.assert_allclose(proj2.coefficients, 0.0, atol=1e-8)
 
 
 def test_g_perp_projection_of_h_terms_is_zero(grid5, p2_truth):
-    lam0 = gb.solve_limiting_dual(p2_truth, _SPEC5, grid5)
-    r = gb.tilde_r(p2_truth, _SPEC5, lam0)
     for k, pairs in enumerate([((0, 1.0),), ((1, 1.0),), ((2, 1.0),)]):
-        proj = gb.project_g_perp(_linear(*pairs), p2_truth, _SPEC5, grid5, r)
+        proj = gb.project_g_perp(_linear(*pairs), p2_truth, _SPEC5, grid5)
         np.testing.assert_allclose(proj.coefficients, 0.0, atol=1e-8)
 
 
@@ -173,7 +169,7 @@ def test_projection_contracts_weighted_norm(grid5, p2_truth):
         coefs = rng.normal(size=5)
         f = _linear(*((i, float(c)) for i, c in enumerate(coefs)))
         fv = f(grid5.points)
-        proj = gb.project_h(f, p2_truth, _SPEC5, grid5, r)(grid5.points)
+        proj = gb.project_h(f, p2_truth, _SPEC5, grid5)(grid5.points)
         lhs = float(ws @ (rv * (fv - proj) ** 2))
         rhs = float(ws @ (rv * fv ** 2))
         assert lhs <= rhs + 1e-12
@@ -225,8 +221,8 @@ def test_monotone_refinement_of_projection_span(grid5, p2_truth):
     ws = grid5.weights * rho
     ws = ws / ws.sum()
     mu1 = p2_truth.mu1(grid5.points)
-    pi_h = gb.project_h(p2_truth.mu1, p2_truth, _SPEC5, grid5, r)(grid5.points)
-    pi_gp = gb.project_g_perp(p2_truth.mu1, p2_truth, _SPEC5, grid5, r)(grid5.points)
+    pi_h = gb.project_h(p2_truth.mu1, p2_truth, _SPEC5, grid5)(grid5.points)
+    pi_gp = gb.project_g_perp(p2_truth.mu1, p2_truth, _SPEC5, grid5)(grid5.points)
     res_hg = float(ws @ (rv * (mu1 - pi_h - pi_gp) ** 2))
     res_h = float(ws @ (rv * (mu1 - pi_h) ** 2))
     assert res_hg <= res_h + 1e-12
@@ -418,6 +414,41 @@ def test_variance_peak_memory_stays_within_2_grid_vectors(p2_truth):
     assert peaks[18] <= 1.25 * peaks[12]
 
 
+@pytest.mark.parametrize("project", [gb.project_h, gb.project_g_perp])
+def test_projection_peak_memory_stays_within_2_grid_vectors(p2_truth, project):
+    # the projections share the report's streamed second pass, so at 16
+    # nodes, grid build included, they hold no grid-length array
+    # (16**5 points alone take 42 MB)
+    project(p2_truth.m, p2_truth, _SPEC5, gb.gauss_legendre_box(5, -2.0, 2.0, 4))  # warm caches
+    tracemalloc.start()
+    try:
+        project(p2_truth.m, p2_truth, _SPEC5, gb.gauss_legendre_box(5, -2.0, 2.0, 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 12 ** 5 * 8
+
+
+# every oracle entry point, called on a truth and a grid
+_each_entry_point = pytest.mark.parametrize(
+    "entry",
+    [
+        lambda truth, grid: gb.asymptotic_variance(truth, _SPEC5, grid),
+        lambda truth, grid: gb.solve_limiting_dual(truth, _SPEC5, grid),
+        lambda truth, grid: gb.project_h(truth.m, truth, _SPEC5, grid),
+        lambda truth, grid: gb.project_g_perp(truth.m, truth, _SPEC5, grid),
+    ],
+    ids=["asymptotic_variance", "solve_limiting_dual", "project_h", "project_g_perp"],
+)
+
+
+@_each_entry_point
+def test_oracle_entry_points_never_build_the_grids_points(p2_truth, entry):
+    grid = gb.gauss_legendre_box(5, -2.0, 2.0, 6)
+    entry(p2_truth, grid)
+    assert "_arrays" not in grid.__dict__
+
+
 def _values(report):
     d = report.to_dict()
     return np.array(d["lambda0_star"] + [d[k] for k in _REPORT_KEYS])
@@ -437,9 +468,9 @@ def test_chunked_passes_give_the_one_chunk_report(monkeypatch, p2_truth, shaped,
     grid = gb.gauss_legendre_box(5, -2.0, 2.0, 4)
     if not shaped:
         grid = gb.QuadratureGrid(grid.points, grid.weights)
-    monkeypatch.setattr(oracle, "_CHUNK_ROWS", grid.size)
+    monkeypatch.setattr(quadrature, "_CHUNK_ROWS", grid.size)
     whole = gb.asymptotic_variance(p2_truth, _SPEC5, grid)
-    monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk(grid.size))
+    monkeypatch.setattr(quadrature, "_CHUNK_ROWS", chunk(grid.size))
     report = gb.asymptotic_variance(p2_truth, _SPEC5, grid)
     _assert_close(_values(report), _values(whole))
     # one code path: the public dual is the report's, bit for bit
@@ -460,7 +491,7 @@ def test_one_point_grid_gives_a_finite_report(monkeypatch, shaped):
     if not shaped:
         grid = gb.QuadratureGrid(grid.points, grid.weights)
     whole = gb.asymptotic_variance(truth, spec, grid)
-    monkeypatch.setattr(oracle, "_CHUNK_ROWS", 1)
+    monkeypatch.setattr(quadrature, "_CHUNK_ROWS", 1)
     report = gb.asymptotic_variance(truth, spec, grid)
     assert np.isfinite(_values(report)).all()
     _assert_close(_values(report), _values(whole))
@@ -575,16 +606,7 @@ def test_sub_grid_dual_matches_the_dual_over_every_row(h, seed):
     np.testing.assert_allclose(sub, full, rtol=1e-10, atol=1e-10)
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        lambda truth, grid: gb.asymptotic_variance(truth, _SPEC5, grid),
-        lambda truth, grid: gb.solve_limiting_dual(truth, _SPEC5, grid),
-        lambda truth, grid: gb.project_h(truth.m, truth, _SPEC5, grid),
-        lambda truth, grid: gb.project_g_perp(truth.m, truth, _SPEC5, grid),
-    ],
-    ids=["asymptotic_variance", "solve_limiting_dual", "project_h", "project_g_perp"],
-)
+@_each_entry_point
 def test_oracle_rejects_a_basis_reading_past_the_grids_dimension(p2_truth, entry):
     with pytest.raises(ValidationError, match="x5 but the grid has p=3") as info:
         entry(p2_truth, gb.gauss_legendre_box(3, -2.0, 2.0, 4))

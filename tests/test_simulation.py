@@ -114,6 +114,18 @@ def test_true_ate_over_row_blocks_equals_materialized_points_exactly(config, nod
     assert gb.true_target_ate(config, nodes) == _used_axes_tau_star(config, nodes)
 
 
+def test_true_ate_never_builds_the_grids_points(monkeypatch):
+    grids = []
+
+    def recording(*args):
+        grids.append(gb.gauss_legendre_box(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(simulation, "gauss_legendre_box", recording)
+    gb.true_target_ate(gb.builtin_scenario("P2", "T2", "M1"), 12)
+    assert len(grids) == 1 and "_arrays" not in grids[0].__dict__
+
+
 def test_true_ate_constant_participation_and_effect():
     config = gb.ScenarioConfig(
         name="constant",
