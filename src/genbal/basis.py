@@ -330,25 +330,21 @@ class TargetSummary:
     """Target-sample means of the H terms, in design coordinates.
 
     ``values`` aligns with the H columns of the design the summary was
-    built against; ``raw_values`` keeps the user-supplied raw means.
+    built against.
     """
 
     values: np.ndarray
-    raw_values: np.ndarray
     n_t: int | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        raw = np.asarray(self.raw_values, dtype=float)
         if values[0] != 1.0:
             raise ValidationError(
                 "constant entry of the target summary must be exactly 1",
                 code="BAD_CONSTANT",
             )
         values.setflags(write=False)
-        raw.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "raw_values", raw)
 
 
 def evaluate_basis(spec: BasisSpec, sample: SourceSample, standardize: bool = True) -> DesignMatrices:
@@ -438,7 +434,7 @@ def align_target_summary(
     if not np.isfinite(raw).all():
         raise ValidationError("non-finite target summary entry", code="NON_FINITE_CELL")
     values = (raw - design.h_center) / design.h_scale
-    return TargetSummary(values=values, raw_values=raw, n_t=n_t)
+    return TargetSummary(values=values, n_t=n_t)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -45,7 +45,8 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class ColumnSchema:
-    """Column roles for a source CSV."""
+    """Column roles for a source CSV: the treatment, the outcome and each
+    covariate are distinct columns."""
 
     treatment: str
     outcome: str
@@ -55,9 +56,20 @@ class ColumnSchema:
     def __post_init__(self):
         object.__setattr__(self, "covariates", tuple(self.covariates))
         object.__setattr__(self, "categorical", tuple(self.categorical))
+        roles = (self.treatment, self.outcome, *self.covariates)
+        _no_repeats(roles, "listed more than once among the treatment, outcome and covariates")
         bad = [c for c in self.categorical if c not in self.covariates]
         if bad:
             raise ValidationError(f"categorical columns {bad} not among covariates")
+
+
+def _no_repeats(names, what: str) -> None:
+    """Raise a DUPLICATE_COLUMN ValidationError naming the first name seen twice."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValidationError(f"column {name!r} is {what}", code="DUPLICATE_COLUMN")
+        seen.add(name)
 
 
 def _parse_float(text: str, line: int, column: str) -> float:
@@ -170,6 +182,8 @@ def load_source_csv(path, schema: ColumnSchema):
             f"{path}: missing column(s) {missing}; header has {header}",
             code="MISSING_COLUMN",
         )
+    wanted = set(needed)
+    _no_repeats([c for c in header if c in wanted], f"in the header of {path} more than once")
     idx = {c: header.index(c) for c in needed}
     data = [row for row in rows[1:] if "".join(row).strip()]
     if not data:

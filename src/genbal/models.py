@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import sys
 
 import numpy as np
 
@@ -87,6 +88,8 @@ class FunctionTerm:
         for key, value in {"coef": d["coef"], "offset": d.get("offset", 0.0), **slopes}.items():
             if type(value) not in (int, float):  # bool is neither
                 raise ValidationError(f"model term {key} must be a number, got {value!r}")
+            if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int too big for a float
+                raise ValidationError(f"model term {key} must be finite, got {value!r}")
         return cls(
             kind=d["kind"],
             coef=float(d["coef"]),

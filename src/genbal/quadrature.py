@@ -4,9 +4,9 @@ A grid is points and probability weights. A ``gauss_legendre_box`` grid
 also records its ``shape``, the node count per axis with the first axis
 varying slowest, so a sum of a function that reads only some axes can
 first sum the weights over the others, as the oracle's limiting dual
-does. Callers read a grid through ``grid.blocks()``, one ``(start, stop,
-X, w)`` per block of ``_CHUNK_ROWS`` rows; a tensor grid builds each
-block from its per-axis nodes and weights, and ``points`` only when read.
+does. ``grid.blocks()`` is the only row reader: one ``(start, stop, X,
+w)`` per block of ``_CHUNK_ROWS`` rows, which a tensor grid builds from
+its per-axis nodes and weights; it builds ``points`` only when read.
 """
 
 from __future__ import annotations
@@ -81,18 +81,15 @@ class QuadratureGrid:
     points = property(lambda self: self._arrays[0], doc="(size, dim) points, read-only")
     weights = property(lambda self: self._arrays[1], doc="(size,) weights, read-only")
 
-    def expect(self, values) -> float:
-        return float(self.weights @ np.asarray(values, dtype=float))
-
-    @functools.cached_property
-    def _tile(self):
+    def _tile(self, chunk):
         """(t, block, tile): t the first axis whose trailing node product
-        ``block`` is at most _CHUNK_ROWS; tile[0] and tile[1] the nodes and
-        weights of axes t.. over _CHUNK_ROWS // block + 2 blocks of rows."""
+        ``block`` is at most ``chunk``; tile[0] and tile[1] the nodes and
+        weights of axes t.. over chunk // block + 2 blocks of rows, so any
+        ``chunk`` rows from any offset lie inside the tile."""
         shape, p = self.shape, self.dim
-        t = next(j for j in range(p + 1) if math.prod(shape[j:]) <= _CHUNK_ROWS)
+        t = next(j for j in range(p + 1) if math.prod(shape[j:]) <= chunk)
         block = math.prod(shape[t:])
-        tiled = (_CHUNK_ROWS // block + 2,) + shape[t:]
+        tiled = (chunk // block + 2,) + shape[t:]
         tile = np.empty((2, p - t) + tiled)
         for j in range(t, p):
             along = (-1,) + (1,) * (p - 1 - j)
@@ -102,39 +99,33 @@ class QuadratureGrid:
 
     def blocks(self):
         """(start, stop, X, w) for each block of _CHUNK_ROWS rows in order,
-        the last one shorter, with (X, w) = ``rows(start, stop)``."""
-        for start in range(0, self.size, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, self.size)
-            yield (start, stop, *self.rows(start, stop))
-
-    def rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows start:stop (0 <= start <= stop <= size) as (X, w), equal bit
-        for bit to ``points[start:stop]`` and ``weights[start:stop]``. A
-        tensor grid builds them, X column by column (so in Fortran order):
-        coordinates are copied from the axis nodes and each weight is the
-        product w_0 w_1 ... of its axes' weights, taken left to right."""
-        if self._axes is None:
-            points, weights = self._arrays
-            return points[start:stop], weights[start:stop]
-        t, block, tile = self._tile
-        XT, w = np.empty((self.dim, stop - start)), np.empty(stop - start)
-        step = tile.shape[2] - block + 1
-        for a in range(start, stop, step):
-            b, o = min(a + step, stop), a % block
-            cols, wa = XT[:, a - start:b - start], w[a - start:b - start]
-            cols[t:] = tile[0, :, o:o + b - a]
+        the last one shorter, (X, w) equal bit for bit to
+        ``points[start:stop]`` and ``weights[start:stop]``. A tensor grid
+        builds them, X column by column (so in Fortran order): coordinates
+        are copied from the axis nodes and each weight is the product
+        w_0 w_1 ... of its axes' weights, taken left to right."""
+        chunk = _CHUNK_ROWS
+        tiled = None if self._axes is None else self._tile(chunk)
+        for start in range(0, self.size, chunk):
+            stop = min(start + chunk, self.size)
+            if tiled is None:
+                yield start, stop, self.points[start:stop], self.weights[start:stop]
+                continue
+            t, block, tile = tiled
+            XT, o = np.empty((self.dim, stop - start)), start % block
+            XT[t:] = tile[0, :, o:o + stop - start]
             # runs of rows that share their nodes on axes 0..t-1
-            lead = np.arange(a // block, (b - 1) // block + 1)
-            runs = np.minimum(lead * block + block, b) - np.maximum(lead * block, a)
+            lead = np.arange(start // block, (stop - 1) // block + 1)
+            runs = np.minimum(lead * block + block, stop) - np.maximum(lead * block, start)
             lead_w = np.ones(len(lead))
             for j in range(t):
                 digit = lead // math.prod(self.shape[j + 1:t]) % self.shape[j]
-                cols[j] = np.repeat(self._axes[j][0][digit], runs)
+                XT[j] = np.repeat(self._axes[j][0][digit], runs)
                 lead_w *= self._axes[j][1][digit]
-            wa[:] = np.repeat(lead_w, runs)
+            w = np.repeat(lead_w, runs)
             for w_axis in tile[1]:
-                wa *= w_axis[o:o + b - a]
-        return XT.T, w
+                w *= w_axis[o:o + stop - start]
+            yield start, stop, XT.T, w
 
 
 def _is_int(value) -> bool:

@@ -96,7 +96,9 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "h_names", tuple(self.h_names))
         object.__setattr__(self, "g_names", tuple(self.g_names))
-        problems = []
+        problems = [] if isinstance(self.name, str) else [f"name={self.name!r} must be a string"]
+        if self.seed < 0:
+            problems.append(f"seed={self.seed} must be >= 0")
         if self.p < 1:
             problems.append(f"p={self.p} must be >= 1")
         if not self.low < self.high:
@@ -157,7 +159,7 @@ class ScenarioConfig:
         """A cell from its JSON object; a bad key is a ValidationError naming the scenario and the key."""
         if not isinstance(d, dict) or "name" not in d:
             raise ValidationError(f"a scenario must be a JSON object with a 'name', got {d!r}")
-        name, participation = str(d["name"]), d.get("participation")
+        name, participation = d["name"], d.get("participation")
 
         def model(key, registry):
             value = d.get(key)
@@ -423,7 +425,7 @@ class GridResult:
         raise KeyError(scenario)
 
 
-def run_grid(configs, methods=ESTIMATOR_NAMES, jobs: int = 1, nodes: int = 16,
+def run_grid(configs, methods=ESTIMATOR_NAMES, jobs: int = 1,
              options: SolverOptions | None = None) -> GridResult:
     """Run every scenario x method cell and aggregate estimation errors.
 
@@ -447,7 +449,7 @@ def run_grid(configs, methods=ESTIMATOR_NAMES, jobs: int = 1, nodes: int = 16,
         raise ValidationError(f"run_grid jobs must be an int >= 1, got {jobs!r}")
     configs = tuple(configs)
     scenario_results = []
-    for config, rows, tau_star in zip(configs, *_grid_rows(configs, methods, jobs, options, nodes)):
+    for config, rows, tau_star in zip(configs, *_grid_rows(configs, methods, jobs, options)):
         per_method = {}
         for method in methods:
             errors = [
@@ -474,7 +476,7 @@ def run_grid(configs, methods=ESTIMATOR_NAMES, jobs: int = 1, nodes: int = 16,
     return GridResult(tuple(scenario_results))
 
 
-def _grid_rows(configs, methods, jobs, options, nodes):
+def _grid_rows(configs, methods, jobs, options):
     """Replicate rows and true target ATE of each config. Every batch of
     every config and the ATE of every distinct (participation, CATE, p, low,
     high) is one task, mapped in process when ``jobs == 1`` and otherwise
@@ -492,7 +494,7 @@ def _grid_rows(configs, methods, jobs, options, nodes):
 
             run = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))).map
         # the ATE tasks go in first, so no worker idles while they run last
-        taus = run(true_target_ate, keyed.values(), repeat(nodes))
+        taus = run(true_target_ate, keyed.values())
         parts = run(_replicates, [configs[i] for i, _ in tasks], repeat(methods),
                     repeat(options), [reps for _, reps in tasks])
         parts, taus = list(parts), dict(zip(keyed, taus))

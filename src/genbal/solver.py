@@ -530,27 +530,20 @@ def solve_et_calibration(design, target, options=None, normalize=False):
     return _one(solution), _weight_set(w, np.ones(design.n), Method.ET, normalize)
 
 
-def solve_two_step(design, target, treated, options=None, normalize=False, q_weights=None):
+def solve_two_step(design, target, treated, options=None, normalize=False):
     """Shift-then-balance calibration: tilt the whole sample to the target,
     then re-balance each arm relative to that tilt.
 
-    The second step minimizes sum(w log(w / q)) per arm. Its constraint
-    right-hand sides are the q-weighted source averages, which at the
-    exact first-step solution coincide with the target summary; they are
+    The first step's weights q are ``solve_et_calibration``'s. The second
+    step minimizes sum(w log(w / q)) per arm. Its constraint right-hand
+    sides are the q-weighted source averages, which at the exact
+    first-step solution coincide with the target summary; they are
     anchored at the target here so the identity is exact rather than
-    holding only to solver tolerance. ``q_weights`` overrides the first
-    step (diagnostics; all ones reduces the procedure to the one-step
-    H-only problem).
+    holding only to solver tolerance.
     """
     opts = options or SolverOptions()
     t = np.asarray(treated, dtype=bool)
-    if q_weights is None:
-        _, q_set = solve_et_calibration(design, target, opts)
-        q = q_set.w
-    else:
-        q = np.asarray(q_weights, dtype=float)
-        if q.shape[0] != design.n or (q <= 0).any():
-            raise ValidationError("q_weights must be positive and aligned to the design")
+    q = solve_et_calibration(design, target, opts)[1].w
     rhs = target.values
     w = np.empty(design.n)
     for arm_mask, label in ((t, "treated arm"), (~t, "control arm")):

@@ -106,6 +106,23 @@ def primal_group_weights(F, target_vals, n_s):
     return primal_entropy_weights(a, np.asarray(target_vals, dtype=float), F.shape[0])
 
 
+def unit_first_step_weights(design, target, treated):
+    """Two-step's second step with a unit first step: each arm calibrated
+    alone, on unit base weights, to the target, as ``solve_two_step`` does."""
+    from genbal import SolverOptions
+    from genbal.errors import _one
+    from genbal.solver import _calibrate_groups
+
+    t = np.asarray(treated, dtype=bool)
+    w = np.empty(design.n)
+    for arm, label in ((t, "treated arm"), (~t, "control arm")):
+        (solution,), w[arm] = _calibrate_groups(
+            [design.h[arm]], [np.ones(int(arm.sum()))], [target.values], [design.n], SolverOptions(), label
+        )
+        _one(solution)
+    return w
+
+
 def finite_difference_gradient(fun, theta, step=1e-5):
     g = np.empty_like(theta)
     for i in range(theta.size):

@@ -509,10 +509,26 @@ CELL = {"name": "cell", "propensity": "P1", "cate": "T1", "baseline": "M1", "n":
     ({"scenarios": [{**CELL, "high": float("inf")}]}, "scenario 'cell': high=inf must be finite"),
     ({"scenarios": [{**CELL, "low": float("-inf")}]}, "scenario 'cell': low=-inf must be finite"),
     ({"builtin_grid": {"noise_sd": float("inf")}}, "scenario 'P1-T1-M1': noise_sd=inf must be finite"),
+    ({"scenarios": [{**CELL, "seed": -1}]}, "scenario 'cell': seed=-1 must be >= 0"),
+    ({"builtin_grid": {"seed": -1}}, "scenario 'P1-T1-M1': seed=-1 must be >= 0"),
+    ({"scenarios": [{**CELL, "name": [1]}]}, "scenario [1]: name=[1] must be a string"),
+    ({"scenarios": [{**CELL, "name": 7}]}, "scenario 7: name=7 must be a string"),
+    ({"scenarios": [{**CELL, "cate": {"terms": [{"kind": "linear", "coef": float("nan"), "index": 2}]}}]},
+     "scenario 'cell': cate: model term coef must be finite, got nan"),
+    ({"scenarios": [{**CELL, "propensity": {"terms": [{"kind": "const", "coef": float("inf")}]}}]},
+     "scenario 'cell': propensity: model term coef must be finite, got inf"),
+    ({"scenarios": [{**CELL, "baseline": {"terms": [
+        {"kind": "expaffine", "coef": 1.0, "offset": float("-inf"), "slopes": {"x2": 1.0}}]}}]},
+     "scenario 'cell': baseline: model term offset must be finite, got -inf"),
+    ({"scenarios": [{**CELL, "cate": {"terms": [
+        {"kind": "expaffine", "coef": 1.0, "slopes": {"x1": 0.5, "x3": float("nan")}}]}}]},
+     "scenario 'cell': cate: model term x3 must be finite, got nan"),
 ], ids=["n", "seed", "low", "builtin-n", "builtin-list", "builtin-fractional-n", "fractional-replicates",
         "bool-seed", "no-propensity", "no-baseline", "cell-not-object", "string-index", "no-kind", "no-coef",
         "string-coef", "bad-slope-key", "h-not-list", "h-non-string-term", "g-string", "builtin-string-noise-sd",
-        "builtin-bool-noise-sd", "string-low", "infinite-high", "infinite-low", "builtin-infinite-noise-sd"])
+        "builtin-bool-noise-sd", "string-low", "infinite-high", "infinite-low", "builtin-infinite-noise-sd",
+        "negative-seed", "builtin-negative-seed", "list-name", "number-name", "nan-coef", "infinite-coef",
+        "infinite-offset", "nan-slope"])
 def test_cli_bad_scenario_number_is_validation_error(tmp_path, capsys, command, payload, message):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(payload))
@@ -568,3 +584,51 @@ def test_scenario_whole_float_sizes_load_as_ints(tmp_path):
     (config,) = load_scenarios_json(path)
     assert (config.n, config.replicates) == (50, 2)
     assert isinstance(config.n, int) and isinstance(config.replicates, int)
+
+
+@pytest.mark.parametrize("command", ["weights", "estimate"])
+@pytest.mark.parametrize("roles, column", [
+    (["--covariates", "y,x1"], "y"),
+    (["--covariates", "x1,a"], "a"),
+    (["--covariates", "x1,x2,x1"], "x1"),
+    (["--treatment", "y", "--covariates", "x1"], "y"),
+], ids=["outcome-as-covariate", "treatment-as-covariate", "covariate-twice", "treatment-is-outcome"])
+def test_cli_column_in_two_roles_is_validation_error(tmp_path, capsys, command, roles, column):
+    _, _, source, basis, target = _write_inputs(tmp_path)
+    code = main([command, "--source", str(source), "--basis", str(basis), "--target-summary", str(target),
+                 "--out", str(tmp_path / "out"), *roles] + (["--method", "et"] if command == "weights" else []))
+    assert code == 2
+    assert _validation_error(capsys) == (
+        f"genbal: validation error: column {column!r} is listed more than once among the "
+        "treatment, outcome and covariates\n"
+    )
+    with pytest.raises(ValidationError) as info:
+        ColumnSchema("a", "y", ("x1", "x1"))
+    assert info.value.code == "DUPLICATE_COLUMN"
+
+
+@pytest.mark.parametrize("command", ["weights", "estimate"])
+def test_cli_used_column_twice_in_the_header_is_validation_error(tmp_path, capsys, command):
+    _, _, _, _, target = _write_inputs(tmp_path)
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps({"h": ["const", "x1"]}))
+    target.write_text(json.dumps({"const": 1, "x1": 2.0}))
+    rows = [(1, 0.5, 1), (0, 0.2, 3), (1, 0.1, 3), (0, 0.3, 1), (1, 0.4, 2), (0, 0.6, 2), (1, 0.7, 4), (0, 0.8, 1)]
+    source = tmp_path / "dup.csv"
+    source.write_text("a,y,x1,x1,z,z\n" + "".join(f"{a},{y},{x},{x},0,0\n" for a, y, x in rows))
+    args = [command, "--source", str(source), "--basis", str(basis), "--target-summary", str(target),
+            "--out", str(tmp_path / "out"), "--covariates", "x1"]
+    assert main(args) == 2
+    assert _validation_error(capsys) == (
+        f"genbal: validation error: column 'x1' is in the header of {source} more than once\n"
+    )
+    # an unused column may repeat
+    source.write_text("a,y,x1,z,z\n" + "".join(f"{a},{y},{x},0,0\n" for a, y, x in rows))
+    assert main(args) == 0
+
+
+def test_cli_negative_seed_flag_is_validation_error(tmp_path, capsys):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"scenarios": [CELL]}))
+    assert main(["simulate", "--scenario", str(scen), "--seed", "-1"]) == 2
+    assert "scenario 'cell': seed=-1 must be >= 0" in _validation_error(capsys)

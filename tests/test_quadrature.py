@@ -24,7 +24,7 @@ def test_grid_shape_order_and_weights():
     # integrates a polynomial of degree <= 2 * nodes - 1 per axis exactly
     x = grid.points
     exact = 1.0 * (7.0 / 3.0) * 5.0  # E[X1] E[X2^2] E[X3^3] on U(-1, 3)
-    assert grid.expect(x[:, 0] * x[:, 1] ** 2 * x[:, 2] ** 3) == pytest.approx(exact, rel=1e-13)
+    assert grid.weights @ (x[:, 0] * x[:, 1] ** 2 * x[:, 2] ** 3) == pytest.approx(exact, rel=1e-13)
 
 
 def test_zero_dimensional_grid_is_the_empty_product():
@@ -79,7 +79,7 @@ def test_hand_built_grid_is_coerced_and_read_only():
     assert grid.points.dtype == float and grid.weights.dtype == float
     assert grid.shape is None
     assert not grid.points.flags.writeable and not grid.weights.flags.writeable
-    assert grid.expect([4.0, 8.0]) == 7.0
+    assert grid.weights @ [4.0, 8.0] == 7.0
 
 
 # the all-None third column keeps each case's id stable
@@ -138,21 +138,28 @@ def test_row_blocks_are_the_whole_grids_rows_bit_for_bit(monkeypatch, p, nodes, 
     monkeypatch.setattr(quadrature, "_CHUNK_ROWS", rows)
     points, weights = _whole_grid(p, nodes)
     tensor = gb.gauss_legendre_box(p, nodes=nodes)
-    # the chunks a pass reads, blocks that straddle the trailing-axes
-    # block (nodes ** 3 rows, or fewer when that exceeds the chunk), the
-    # last row, an empty block and the whole grid
-    block = nodes ** min(p, 3)
-    blocks = [(a, min(a + rows, size)) for a in range(0, size, rows)]
-    blocks += [(max(block - 2, 0), min(block + 3, size)), (size - 1, size), (size, size), (0, size)]
+    # blocks of `rows` rows in order, the last one shorter
+    bounds = [(a, min(a + rows, size)) for a in range(0, size, rows)]
     for grid in (tensor, gb.QuadratureGrid(points, weights)):
-        for a, b in blocks:
-            X, w = grid.rows(a, b)
+        got = list(grid.blocks())
+        assert [(a, b) for a, b, _, _ in got] == bounds
+        for a, b, X, w in got:
             assert np.array_equal(X, points[a:b]) and np.array_equal(w, weights[a:b]), (a, b)
     # built whole on first access, with the same bits, C order, read-only
     assert np.array_equal(tensor.points, points) and np.array_equal(tensor.weights, weights)
     assert tensor.points.flags.c_contiguous
     assert not tensor.points.flags.writeable and not tensor.weights.flags.writeable
     assert tensor.points is tensor.points
+
+
+def test_one_grid_reads_the_same_rows_as_the_block_size_changes(monkeypatch):
+    points, weights = _whole_grid(5, 4)
+    grid = gb.gauss_legendre_box(5, nodes=4)
+    for rows in (7, 1024, 3, 5000):
+        monkeypatch.setattr(quadrature, "_CHUNK_ROWS", rows)
+        got = list(grid.blocks())
+        assert np.array_equal(np.vstack([X for _, _, X, _ in got]), points), rows
+        assert np.array_equal(np.concatenate([w for _, _, _, w in got]), weights), rows
 
 
 def _traced_peak(fn):

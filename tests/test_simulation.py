@@ -149,7 +149,7 @@ def test_run_grid_computes_true_ate_once_per_integrand(monkeypatch):
     configs = gb.builtin_grid(n=200, replicates=2) + (
         gb.builtin_scenario("P1", "T1", "M1", n=200, replicates=2, low=-1.0, high=1.0),
     )
-    result = gb.run_grid(configs, ["ipw"], nodes=8)
+    result = gb.run_grid(configs, ["ipw"])
     # T1 and T2 on the default box, plus T1 on the narrower box
     assert len(calls) == 3
     by_key = {}
@@ -158,7 +158,7 @@ def test_run_grid_computes_true_ate_once_per_integrand(monkeypatch):
         by_key.setdefault(key, set()).add(scen.tau_star)
     assert len(by_key) == 3
     assert all(len(values) == 1 for values in by_key.values())
-    assert result.scenarios[0].tau_star == real(configs[0], nodes=8)
+    assert result.scenarios[0].tau_star == real(configs[0])
 
 
 @pytest.mark.parametrize(

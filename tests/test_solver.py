@@ -15,6 +15,7 @@ from helpers import (
     primal_group_weights,
     primal_joint_weights,
     random_instance,
+    unit_first_step_weights,
 )
 
 
@@ -235,11 +236,9 @@ def test_two_step_near_uniform_when_target_is_source_and_arms_balanced():
 def test_two_step_with_unit_q_reduces_to_one_step():
     rng = np.random.default_rng(16)
     sample, spec, design, target, _ = random_instance(rng, n_s=30, k_h=2, k_g=1)
-    ws_forced = gb.solve_two_step(
-        design, target, sample.treated, q_weights=np.ones(design.n)
-    )
+    w_forced = unit_first_step_weights(design, target, sample.treated)
     _, ws_one = gb.solve_ebal(design, target, sample.treated)
-    np.testing.assert_allclose(ws_forced.w, ws_one.w, atol=1e-9)
+    np.testing.assert_allclose(w_forced, ws_one.w, atol=1e-9)
 
 
 def test_att_uniform_when_arms_identical():
