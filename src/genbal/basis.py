@@ -230,6 +230,14 @@ class BasisSpec:
         return cls(tuple(terms))
 
 
+def _numeric(values, name) -> np.ndarray:
+    """``values`` as a float array, or a ValidationError naming ``name``."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"non-numeric value in {name}", code="NON_FINITE_CELL") from None
+
+
 @dataclasses.dataclass(frozen=True)
 class SourceSample:
     """Individual-level source data: covariates, binary treatment, outcome."""
@@ -239,9 +247,9 @@ class SourceSample:
     Y: np.ndarray
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        A = np.asarray(self.A)
-        Y = np.asarray(self.Y, dtype=float).ravel()
+        X = np.atleast_2d(_numeric(self.X, "X (covariates)"))
+        A = _numeric(self.A, "A (treatment)")
+        Y = _numeric(self.Y, "Y (outcomes)").ravel()
         if X.ndim != 2:
             raise ValidationError("X must be a 2-d (n_s, p) array")
         n = X.shape[0]
@@ -251,12 +259,11 @@ class SourceSample:
             raise ValidationError("non-finite value in covariates", code="NON_FINITE_CELL")
         if not np.isfinite(Y).all():
             raise ValidationError("non-finite value in outcomes", code="NON_FINITE_CELL")
-        a = np.asarray(A, dtype=float)
-        if not ((a == 0) | (a == 1)).all():
+        if not ((A == 0) | (A == 1)).all():
             raise ValidationError(
                 "treatment must contain only 0/1 values", code="NON_BINARY_TREATMENT"
             )
-        A = a.astype(np.int64)
+        A = A.astype(np.int64)
         if A.sum() == 0 or A.sum() == n:
             raise ValidationError("both treatment arms must be non-empty")
         for arr in (X, A, Y):

@@ -146,11 +146,12 @@ def _schema_from_args(args, header_path) -> ColumnSchema:
 
         with open(header_path, newline="") as fh:
             header = next(_csv.reader(fh), [])  # the loader rejects an empty file
-        covariates = tuple(
+        # a repeated header column is listed once, so the loader names the file
+        covariates = tuple(dict.fromkeys(
             c.strip()
             for c in header
             if c.strip() not in (args.treatment, args.outcome)
-        )
+        ))
     categorical = tuple(c.strip() for c in args.categorical.split(",") if c.strip())
     return ColumnSchema(args.treatment, args.outcome, covariates, categorical)
 

@@ -23,17 +23,6 @@ def sigmoid(s):
     return out
 
 
-def stack_padded(arrays):
-    """The arrays stacked on a new axis, zero-padded to the longest; a stack
-    of one is a view."""
-    if len(arrays) == 1:
-        return arrays[0][None]
-    out = np.zeros((len(arrays), max(len(a) for a in arrays)) + arrays[0].shape[1:])
-    for slot, a in zip(out, arrays):
-        slot[:len(a)] = a
-    return out
-
-
 def solve_each(a, b):
     """Solutions of the systems a[r] x = b[r] from one batched solve. If
     that fails, each is solved alone, so only the singular ones get NaN."""

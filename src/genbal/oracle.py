@@ -172,7 +172,8 @@ def _limiting_dual(truth, spec, grid, tol=1e-8, max_iter=100):
         w_rho += float(w @ rho)
     opts = SolverOptions(tol=tol, max_iter=max_iter, score_cap=np.inf)
     target = Hs.T @ wt / wt.sum()
-    problem = _GroupDual.one_block([Hs], [base / w_rho], [target], [1], opts.score_cap)
+    problem = _GroupDual(Hs[None, None], (base / w_rho)[None, None], np.arange(Hs.shape[1])[None],
+                         np.arange(n_sub), [target], [1], opts.score_cap)
     (solution,), _ = _solve_dual(problem, "H on the quadrature grid", opts, CalibrationSolution)
     return _one(solution).beta, w_rho, float(wt.sum())
 

@@ -19,10 +19,14 @@ The joint dual is two blocks: the treated rows over [H | G] reading
 (lambda1, gamma) and the control rows over [H | -G] reading (lambda0,
 gamma), with base 1 and target (hbar, hbar, 0). Its Hessian is the two
 per-arm Gram matrices laid into theta coordinates; they overlap only in
-the gamma block. The per-group calibrations are one block of their arm's
-H columns, the oracle of :mod:`genbal.oracle` one block over a quadrature
-grid. The treatment logit of :mod:`genbal.estimators` has the same
-interface. One damped-Newton loop, ``_solve_dual``, solves them all, for
+the gamma block. The per-group calibrations are one block of H columns
+over the whole sample or one arm. Every dual over source rows is laid out
+one way: each row of a batch gets a block label, -1 for a row outside the
+problem, and one take from the batch's [H | G] rows fills every member's
+zero-padded blocks. The oracle of :mod:`genbal.oracle`, which has no
+design rows, builds its one block over a quadrature grid directly. The
+treatment logit of :mod:`genbal.estimators` has the same interface.
+One damped-Newton loop, ``_solve_dual``, solves them all, for
 a batch of data sets at once: the blocks carry a leading batch axis, each
 member runs its own line search and is frozen when it converges or
 fails, and every public ``solve_*`` is a batch of one. Its first Hessian,
@@ -47,7 +51,7 @@ import numpy as np
 
 from .basis import DesignMatrices, TargetSummary
 from .errors import NonConvergenceError, RankDeficiencyError, ValidationError, WeightUnderflowError, _one
-from .mathutil import solve_each, stack_padded
+from .mathutil import solve_each
 
 __all__ = [
     "Method",
@@ -219,7 +223,7 @@ class _GroupDual:
     map ``cols`` into theta is shared. ``base`` is ``(R, b, m)`` and 0 on
     pad rows. ``target_vals`` and ``n_s`` hold a row and a size per member,
     and ``rows`` the flat position in the ``(R, b, m)`` stack of every
-    member's source rows, the members back to back. A pad row scores 0,
+    member's rows in it, the members back to back. A pad row scores 0,
     below the positive score cap SolverOptions checks, and weighs 0.
     Moments and Gram matrices are scattered into theta with one
     ``bincount`` each, offset by member. Methods take theta as ``(R, d)``.
@@ -236,13 +240,31 @@ class _GroupDual:
         self._hess_at = ((offsets[..., None] + cols[:, :, None]) * self.dim + cols[:, None, :]).ravel()
 
     @classmethod
-    def one_block(cls, Fs, bases, target_vals, n_s, score_cap):
-        """The dual of each member over the rows of its F, with theta indexing
-        F's columns. A batch of one keeps F and its base."""
-        E = stack_padded([np.ascontiguousarray(F) for F in Fs])[:, None]
-        base = stack_padded([np.asarray(b, dtype=float) for b in bases])[:, None]
-        rows = np.flatnonzero(np.arange(E.shape[2]) < np.array([len(F) for F in Fs])[:, None])
-        return cls(E, base, np.arange(E.shape[-1])[None], rows, target_vals, n_s, score_cap)
+    def gather(cls, designs, labels, cols, target_vals, score_cap, base=1.0):
+        """The dual of each design of one batch over its labelled rows, n_s its
+        whole sample: ``labels`` puts every row of the members, back to back, in
+        a block (an arm or the whole sample, never empty) or in none (-1), and
+        block b reads the first k columns of [H | G] at theta[cols[b]]. A row
+        goes to its block's start, (r B + b) m for member r, plus its rank there
+        by cumsums; one take fills E (row 0 of the batch is zero and pads the
+        blocks) and the base (1 or one weight per row) is scattered alike."""
+        if any(d.rows is not designs[0].rows for d in designs):
+            raise ValidationError("the designs of one joint solve must be built in one batch")
+        n, (B, k), kept = np.array([d.n for d in designs]), cols.shape, labels >= 0
+        hit = labels == np.arange(B)[:, None]  # (b, N)
+        seen = np.cumsum(hit, axis=1)  # each block's rows up to and with each row
+        upto = seen[:, np.cumsum(n) - 1]  # (b, R): up to each member's last row
+        count = np.diff(upto, axis=1, prepend=0).T
+        if not count.all():
+            raise ValidationError("both arms must be non-empty")
+        m = int(count.max())
+        start = (np.arange(0, count.size, B) + np.arange(B)[:, None]) * m - 1 - (upto - count.T)
+        rows = ((np.repeat(start, n, axis=1) + seen) * hit).sum(axis=0)[kept]
+        source = np.repeat(np.array([d.first for d in designs]) - (np.cumsum(n) - n), n) + np.arange(len(labels))
+        at, weights = np.zeros(count.size * m, dtype=np.intp), np.zeros(count.size * m)
+        at[rows], weights[rows] = source[kept], np.broadcast_to(base, labels.shape)[kept]
+        E = np.take(designs[0].rows[:, :k], at, axis=0).reshape(*count.shape, m, k)
+        return cls(E, weights.reshape(*count.shape, m), cols, rows, target_vals, n, score_cap)
 
     def scores(self, theta):
         return np.matmul(self.E, theta[:, self.cols][..., None])[..., 0]
@@ -303,36 +325,18 @@ def _JointDual(designs, targets, treateds, score_cap, with_g=True):
     treated rows over [H | G] and the control rows over [H | -G], with
     block columns (lambda1, gamma) and (lambda0, gamma) of theta =
     (lambda1, lambda0, gamma), base 1 and target (hbar, hbar, 0); G is
-    dropped when ``with_g`` is false. The designs come from one batch, and
-    one take gathers every member's rows from the batch's rows into the
-    padded blocks, through a flat map from each row to its block position,
-    which maps the weights back to source order; the control G columns are
-    negated once, here."""
+    dropped when ``with_g`` is false. The rows are gathered with the arm
+    as block label, and the control G columns are negated once, here."""
     kh, kg = designs[0].h.shape[1], designs[0].g.shape[1] if with_g else 0
-    n = np.array([d.n for d in designs])
-    if [len(t) for t in treateds] != n.tolist():
+    if [len(t) for t in treateds] != [d.n for d in designs]:
         raise ValidationError("treated mask misaligned with design rows")
-    t = np.concatenate(treateds).astype(bool, copy=False)
-    R, N = len(n), int(n.sum())
-    group = np.repeat(np.arange(0, 2 * R, 2), n) + ~t  # block 0 treated, block 1 control
-    count = np.bincount(group, minlength=2 * R).reshape(R, 2)
-    if not count.all():
-        raise ValidationError("both arms must be non-empty")
-    m = int(count.max())
-    c1 = np.cumsum(t, dtype=np.intp)
-    earlier = (np.cumsum(count, axis=0) - count).ravel()  # each arm's rows in earlier members
-    rows = group * m + np.where(t, c1, np.arange(1, N + 1) - c1) - 1 - earlier[group]
-    if any(d.rows is not designs[0].rows for d in designs):
-        raise ValidationError("the designs of one joint solve must be built in one batch")
-    at = np.zeros(2 * R * m, dtype=np.intp)  # row 0 of a batch is zero and pads the blocks
-    at[rows] = np.repeat(np.array([d.first for d in designs]) - (np.cumsum(n) - n), n) + np.arange(N)
-    E = np.take(designs[0].rows, at, axis=0)
-    E = np.ascontiguousarray(E[:, :kh + kg]).reshape(R, 2, m, kh + kg)
-    E[:, 1, :, kh:] *= -1.0
     cols = np.hstack([np.arange(2 * kh).reshape(2, kh), np.tile(np.arange(2 * kh, 2 * kh + kg), (2, 1))])
     hbar = np.array([t.values for t in targets])
-    return _GroupDual(E, (np.arange(m) < count[..., None]).astype(float), cols, rows,
-                      np.hstack([hbar, hbar, np.zeros((R, kg))]), n, score_cap)
+    arm = np.where(np.concatenate(treateds), 0, 1)  # block 0 treated, block 1 control
+    problem = _GroupDual.gather(designs, arm, cols,
+                                np.hstack([hbar, hbar, np.zeros((len(designs), kg))]), score_cap)
+    problem.E[:, 1, :, kh:] *= -1.0
+    return problem
 
 
 def dual_objective(lambda1, lambda0, gamma, design, target, treated, score_cap=30.0):
@@ -505,19 +509,19 @@ def solve_ebal(design, target, treated, options=None, normalize=False):
     return _one(solution), _weight_set(w, treated, Method.EBAL, normalize)
 
 
-def _calibrate_groups(Fs, bases, target_vals, n_s, opts, what):
-    """Each member's group calibration, CalibrationSolution or its error,
-    and the members' weights back to back in source order."""
-    problem = _GroupDual.one_block(Fs, bases, target_vals, n_s, opts.score_cap)
+def _calibrate_groups(designs, labels, base, target_vals, opts, what):
+    """Each member's calibration of its rows labelled 0 on H, CalibrationSolution
+    or its error, and those rows' weights back to back in source order."""
+    cols = np.arange(designs[0].h.shape[1])[None]
+    problem = _GroupDual.gather(designs, labels, cols, target_vals, opts.score_cap, base)
     outcomes, w = _solve_dual(problem, what, opts, CalibrationSolution, (what,))
     return outcomes, problem.in_source_order(w)
 
 
 def _et_weights(designs, targets, options=None):
-    """_calibrate_groups of each member's whole sample on H to its target."""
-    return _calibrate_groups([d.h for d in designs], [np.ones(d.n) for d in designs],
-                             [t.values for t in targets], [d.n for d in designs],
-                             options or SolverOptions(), "H design")
+    """_calibrate_groups of each member's whole sample to its target."""
+    return _calibrate_groups(designs, np.zeros(sum(d.n for d in designs), dtype=int), 1.0,
+                             [t.values for t in targets], options or SolverOptions(), "H design")
 
 
 def solve_et_calibration(design, target, options=None, normalize=False):
@@ -544,12 +548,9 @@ def solve_two_step(design, target, treated, options=None, normalize=False):
     opts = options or SolverOptions()
     t = np.asarray(treated, dtype=bool)
     q = solve_et_calibration(design, target, opts)[1].w
-    rhs = target.values
     w = np.empty(design.n)
-    for arm_mask, label in ((t, "treated arm"), (~t, "control arm")):
-        (solution,), w[arm_mask] = _calibrate_groups(
-            [design.h[arm_mask]], [q[arm_mask]], [rhs], [design.n], opts, label
-        )
+    for arm, label in ((t, "treated arm"), (~t, "control arm")):
+        (solution,), w[arm] = _calibrate_groups([design], np.where(arm, 0, -1), q, [target.values], opts, label)
         _one(solution)
     return _weight_set(w, t, Method.TWO_STEP, normalize)
 
@@ -565,10 +566,8 @@ def solve_att(design, treated, options=None, normalize=False):
     t = np.asarray(treated, dtype=bool)
     if t.sum() == 0 or (~t).sum() == 0:
         raise ValidationError("both arms must be non-empty")
-    target_vals = design.h[t].mean(axis=0)
-    w = np.empty(design.n)
-    (solution,), w[~t] = _calibrate_groups([design.h[~t]], [np.ones(int((~t).sum()))], [target_vals],
-                                           [design.n], opts, "control arm")
+    w = np.full(design.n, design.n / t.sum())
+    (solution,), w[~t] = _calibrate_groups([design], np.where(t, -1, 0), 1.0, [design.h[t].mean(axis=0)],
+                                           opts, "control arm")
     _one(solution)
-    w[t] = design.n / t.sum()
     return _weight_set(w, t, Method.ATT, normalize)

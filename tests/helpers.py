@@ -117,7 +117,7 @@ def unit_first_step_weights(design, target, treated):
     w = np.empty(design.n)
     for arm, label in ((t, "treated arm"), (~t, "control arm")):
         (solution,), w[arm] = _calibrate_groups(
-            [design.h[arm]], [np.ones(int(arm.sum()))], [target.values], [design.n], SolverOptions(), label
+            [design], np.where(arm, 0, -1), 1.0, [target.values], SolverOptions(), label
         )
         _one(solution)
     return w

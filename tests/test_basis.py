@@ -183,6 +183,18 @@ def test_source_sample_validation():
         sample.X[0, 0] = 2.0  # frozen arrays
 
 
+@pytest.mark.parametrize("X, A, Y, name", [
+    ([["x"], ["y"]], [1, 0], [0.0, 1.0], "X"),
+    ([[1.0], [2.0]], ["a", "b"], [0.0, 1.0], "A"),
+    ([[1.0], [2.0]], [1, 0], ["u", "v"], "Y"),
+    ([[1.0], [2.0]], [1, 0], [0.0, 1j], "Y"),
+])
+def test_source_sample_non_numeric_input_is_a_typed_error_naming_the_array(X, A, Y, name):
+    with pytest.raises(ValidationError, match=f"non-numeric value in {name} ") as info:
+        gb.SourceSample(X, A, Y)
+    assert info.value.code == "NON_FINITE_CELL"
+
+
 def test_standardize_then_align_commutes_with_raw_solve():
     # same weights and raw-unit balance residuals either way
     rng = np.random.default_rng(3)

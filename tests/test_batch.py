@@ -13,6 +13,7 @@ it gets alone.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ from genbal import estimators
 from genbal.basis import _design_batch
 from genbal.errors import GenbalError, ValidationError
 from genbal.estimators import ESTIMATORS, _SharedWork
-from genbal.solver import Method, _et_weights, _joint_weights
+from genbal.solver import Method, _et_weights, _GroupDual, _joint_weights
 
 SPEC = gb.BasisSpec.from_names(["const", "x1", "x2"], ["x3"])
 KINDS = ("feasible", "collinear", "infeasible", "separated", "duplicated")
@@ -277,3 +278,67 @@ def test_a_batch_evaluates_each_basis_term_once_over_its_rows(monkeypatch):
     # every sample's rows, each sample's after one zero row, in one call per term
     rows = sum(d.sample.n_s for d in draws) + len(draws)
     assert calls == [(term.name, rows) for term in config.basis().terms]
+
+
+@pytest.mark.parametrize("member", [1, 2])
+def test_calibrations_on_a_design_inside_a_batch_match_the_design_built_alone(member):
+    rng = np.random.default_rng(41)
+    members = [_member(rng, n, n1, "feasible") for n, n1 in ((30, 12), (45, 20), (38, 19))]
+    designs = _design_batch(SPEC, [sample for sample, _ in members])
+    sample, raw = members[member]
+    shared, alone = designs[member], gb.evaluate_basis(SPEC, sample)
+    assert shared.rows is designs[0].rows and shared.first > 1 and alone.first == 1
+
+    def weights(design):
+        target = gb.align_target_summary(SPEC, raw, design)
+        return [gb.solve_et_calibration(design, target)[1].w, gb.solve_two_step(design, target, sample.treated).w,
+                gb.solve_att(design, sample.treated).w]
+
+    for w_shared, w_alone in zip(weights(shared), weights(alone)):
+        assert w_shared.tobytes() == w_alone.tobytes()
+
+
+@st.composite
+def labelled_batches(draw):
+    """Designs of 1-4 of the members of one batch, in any order, with a
+    label in {-1, ..., b - 1} for each of their 2-60 rows, b 1 or 2 blocks
+    of the first k columns of [H | G], and a base of 1 or a weight per row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(2, 60), min_size=1, max_size=4))
+    samples = [gb.SourceSample(rng.normal(size=(n, 3)), np.arange(n) % 2, np.zeros(n)) for n in sizes]
+    batch = _design_batch(SPEC, samples)
+    order = draw(st.permutations(range(len(batch))))
+    designs = [batch[i] for i in order[:draw(st.integers(1, len(order)))]]
+    blocks = draw(st.integers(1, 2))
+    labels = rng.integers(-1, blocks, size=sum(d.n for d in designs))
+    base = rng.random(labels.size) + 0.5 if draw(st.booleans()) else 1.0
+    return designs, labels, np.arange(blocks * draw(st.integers(1, 4))).reshape(blocks, -1), base
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(batch=labelled_batches())
+def test_the_gather_stacks_each_members_labelled_rows_zero_padded(batch):
+    designs, labels, cols, base = batch
+    B, k = cols.shape
+    per_member = np.split(np.arange(labels.size), np.cumsum([d.n for d in designs])[:-1])
+    picks = [[at[labels[at] == b] for b in range(B)] for at in per_member]
+    args = (designs, labels, cols, np.zeros((len(designs), cols.size)), 30.0, base)
+    if min(len(p) for member in picks for p in member) == 0:
+        with pytest.raises(ValidationError, match="both arms must be non-empty"):
+            _GroupDual.gather(*args)
+        return
+    problem = _GroupDual.gather(*args)
+    # the reference: each block's rows in source order, zero-padded to the longest
+    m = max(len(p) for member in picks for p in member)
+    E = np.zeros((len(designs), B, m, k))
+    weights, source = np.zeros((2, len(designs), B, m))
+    full = np.broadcast_to(base, labels.shape)
+    for r, (design, member, at) in enumerate(zip(designs, picks, per_member)):
+        rows = np.hstack([design.h, design.g])[:, :k]
+        for b, p in enumerate(member):
+            E[r, b, :len(p)], weights[r, b, :len(p)], source[r, b, :len(p)] = rows[p - at[0]], full[p], p
+    np.testing.assert_array_equal(problem.E, E)
+    np.testing.assert_array_equal(problem.base, weights)
+    assert problem.E.flags.c_contiguous
+    np.testing.assert_array_equal(problem.in_source_order(source), np.flatnonzero(labels >= 0))
+    np.testing.assert_array_equal(problem.n_s, [d.n for d in designs])

@@ -627,6 +627,22 @@ def test_cli_used_column_twice_in_the_header_is_validation_error(tmp_path, capsy
     assert main(args) == 0
 
 
+@pytest.mark.parametrize("command", ["weights", "estimate"])
+def test_cli_repeated_header_column_with_default_covariates_names_the_file(tmp_path, capsys, command):
+    _, _, _, _, target = _write_inputs(tmp_path)
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps({"h": ["const", "x1"]}))
+    target.write_text(json.dumps({"const": 1, "x1": 2.0}))
+    rows = [(1, 0.5, 1), (0, 0.2, 3), (1, 0.1, 3), (0, 0.3, 1), (1, 0.4, 2), (0, 0.6, 2)]
+    source = tmp_path / "dup.csv"
+    source.write_text("a,y,x1,x1\n" + "".join(f"{a},{y},{x},{x}\n" for a, y, x in rows))
+    assert main([command, "--source", str(source), "--basis", str(basis), "--target-summary", str(target),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert _validation_error(capsys) == (
+        f"genbal: validation error: column 'x1' is in the header of {source} more than once\n"
+    )
+
+
 def test_cli_negative_seed_flag_is_validation_error(tmp_path, capsys):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps({"scenarios": [CELL]}))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genbal as gb
-from genbal import quadrature
+from genbal import oracle, quadrature
 from genbal.errors import (
     HypothesisViolationError,
     NonConvergenceError,
@@ -22,7 +22,6 @@ from genbal.errors import (
 )
 from genbal.mathutil import sigmoid
 from genbal.models import CATE_MODELS, PROPENSITY_MODELS, CovariateFunction, FunctionTerm
-from genbal.solver import _GroupDual
 
 
 def _linear(*pairs):
@@ -545,19 +544,19 @@ def test_oracle_cli_at_20_nodes_keeps_its_peak_rss_small(tmp_path):
 )
 def test_limiting_dual_solves_over_the_sub_grid_of_the_axes_h_reads(monkeypatch, h, g, read):
     rows = []
-    one_block = _GroupDual.one_block
+    solve_dual = oracle._solve_dual
 
-    def spy(Fs, *args):
-        rows.append([len(F) for F in Fs])
-        return one_block(Fs, *args)
+    def spy(problem, *args):
+        rows.append(problem.E.shape[2])
+        return solve_dual(problem, *args)
 
-    monkeypatch.setattr(_GroupDual, "one_block", spy)
+    monkeypatch.setattr(oracle, "_solve_dual", spy)
     spec = gb.BasisSpec.from_names(h, g)
     truth = gb.TruthFunctions.from_scenario(gb.builtin_scenario("P2", "T1", "M1"), spec)
     grid = gb.gauss_legendre_box(5, -2.0, 2.0, 6)
     gb.asymptotic_variance(truth, spec, grid)
     gb.solve_limiting_dual(truth, spec, gb.QuadratureGrid(grid.points, grid.weights))
-    assert rows == [[6 ** read], [6 ** 5]]
+    assert rows == [6 ** read, 6 ** 5]
 
 
 @pytest.mark.parametrize("cell", [c for c in _PINNED_REPORTS if "H-only" not in c])

@@ -473,3 +473,17 @@ def test_joint_dual_rejects_designs_built_in_different_batches():
     other = gb.evaluate_basis(spec, sample)
     with pytest.raises(gb.ValidationError, match="one batch"):
         _JointDual([design, other], [target, target], [sample.treated] * 2, score_cap=30.0)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda design, target, t: gb.solve_extended(design, target, t),
+    lambda design, target, t: gb.solve_ebal(design, target, t),
+    lambda design, target, t: gb.solve_two_step(design, target, t),
+    lambda design, target, t: gb.solve_att(design, t),
+], ids=["extended", "ebal", "two_step", "att"])
+@pytest.mark.parametrize("treated", [True, False], ids=["all-treated", "all-control"])
+def test_a_solve_over_an_empty_arm_is_a_validation_error(solve, treated):
+    rng = np.random.default_rng(13)
+    sample, spec, design, target, _ = random_instance(rng, n_s=30, k_h=2, k_g=1)
+    with pytest.raises(gb.ValidationError, match="both arms must be non-empty"):
+        solve(design, target, np.full(design.n, treated))
