@@ -20,7 +20,7 @@ import re
 
 import numpy as np
 
-from .errors import ValidationError, _one
+from .errors import GenbalError, ValidationError, _one
 
 __all__ = [
     "TRANSFORMS",
@@ -295,6 +295,20 @@ class SourceSample:
         return self.A == 1
 
 
+def _source_samples(X, A, Y, sizes) -> list:
+    """Read-only SourceSamples of members whose float X, Y and 0/1 int64 A lie back to back, ``sizes``
+    rows each, checked once over the batch; if that fails, each is built alone to raise its own error."""
+    ones = np.add.reduceat(A, at := np.cumsum(sizes) - sizes)
+    if not (np.isfinite(X).all() and np.isfinite(Y).all() and ((ones > 0) & (ones < sizes)).all()):
+        return [SourceSample(*(v[a:a + k] for v in (X, A, Y))) for a, k in zip(at, sizes)]
+    samples = [object.__new__(SourceSample) for _ in at]
+    for name, arr in zip("XAY", (X, A, Y)):
+        arr.setflags(write=False)
+        for sample, part in zip(samples, np.split(arr, at[1:])):
+            object.__setattr__(sample, name, part)
+    return samples
+
+
 @dataclasses.dataclass(frozen=True)
 class DesignMatrices:
     """Materialized H and G columns plus the affine scaling that produced them.
@@ -419,29 +433,33 @@ def _design_batch(spec: BasisSpec, samples, standardize: bool = True) -> list:
     return out
 
 
-def align_target_summary(
-    spec: BasisSpec,
-    raw,
-    design: DesignMatrices,
-    n_t: int | None = None,
-) -> TargetSummary:
+def align_target_summary(spec: BasisSpec, raw, design: DesignMatrices, n_t: int | None = None) -> TargetSummary:
     """Map raw target means onto the design's standardized coordinates."""
-    if design.spec.h_names != spec.h_names:
-        raise ValidationError("design was built from a different basis")
-    raw = np.asarray(raw, dtype=float).ravel()
-    if raw.shape[0] != len(spec.h_terms):
-        raise ValidationError(
-            f"target summary has {raw.shape[0]} entries, basis has {len(spec.h_terms)} H terms",
-            code="LENGTH_MISMATCH",
-        )
-    if raw[0] != 1.0:
-        raise ValidationError(
-            "constant entry of the target summary must be exactly 1", code="BAD_CONSTANT"
-        )
-    if not np.isfinite(raw).all():
-        raise ValidationError("non-finite target summary entry", code="NON_FINITE_CELL")
-    values = (raw - design.h_center) / design.h_scale
-    return TargetSummary(values=values, n_t=n_t)
+    return _one(_align_batch(spec, [raw], [design], [n_t])[0])
+
+
+def _align_batch(spec: BasisSpec, raws, designs, n_ts) -> list:
+    """Each member's TargetSummary, or the error that stops it: its design's, else the first
+    failed check of its raw means (basis, length, constant, finiteness), the last of which
+    and the map into design coordinates take one pass over the members that get that far."""
+    out, k = list(designs), len(spec.h_terms)
+    for i, design in [(i, d) for i, d in enumerate(designs) if not isinstance(d, GenbalError)]:
+        if design.spec.h_names != spec.h_names:
+            out[i] = ValidationError("design was built from a different basis")
+        elif (raw := np.asarray(raws[i], dtype=float).ravel()).shape[0] != k:
+            out[i] = ValidationError(f"target summary has {raw.shape[0]} entries, basis has {k} H terms",
+                                     code="LENGTH_MISMATCH")
+        else:
+            out[i] = raw if raw[0] == 1.0 else ValidationError(
+                "constant entry of the target summary must be exactly 1", code="BAD_CONSTANT")
+    ok = [i for i, raw in enumerate(out) if isinstance(raw, np.ndarray)]
+    if ok:
+        raw = np.array([out[i] for i in ok])
+        values = (raw - np.array([designs[i].h_center for i in ok])) / np.array([designs[i].h_scale for i in ok])
+        for i, finite, v in zip(ok, np.isfinite(raw).all(axis=1).tolist(), values):
+            out[i] = (TargetSummary(v, n_ts[i]) if finite
+                      else ValidationError("non-finite target summary entry", code="NON_FINITE_CELL"))
+    return out
 
 
 @dataclasses.dataclass(frozen=True)

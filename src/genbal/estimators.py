@@ -24,10 +24,10 @@ import functools
 
 import numpy as np
 
-from .basis import BasisSpec, SourceSample, _design_batch, align_target_summary
+from .basis import BasisSpec, SourceSample, _align_batch, _design_batch
 from .errors import GenbalError, NonConvergenceError, SeparationError, ValidationError, _attempt, _one
 from .solver import (CalibrationSolution, Method, SolverOptions, WeightSet, _et_weights, _joint_weights,
-                     _normalize_arms, _solve_dual)
+                     _JointDual, _normalize_arms, _solve_dual)
 
 __all__ = [
     "ESTIMATORS",
@@ -157,6 +157,7 @@ class _SharedWork:
     targets_raw: list | None = None
     n_ts: list | None = None
     columns: object = None
+    joint: object = dataclasses.field(default=None, init=False)  # the extended dual ebal and extended share
 
     @functools.cached_property
     def designs(self):
@@ -164,9 +165,7 @@ class _SharedWork:
 
     @functools.cached_property
     def targets(self):
-        align = lambda design, raw, n_t: align_target_summary(self.spec, raw, design, n_t=n_t)  # noqa: E731
-        return list(map(_attempt, [align] * len(self.samples), self.designs, self.targets_raw,
-                        self.n_ts or [None] * len(self.samples)))
+        return _align_batch(self.spec, self.targets_raw, self.designs, self.n_ts or [None] * len(self.samples))
 
     @functools.cached_property
     def logits(self):
@@ -255,7 +254,11 @@ def _ipw_et(shared: _SharedWork, options=None) -> list:
 
 
 def _balanced(method, shared: _SharedWork, options) -> list:
-    solved, w = shared.solved(functools.partial(_joint_weights, method, options=options))
+    def solve(designs, targets, treateds):  # every call gets the same members
+        shared.joint = shared.joint or _JointDual(designs, targets, treateds, np.inf)
+        return _joint_weights(method, designs, targets, treateds, options, shared.joint)
+
+    solved, w = shared.solved(solve)
     infos = [_attempt(lambda s: {"iterations": s.iterations, "grad_norm": s.grad_norm}, s) for s in solved]
     return _reports(shared, method, w, infos)
 

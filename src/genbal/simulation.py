@@ -8,10 +8,11 @@ collapsed to their H-term means and discarded, so estimators only ever
 see the source sample and the summary vector.
 
 Replicate seeds derive from (scenario seed, scenario name, replicate
-index). Each config's replicates are drawn one by one and estimated in
-fixed batches of ``max(1, _BATCH_ROWS // n)`` consecutive replicates:
-every estimator runs once over a batch, building its designs, solving its
-members and taking their reports as batch arrays.
+index). Each config's replicates are drawn and estimated in fixed batches
+of ``max(1, _BATCH_ROWS // n)`` consecutive replicates: each model runs
+once over a batch's stacked rows, and every estimator once over the
+batch, building its designs, solving its members and taking their reports
+as batch arrays.
 The batches depend on the config alone, never on ``jobs``, so results
 are bit-identical under any parallelism degree. With ``jobs > 1``,
 :func:`run_grid` maps every batch and every true target ATE through one
@@ -27,11 +28,11 @@ import json
 import math
 import numbers
 import zlib
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
-from .basis import BasisSpec, SourceSample
+from .basis import BasisSpec, SourceSample, _source_samples
 from .errors import GenbalError, ValidationError
 from .estimators import ESTIMATOR_NAMES, ESTIMATORS, _SharedWork, check_methods
 from .mathutil import sigmoid
@@ -109,8 +110,8 @@ class ScenarioConfig:
             problems.append(f"replicates={self.replicates} must be >= 1")
         if not self.noise_sd >= 0:
             problems.append(f"noise_sd={self.noise_sd} must be >= 0")
-        problems += [f"{k}={getattr(self, k)} must be finite" for k in ("low", "high", "noise_sd")
-                     if math.isinf(getattr(self, k))]
+        problems += [f"{k}={v} must be finite" for k, v in (("low", self.low), ("high", self.high),
+                     ("noise_sd", self.noise_sd), ("high - low", self.high - self.low)) if math.isinf(v)]
         if problems:
             raise ValidationError(f"scenario {self.name!r}: " + "; ".join(problems))
         if self.n * self.p > MAX_DRAW_CELLS:
@@ -242,8 +243,8 @@ def true_target_ate(config: ScenarioConfig, nodes: int = 16) -> float:
     for start, stop, X, w_block in grid.blocks():
         points = np.zeros((len(X), config.p))
         points[:, used] = X
-        w[start:stop], rho[start:stop] = w_block, sigmoid(config.participation_logit(points))
-        tau[start:stop] = config.cate(points)
+        w[start:stop], rho[start:stop] = w_block, sigmoid(_model(config, "participation", points))
+        tau[start:stop] = _model(config, "cate", points)
     wt = w * (1.0 - rho)
     return float(wt @ tau / wt.sum())
 
@@ -259,42 +260,65 @@ class ReplicateDraw:
     redraws: int
 
 
-def _replicate_rng(config: ScenarioConfig, rep_index: int, retry: int) -> np.random.Generator:
-    key = zlib.crc32(config.name.encode("utf-8"))
-    seq = np.random.SeedSequence((config.seed, key, rep_index, retry))
-    return np.random.default_rng(seq)
+def _model(config: ScenarioConfig, key: str, X) -> np.ndarray:
+    """The ``key`` model over rows X, overflow silenced (sigmoid saturates exactly); a NaN
+    logit, or a non-finite baseline or CATE value, is a ValidationError naming the model."""
+    logit = key in ("participation", "propensity")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = getattr(config, f"{key}_logit" if logit else key)(X)
+    if np.isnan(values).any() if logit else not np.isfinite(values).all():
+        raise ValidationError(f"scenario {config.name!r}: the {key} model gives a "
+                              + ("NaN logit" if logit else "non-finite value"), code="NON_FINITE_CELL")
+    return values
 
 
 def draw_replicate(config: ScenarioConfig, rep_index: int) -> ReplicateDraw:
     """Draw one replicate; degenerate draws (an empty arm, an empty
     sample on either side) are redrawn with an incremented sub-seed."""
-    spec = config.basis()
+    return _draw_batch(config, [rep_index])[0]
+
+
+def _draw_batch(config: ScenarioConfig, reps) -> list:
+    """The ReplicateDraws of ``reps``, each as drawn alone, from its own generator in the
+    same order, while each model, and H, runs once over the stacked rows of the members
+    still drawing; only a degenerate member redraws, with its next sub-seed. Raises for
+    the first member still degenerate after _MAX_REDRAWS tries, naming what it lacked."""
+    key, n, draws, pending = zlib.crc32(config.name.encode("utf-8")), config.n, {}, list(reps)
     for retry in range(_MAX_REDRAWS):
-        rng = _replicate_rng(config, rep_index, retry)
-        X = rng.uniform(config.low, config.high, size=(config.n, config.p))
-        rho = sigmoid(config.participation_logit(X))
-        in_source = rng.random(config.n) < rho
-        Xs = np.take(X, np.flatnonzero(in_source), axis=0)
-        Xt = np.take(X, np.flatnonzero(~in_source), axis=0)
-        if Xs.shape[0] < 2 or Xt.shape[0] < 1:
-            continue
-        pi = sigmoid(config.propensity_logit(Xs))
-        A = (rng.random(Xs.shape[0]) < pi).astype(int)
-        if A.sum() == 0 or A.sum() == Xs.shape[0]:
-            continue
-        eps = config.noise_sd * rng.standard_normal(Xs.shape[0])
-        Y = config.baseline(Xs) + (A - 0.5) * config.cate(Xs) + eps
-        target_means = spec.evaluate_h(Xt).mean(axis=0)
-        return ReplicateDraw(
-            sample=SourceSample(Xs, A, Y),
-            target_means=target_means,
-            n_t=Xt.shape[0],
-            target_rows=Xt,
-            redraws=retry,
-        )
-    raise ValidationError(
-        f"could not draw a non-degenerate replicate after {_MAX_REDRAWS} tries"
-    )
+        rngs = [np.random.default_rng(np.random.SeedSequence((config.seed, key, rep, retry))) for rep in pending]
+        drawn = [(rng.uniform(config.low, config.high, size=(n, config.p)), rng.random(n)) for rng in rngs]
+        X, u = (v[0] if len(v) == 1 else np.concatenate(v) for v in zip(*drawn))  # one member is not copied
+        inside = (u < sigmoid(_model(config, "participation", X))).reshape(-1, n)
+        n_s = np.count_nonzero(inside, axis=1)
+        alive = (n_s >= 2) & (n_s < n)
+        done = alive.copy()
+        if alive.any():
+            k = n_s[alive]
+            Xs = np.take(X, np.flatnonzero(inside & alive[:, None]), axis=0)
+            drawn = [(rng.random(m), rng.standard_normal(m)) for rng, m in zip(compress(rngs, alive), k.tolist())]
+            ua, z = (v[0] if len(v) == 1 else np.concatenate(v) for v in zip(*drawn))
+            A = (ua < sigmoid(_model(config, "propensity", Xs))).astype(int)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite outcome fails its sample
+                Y = _model(config, "baseline", Xs) + (A - 0.5) * _model(config, "cate", Xs) + config.noise_sd * z
+            ones = np.add.reduceat(A, np.cumsum(k) - k)
+            done[alive] = (ones > 0) & (ones < k)
+        out = [None if ok else "fewer than 2 source rows" if m < 2 else "no target rows" if m == n
+               else "an empty arm" for ok, m in zip(done.tolist(), n_s.tolist())]
+        if done.any():
+            if not done[alive].all():
+                Xs, A, Y = (np.take(v, np.flatnonzero(np.repeat(done[alive], k)), axis=0) for v in (Xs, A, Y))
+            Xt, n_t = np.take(X, np.flatnonzero(~inside & done[:, None]), axis=0), n - n_s[done]
+            H = config.basis().evaluate_h(Xt)
+            samples = _source_samples(Xs, A, Y, n_s[done])
+            for r, sample, a, m in zip(np.flatnonzero(done).tolist(), samples, (np.cumsum(n_t) - n_t).tolist(),
+                                       n_t.tolist()):
+                out[r] = ReplicateDraw(sample, H[a:a + m].mean(axis=0), m, Xt[a:a + m], retry)
+        draws.update(zip(pending, out))
+        pending = [rep for rep in pending if isinstance(draws[rep], str)]
+        if not pending:
+            return [draws[rep] for rep in reps]
+    raise ValidationError(f"scenario {config.name!r}: could not draw a non-degenerate replicate {pending[0]} "
+                          f"after {_MAX_REDRAWS} tries; the last had {draws[pending[0]]}")
 
 
 def _batches(config: ScenarioConfig) -> list[range]:
@@ -306,9 +330,9 @@ def _batches(config: ScenarioConfig) -> list[range]:
 
 
 def _replicates(config, methods, options, reps):
-    """Rows of the replicates in ``reps``, drawn one by one and estimated as
-    one batch: each method runs once over all of them."""
-    draws = [draw_replicate(config, rep) for rep in reps]
+    """Rows of the replicates in ``reps``, drawn and estimated as one batch:
+    each method runs once over all of them."""
+    draws = _draw_batch(config, reps)
     shared = _SharedWork([d.sample for d in draws], config.basis(),
                          [d.target_means for d in draws], [d.n_t for d in draws])
     rows = [{"n_s": d.sample.n_s, "redraws": d.redraws, "estimates": {}, "failures": {}}

@@ -320,21 +320,25 @@ def _rowdot(a, b):
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _JointDual(designs, targets, treateds, score_cap, with_g=True):
+def _JointDual(designs, targets, treateds, score_cap, with_g=True, extended=None):
     """The joint problem of each member as a two-block group dual: the
     treated rows over [H | G] and the control rows over [H | -G], with
     block columns (lambda1, gamma) and (lambda0, gamma) of theta =
     (lambda1, lambda0, gamma), base 1 and target (hbar, hbar, 0); G is
     dropped when ``with_g`` is false. The rows are gathered with the arm
-    as block label, and the control G columns are negated once, here."""
+    as block label, and the control G columns are negated once, here, or
+    taken from the ``extended`` problem of the same members (ebal copies H)."""
     kh, kg = designs[0].h.shape[1], designs[0].g.shape[1] if with_g else 0
     if [len(t) for t in treateds] != [d.n for d in designs]:
         raise ValidationError("treated mask misaligned with design rows")
     cols = np.hstack([np.arange(2 * kh).reshape(2, kh), np.tile(np.arange(2 * kh, 2 * kh + kg), (2, 1))])
     hbar = np.array([t.values for t in targets])
+    target = np.hstack([hbar, hbar, np.zeros((len(designs), kg))])
+    if extended is not None:
+        return _GroupDual(np.ascontiguousarray(extended.E[..., :kh + kg]), extended.base, cols, extended.rows,
+                          target, extended.n_s, score_cap)
     arm = np.where(np.concatenate(treateds), 0, 1)  # block 0 treated, block 1 control
-    problem = _GroupDual.gather(designs, arm, cols,
-                                np.hstack([hbar, hbar, np.zeros((len(designs), kg))]), score_cap)
+    problem = _GroupDual.gather(designs, arm, cols, target, score_cap)
     problem.E[:, 1, :, kh:] *= -1.0
     return problem
 
@@ -474,12 +478,12 @@ def _solve_dual(problem, what, opts, make_solution, arms=None):
     return outcomes, w
 
 
-def _joint_weights(method, designs, targets, treateds, options=None):
+def _joint_weights(method, designs, targets, treateds, options=None, extended=None):
     """The extended (or, dropping G, the ebal) solve of each member:
     DualSolution or its error, and the members' weights back to back in
-    source order."""
+    source order; ``extended`` lends its rows as _JointDual says."""
     opts = options or SolverOptions()
-    problem = _JointDual(designs, targets, treateds, opts.score_cap, with_g=method is not Method.EBAL)
+    problem = _JointDual(designs, targets, treateds, opts.score_cap, method is not Method.EBAL, extended)
     kh = designs[0].h.shape[1]
     what = "block design [H 1{A=1} | H 1{A=0}" + (" | +-G]" if problem.dim > 2 * kh else "]")
     outcomes, w = _solve_dual(

@@ -5,6 +5,8 @@ Newton solver but through scipy's generic constrained interior-point
 method, so dual/primal agreement is a real cross-check.
 """
 
+import zlib
+
 import numpy as np
 from scipy.optimize import LinearConstraint, minimize
 
@@ -140,3 +142,29 @@ def finite_difference_hessian(grad_fun, theta, step=1e-5):
         e[j] = step
         h[:, j] = (grad_fun(theta + e) - grad_fun(theta - e)) / (2.0 * step)
     return h
+
+
+def reference_draw(config, rep, tries=100):
+    """Replicate ``rep`` of ``config`` drawn alone, one generator call after
+    another as the simulation module documents it: (X, A, Y of the source
+    rows, target rows, their H means, redraws), or why the last of
+    ``tries`` tries was degenerate. An oracle for the batched draw."""
+    from genbal.mathutil import sigmoid
+
+    key = zlib.crc32(config.name.encode("utf-8"))
+    for retry in range(tries):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, key, rep, retry)))
+        X = rng.uniform(config.low, config.high, size=(config.n, config.p))
+        in_source = rng.random(config.n) < sigmoid(config.participation_logit(X))
+        Xs, Xt = X[in_source], X[~in_source]
+        if len(Xs) < 2 or len(Xt) < 1:
+            reason = "fewer than 2 source rows" if len(Xs) < 2 else "no target rows"
+            continue
+        A = (rng.random(len(Xs)) < sigmoid(config.propensity_logit(Xs))).astype(int)
+        if A.sum() in (0, len(Xs)):
+            reason = "an empty arm"
+            continue
+        eps = config.noise_sd * rng.standard_normal(len(Xs))
+        Y = config.baseline(Xs) + (A - 0.5) * config.cate(Xs) + eps
+        return Xs, A, Y, Xt, config.basis().evaluate_h(Xt).mean(axis=0), retry
+    return reason

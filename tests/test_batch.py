@@ -18,11 +18,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import genbal as gb
-from genbal import estimators
-from genbal.basis import _design_batch
+from genbal import estimators, simulation
+from genbal.basis import _align_batch, _design_batch, _source_samples
 from genbal.errors import GenbalError, ValidationError
 from genbal.estimators import ESTIMATORS, _SharedWork
-from genbal.solver import Method, _et_weights, _GroupDual, _joint_weights
+from genbal.solver import Method, _et_weights, _GroupDual, _joint_weights, _JointDual
 
 SPEC = gb.BasisSpec.from_names(["const", "x1", "x2"], ["x3"])
 KINDS = ("feasible", "collinear", "infeasible", "separated", "duplicated")
@@ -342,3 +342,97 @@ def test_the_gather_stacks_each_members_labelled_rows_zero_padded(batch):
     assert problem.E.flags.c_contiguous
     np.testing.assert_array_equal(problem.in_source_order(source), np.flatnonzero(labels >= 0))
     np.testing.assert_array_equal(problem.n_s, [d.n for d in designs])
+
+
+def _built(config, size):
+    """The draws of replicates 0..size-1 of ``config``, their _SharedWork, and
+    the designs, targets and treated masks of the members whose target was built."""
+    draws = simulation._draw_batch(config, range(size))
+    shared = _SharedWork([d.sample for d in draws], config.basis(), [d.target_means for d in draws],
+                         [d.n_t for d in draws])
+    ok = [i for i, t in enumerate(shared.targets) if not isinstance(t, GenbalError)]
+    return shared, ok, [[col[i] for i in ok] for col in (shared.designs, shared.targets,
+                                                         [d.sample.treated for d in draws])]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(cell=st.sampled_from([c.name for c in gb.builtin_grid()]), seed=st.integers(0, 2**16),
+       n=st.sampled_from([20, 60, 200, 800]), size=st.integers(1, 6))
+def test_ebal_reads_the_rows_of_the_extended_dual_as_a_fresh_gather_lays_them(cell, seed, n, size):
+    _, ok, columns = _built(gb.builtin_scenario(*cell.split("-"), n=n, seed=seed), size)
+    if not ok:
+        return
+    extended = _JointDual(*columns, np.inf)
+    for with_g in (False, True):
+        shared, fresh = (_JointDual(*columns, 30.0, with_g, lent) for lent in (extended, None))
+        for name in ("E", "base", "cols", "rows", "target", "n_s"):
+            got, want = getattr(shared, name), getattr(fresh, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+        assert shared.E.flags.c_contiguous and shared.cap == fresh.cap == 30.0
+
+
+def test_ebal_and_extended_gather_the_joint_rows_of_a_batch_once(monkeypatch):
+    shared, ok, _ = _built(gb.builtin_scenario("P2", "T1", "M1", n=400, seed=5), 6)
+    assert ok
+    calls = []
+    real = _GroupDual.gather.__func__
+    monkeypatch.setattr(_GroupDual, "gather", classmethod(lambda cls, *a, **k: calls.append(1) or real(cls, *a, **k)))
+    alone = [ESTIMATORS[m](_SharedWork(shared.samples, shared.spec, shared.targets_raw, shared.n_ts), None)
+             for m in ("ebal", "extended")]
+    assert len(calls) == 2
+    for method, mine in zip(("ebal", "extended"), alone):
+        assert ESTIMATORS[method](shared, None) == mine
+    assert len(calls) == 3
+
+
+def test_a_batch_aligns_each_member_as_it_aligns_alone():
+    rng = np.random.default_rng(8)
+    samples, raws = zip(*(_member(rng, 30, 12, "feasible") for _ in range(7)))
+    designs = _design_batch(SPEC, samples)
+    designs[1] = ValidationError("a failed design", code="DEGENERATE_TERM")
+    designs[2] = gb.evaluate_basis(gb.BasisSpec.from_names(["const", "x1", "x3"]), samples[2])
+    raws = list(raws)
+    raws[3], raws[4], raws[5] = raws[3][:2], np.r_[0.5, raws[4][1:]], np.r_[raws[5][:2], np.nan]
+    n_ts = [None, 5, 6, 7, 8, 9, 100]
+    batched = _align_batch(SPEC, raws, designs, n_ts)
+    for design, raw, n_t, out in zip(designs, raws, n_ts, batched):
+        if isinstance(design, GenbalError):
+            assert out is design
+            continue
+        try:
+            mine = gb.align_target_summary(SPEC, raw, design, n_t=n_t)
+        except ValidationError as exc:
+            assert (type(out), out.code, str(out)) == (type(exc), exc.code, str(exc))
+            continue
+        assert out.values.tobytes() == mine.values.tobytes() and out.n_t == mine.n_t
+        assert not out.values.flags.writeable
+    codes = [getattr(out, "code", None) for out in batched]
+    assert codes == [None, "DEGENERATE_TERM", "VALIDATION", "LENGTH_MISMATCH", "BAD_CONSTANT", "NON_FINITE_CELL",
+                     None]
+
+
+@pytest.mark.parametrize("bad", [None, "x", "y"])
+def test_a_batch_of_samples_is_checked_once_as_each_sample_alone(bad):
+    rng = np.random.default_rng(9)
+    sizes = np.array([5, 7, 4])
+    X, Y = rng.normal(size=(16, 3)), rng.normal(size=16)
+    A = np.tile([0, 1], 8)
+    if bad == "x":
+        X[13, 2] = np.inf  # the third member's
+    if bad == "y":
+        Y[[6, 14]] = np.nan  # the second member's, and the third's
+    if bad:
+        with pytest.raises(ValidationError) as info:
+            _source_samples(X, A, Y, sizes)
+        member = 2 if bad == "x" else 1
+        at = np.cumsum(sizes) - sizes
+        with pytest.raises(ValidationError) as alone:
+            gb.SourceSample(*(v[at[member]:at[member] + sizes[member]] for v in (X, A, Y)))
+        assert (info.value.code, str(info.value)) == (alone.value.code, str(alone.value))
+        return
+    for sample, a, k in zip(_source_samples(X, A, Y, sizes), [0, 5, 12], sizes):
+        mine = gb.SourceSample(X[a:a + k], A[a:a + k], Y[a:a + k])
+        for got, want in ((sample.X, mine.X), (sample.A, mine.A), (sample.Y, mine.Y)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+            assert not got.flags.writeable
+

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genbal as gb
 import genbal.estimators as estimators
@@ -12,6 +14,8 @@ import genbal.simulation as simulation
 from genbal.errors import ValidationError
 from genbal.mathutil import sigmoid
 from genbal.models import CovariateFunction, FunctionTerm
+
+from helpers import reference_draw
 
 # Frozen value from an independent 1e7-draw Monte Carlo of the target-arm
 # mean treatment contrast under the built-in participation model and the
@@ -197,6 +201,36 @@ def test_draw_replicate_deterministic():
     np.testing.assert_array_equal(a.target_means, b.target_means)
     c = gb.draw_replicate(config, 8)
     assert not np.array_equal(a.sample.X, c.sample.X)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cell=st.sampled_from([c.name for c in gb.builtin_grid()]), seed=st.integers(0, 2**16),
+       n=st.one_of(st.integers(2, 60), st.sampled_from([200, 800])), start=st.integers(0, 40),
+       size=st.integers(1, 8))
+def test_a_batch_draw_is_each_replicate_drawn_alone(cell, seed, n, start, size):
+    # small n forces redraws, and n=2 (never a target row beside 2 source
+    # rows) exhausts them; the batch then fails as its first such member
+    # fails alone
+    config = gb.builtin_scenario(*cell.split("-"), n=n, seed=seed)
+    reps = range(start, start + size)
+    alone = [reference_draw(config, rep) for rep in reps]
+    failed = [(rep, reason) for rep, reason in zip(reps, alone) if isinstance(reason, str)]
+    if failed:
+        rep, reason = failed[0]
+        message = (f"scenario {cell!r}: could not draw a non-degenerate replicate {rep} after 100 tries; "
+                   f"the last had {reason}")
+        for draw in (lambda: simulation._draw_batch(config, reps), lambda: gb.draw_replicate(config, rep)):
+            with pytest.raises(ValidationError) as info:
+                draw()
+            assert str(info.value) == message
+        return
+    for draw, (Xs, A, Y, Xt, means, redraws) in zip(simulation._draw_batch(config, reps), alone):
+        pairs = ((draw.sample.X, Xs), (draw.sample.A, A), (draw.sample.Y, Y), (draw.target_rows, Xt),
+                 (draw.target_means, means))
+        for got, want in pairs:
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert (draw.n_t, draw.redraws) == (len(Xt), redraws)
+        assert not (draw.sample.X.flags.writeable or draw.sample.A.flags.writeable or draw.sample.Y.flags.writeable)
 
 
 def test_target_summary_is_mean_of_held_out_rows():
