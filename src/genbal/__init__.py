@@ -7,6 +7,8 @@ convex dual; comparator estimators, a population-level variance oracle,
 and a Monte Carlo harness round out the package.
 """
 
+from importlib import import_module as _import_module
+
 from .basis import (
     BasisSpec,
     BasisTerm,
@@ -29,6 +31,7 @@ from .errors import (
     WeightUnderflowError,
 )
 from .estimators import (
+    ESTIMATOR_NAMES,
     EstimateReport,
     LogisticModel,
     estimate_ebal,
@@ -37,35 +40,6 @@ from .estimators import (
     estimate_ipw_et,
     estimate_weighted_ate,
     fit_logistic_irls,
-)
-from .models import (
-    BASELINE_MODELS,
-    CATE_MODELS,
-    PARTICIPATION_LOGIT,
-    PROPENSITY_MODELS,
-    CovariateFunction,
-    FunctionTerm,
-)
-from .oracle import (
-    AsymptoticReport,
-    TruthFunctions,
-    asymptotic_variance,
-    condition_b_participation,
-    project_g_perp,
-    project_h,
-    solve_limiting_dual,
-    tilde_r,
-)
-from .quadrature import QuadratureGrid, gauss_legendre_box
-from .simulation import (
-    ESTIMATOR_NAMES,
-    GridResult,
-    ScenarioConfig,
-    draw_replicate,
-    builtin_grid,
-    builtin_scenario,
-    run_grid,
-    true_target_ate,
 )
 from .solver import (
     BalanceReport,
@@ -84,3 +58,29 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+# The Monte Carlo and oracle modules load on first use (PEP 562), so a
+# process that only estimates or writes weights never imports them. A lazy
+# name is looked up in its module at every access and never cached here.
+_LAZY = {
+    "models": ("BASELINE_MODELS", "CATE_MODELS", "PARTICIPATION_LOGIT", "PROPENSITY_MODELS",
+               "CovariateFunction", "FunctionTerm"),
+    "oracle": ("AsymptoticReport", "TruthFunctions", "asymptotic_variance",
+               "condition_b_participation", "project_g_perp", "project_h",
+               "solve_limiting_dual", "tilde_r"),
+    "quadrature": ("QuadratureGrid", "gauss_legendre_box"),
+    "simulation": ("GridResult", "ScenarioConfig", "draw_replicate", "builtin_grid",
+                   "builtin_scenario", "run_grid", "true_target_ate"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f"{__name__}.{_HOME[name]}")
+    return module if name in _LAZY else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -31,9 +31,6 @@ from .fileio import (
     load_target_summary,
     write_weights_csv,
 )
-from .oracle import TruthFunctions, asymptotic_variance
-from .quadrature import gauss_legendre_box
-from .simulation import run_grid
 from .solver import (
     SolverOptions,
     solve_att,
@@ -214,6 +211,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_simulate(args) -> int:
     import dataclasses as _dc
 
+    from .simulation import run_grid
+
     configs = load_scenarios_json(args.scenario)
     if args.seed is not None:
         configs = [_dc.replace(c, seed=args.seed) for c in configs]
@@ -223,6 +222,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import TruthFunctions, asymptotic_variance
+    from .quadrature import gauss_legendre_box
+
     configs = load_scenarios_json(args.scenario)
     if args.cell is not None:
         matches = [c for c in configs if c.name == args.cell]

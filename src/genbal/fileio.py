@@ -2,13 +2,16 @@
 
 Rectangular data travels as CSV, summaries and configs as JSON. Loaders
 fail with typed errors naming the offending cell; nothing is imputed or
-silently dropped. The source CSV is read in one column-wise pass: blank
-rows are skipped (they still count in line numbers), the other rows are
-transposed, each numeric column is converted with one float() map, and
-row lengths, finiteness and 0/1 treatment are checked on whole columns.
-Only when a check fails are the rows walked in file order, so the error
-names the first bad cell: the earliest line, and within a line the
-treatment, the outcome, then the covariates in schema order.
+silently dropped. A source CSV with no categorical column is read in one
+np.loadtxt call. If that fails (an error, no rows, a width other than the
+header's, a non-finite cell, a non-0/1 treatment, or a cell like ``1_0``
+that only float() reads), one column-wise pass reads the file again and
+reports any error: blank rows are skipped (they still count in line
+numbers), the other rows are transposed, each numeric column is converted
+with one float() map, and row lengths, finiteness and 0/1 treatment are
+checked on whole columns. Only when a check fails are the rows walked in
+file order, so the error names the first bad cell: the earliest line, and
+within a line the treatment, the outcome, then the covariates in schema order.
 
 Writers build the full output in memory first and write it to a
 temporary file beside the destination, which then replaces the
@@ -23,6 +26,7 @@ import io
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -164,12 +168,33 @@ def _raise_first_bad_cell(rows, idx, schema: ColumnSchema):
                 )
 
 
+def _read_plain(path, schema: ColumnSchema):
+    """(X, A, Y) from one np.loadtxt call, or None if the column-wise pass must read the file."""
+    needed = (schema.treatment, schema.outcome, *schema.covariates)
+    try:
+        with open(path, newline="") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns when it finds no rows
+            header = [c.strip() for c in next(csv.reader(fh), [])]
+            cols = [header.index(c) for c in needed]
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # a used column is missing, or loadtxt cannot read a cell: the pass decides
+        return None
+    a = data[:, cols[0]]
+    if (not len(data) or data.shape[1] != len(header) or any(header.count(c) > 1 for c in needed)
+            or not np.isfinite(data).all() or not ((a == 0.0) | (a == 1.0)).all()):
+        return None
+    return np.asfortranarray(data[:, cols[2:]]), a, data[:, cols[1]]
+
+
 def load_source_csv(path, schema: ColumnSchema):
     """Read a source sample; returns (SourceSample, metadata).
 
     Metadata records the covariate column order and, for categorical
     columns, the label-to-code mapping used to build the numeric matrix.
     """
+    plain = None if schema.categorical else _read_plain(path, schema)
+    if plain is not None:
+        return SourceSample(*plain), {"columns": list(schema.covariates), "category_codes": {}}
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:

@@ -298,7 +298,7 @@ def _draw_batch(config: ScenarioConfig, reps) -> list:
             drawn = [(rng.random(m), rng.standard_normal(m)) for rng, m in zip(compress(rngs, alive), k.tolist())]
             ua, z = (v[0] if len(v) == 1 else np.concatenate(v) for v in zip(*drawn))
             A = (ua < sigmoid(_model(config, "propensity", Xs))).astype(int)
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite outcome fails its sample
+            with np.errstate(over="ignore", invalid="ignore"):  # checked on the kept members below
                 Y = _model(config, "baseline", Xs) + (A - 0.5) * _model(config, "cate", Xs) + config.noise_sd * z
             ones = np.add.reduceat(A, np.cumsum(k) - k)
             done[alive] = (ones > 0) & (ones < k)
@@ -307,6 +307,9 @@ def _draw_batch(config: ScenarioConfig, reps) -> list:
         if done.any():
             if not done[alive].all():
                 Xs, A, Y = (np.take(v, np.flatnonzero(np.repeat(done[alive], k)), axis=0) for v in (Xs, A, Y))
+            if not np.isfinite(Y).all():  # the models are finite, so their sum or the noise overflowed
+                raise ValidationError(f"scenario {config.name!r}: the outcomes overflow with noise_sd="
+                                      f"{config.noise_sd:g}", code="NON_FINITE_CELL")
             Xt, n_t = np.take(X, np.flatnonzero(~inside & done[:, None]), axis=0), n - n_s[done]
             H = config.basis().evaluate_h(Xt)
             samples = _source_samples(Xs, A, Y, n_s[done])

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -607,6 +609,33 @@ def test_cli_scenario_that_cannot_be_drawn_is_one_validation_error(tmp_path, cap
         with pytest.raises(ValidationError) as info:
             gb.run_grid(load_scenarios_json(scen))
         assert info.value.code == "NON_FINITE_CELL"
+
+
+def test_cli_scenario_whose_outcomes_overflow_names_noise_sd(tmp_path, capsys):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"scenarios": [{**CELL, "n": 200, "noise_sd": 1e308}]}))
+    assert main(["simulate", "--scenario", str(scen)]) == 2
+    assert "scenario 'cell': the outcomes overflow with noise_sd=1e+308" in _validation_error(capsys)
+    with pytest.raises(ValidationError) as info:
+        gb.run_grid(load_scenarios_json(scen))
+    assert info.value.code == "NON_FINITE_CELL"
+
+
+@pytest.mark.parametrize("args", [["simulate", "--format", "json"], ["oracle", "--nodes", "4"]],
+                         ids=["simulate", "oracle"])
+def test_fresh_cli_process_imports_what_its_command_runs(tmp_path, capsys, args):
+    # in this process every module is already imported, so only a fresh one
+    # shows that a command imports the modules genbal.cli defers
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"scenarios": [{**CELL, "propensity": "P2", "n": 200, "replicates": 2}]}))
+    argv = [args[0], "--scenario", str(scen), *args[1:]]
+    proc = subprocess.run(
+        [sys.executable, "-m", "genbal.cli", *argv], capture_output=True, check=False,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gb.__file__))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
 
 
 def test_cli_simulate_with_saturated_propensity_logits_leaks_no_warning(tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Source CSV loader errors and writer round trips, byte for byte."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genbal as gb
+from genbal import fileio
 from genbal.errors import ValidationError
 from genbal.fileio import ColumnSchema, load_source_csv, write_source_csv, write_weights_csv
 
@@ -144,3 +148,99 @@ def test_write_weights_csv_rejects_misaligned_weights(tmp_path):
     with pytest.raises(ValidationError, match="misaligned"):
         write_weights_csv(tmp_path / "weights.csv", sample, weights)
     assert not (tmp_path / "weights.csv").exists()
+
+
+# cells float() reads and np.loadtxt does not, cells both read, and cells neither reads
+PROBE_CELLS = ["1_0", "\u0661", "\uff11", "\x1c1.0", "nan", "inf", "-Infinity", "1e400", "0x10", "1e-400",
+               "-0", "+.5", "1.", "\xa03 ", " 2 ", "\t4", '"2.5"', "#", "", " ", "abc", "1 2", "2\x00"]
+# lines the column-wise pass skips as blank
+BLANK_LINES = ["", "   ", ",,", " , ,\t", "\t"]
+
+
+def _load(path, schema, fast=True):
+    """What load_source_csv returns or raises, with the np.loadtxt fast path on or off."""
+    read_plain = fileio._read_plain if fast else lambda path, schema: None
+    with mock.patch.object(fileio, "_read_plain", read_plain):
+        try:
+            sample, meta = load_source_csv(path, schema)
+        except Exception as exc:
+            return type(exc), getattr(exc, "code", None), str(exc)
+    return [(v.dtype, v.shape, v.strides, v.tobytes()) for v in (sample.X, sample.A, sample.Y)], meta
+
+
+def _assert_paths_agree(path, schema):
+    assert _load(path, schema) == _load(path, schema, fast=False)
+
+
+@pytest.mark.parametrize("text", [case[1] for case in LOADER_ERRORS], ids=[c[0] for c in LOADER_ERRORS])
+def test_fast_path_keeps_every_loader_error(tmp_path, text):
+    # the same files with no categorical column; 'site' is an unused extra column
+    path = tmp_path / "source.csv"
+    path.write_text(text)
+    _assert_paths_agree(path, ColumnSchema("a", "y", ("x1", "x2")))
+
+
+def test_plain_csv_takes_the_fast_path_and_cells_only_float_reads_fall_back(tmp_path):
+    path = tmp_path / "source.csv"
+    schema = ColumnSchema("a", "y", ("x1",))
+    path.write_text("a,y,x1\n1,0.5,\x1c1.0\n0,1.5,2\n")
+    X, A, Y = fileio._read_plain(path, schema)
+    assert X.tolist() == [[1.0], [2.0]] and A.tolist() == [1.0, 0.0] and Y.tolist() == [0.5, 1.5]
+    for cell, value in (("1_0", 10.0), ("\u0661", 1.0), ("\uff11", 1.0)):
+        path.write_text(f"a,y,x1\n1,0.5,{cell}\n0,1.5,2\n", encoding="utf-8")
+        assert fileio._read_plain(path, schema) is None
+        assert load_source_csv(path, schema)[0].X[0, 0] == value
+    # rows wider than the header, and a used column twice, fall back to their errors
+    for text in ("a,y,x1\n1,0.5,1,9\n0,1.5,2,9\n", "a,y,x1,x1\n1,0.5,1,1\n0,1.5,2,2\n"):
+        path.write_text(text)
+        assert fileio._read_plain(path, schema) is None
+        _assert_paths_agree(path, schema)
+    path.write_text("a,y,x1\n\n")
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert fileio._read_plain(path, schema) is None
+    assert seen == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fast_path_reads_what_the_column_wise_pass_reads(tmp_path_factory, data):
+    draw = data.draw
+    p, extra, n = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(1, 6))
+    names = ["a", "y", *(f"x{j + 1}" for j in range(p)), *(f"z{j}" for j in range(extra))]
+    header = draw(st.permutations(names))
+    cells = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-3, 3).map(str)
+    rows = [{c: str(i % 2) if c == "a" else draw(cells) for c in header} for i in range(n)]
+    lines = [",".join(header)] + [",".join(row[c] for c in header) for row in rows]
+    plain = True
+    for _ in range(draw(st.integers(0, 3))):
+        plain = False
+        kind = draw(st.sampled_from(["cell", "blank", "ragged", "quote", "bom", "repeat"]))
+        i = draw(st.integers(1, len(lines) - 1))
+        line = lines[i].split(",")
+        j = draw(st.integers(0, len(line) - 1))
+        if kind == "cell":
+            line[j] = draw(st.sampled_from(PROBE_CELLS))
+        elif kind == "quote":
+            line[j] = f'"{line[j]}"'
+        elif kind == "ragged":
+            line = line[:-1] if draw(st.booleans()) else [*line, "1"]
+        elif kind == "blank":
+            lines.insert(i, draw(st.sampled_from(BLANK_LINES)))
+            continue
+        elif kind == "bom":
+            lines[0] = "\ufeff" + lines[0]
+            continue
+        else:  # a header name used twice
+            head = lines[0].split(",")
+            head[j % len(head)] = draw(st.sampled_from(names))
+            lines[0] = ",".join(head)
+            continue
+        lines[i] = ",".join(line)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    path = tmp_path_factory.mktemp("plain") / "source.csv"
+    path.write_bytes((eol.join(lines) + draw(st.sampled_from(["", eol]))).encode("utf-8"))
+    schema = ColumnSchema("a", "y", tuple(draw(st.permutations([f"x{j + 1}" for j in range(p)]))))
+    _assert_paths_agree(path, schema)
+    if plain and eol != "\r":  # np.loadtxt splits lines on \n only
+        assert fileio._read_plain(path, schema) is not None

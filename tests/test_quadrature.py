@@ -207,3 +207,70 @@ def test_import_genbal_leaves_process_pool_unloaded():
         env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gb.__file__))},
     )
     assert out.stdout.strip() == "[]"
+
+
+LAZY_MODULES = ("models", "oracle", "quadrature", "simulation")
+
+# every public name in dir(genbal), by the module it comes from
+PUBLIC_NAMES = {
+    "basis": ("BasisSpec", "BasisTerm", "DesignMatrices", "RankReport", "SourceSample", "TargetSummary",
+              "align_target_summary", "check_design_rank", "evaluate_basis", "parse_term"),
+    "errors": ("GenbalError", "HypothesisViolationError", "NonConvergenceError", "RankDeficiencyError",
+               "SeparationError", "ValidationError", "WeightUnderflowError"),
+    "estimators": ("ESTIMATOR_NAMES", "EstimateReport", "LogisticModel", "estimate_ebal", "estimate_extended",
+                   "estimate_ipw", "estimate_ipw_et", "estimate_weighted_ate", "fit_logistic_irls"),
+    "mathutil": (),
+    "models": ("BASELINE_MODELS", "CATE_MODELS", "PARTICIPATION_LOGIT", "PROPENSITY_MODELS",
+               "CovariateFunction", "FunctionTerm"),
+    "oracle": ("AsymptoticReport", "TruthFunctions", "asymptotic_variance", "condition_b_participation",
+               "project_g_perp", "project_h", "solve_limiting_dual", "tilde_r"),
+    "quadrature": ("QuadratureGrid", "gauss_legendre_box"),
+    "simulation": ("GridResult", "ScenarioConfig", "draw_replicate", "builtin_grid", "builtin_scenario",
+                   "run_grid", "true_target_ate"),
+    "solver": ("BalanceReport", "CalibrationSolution", "DualSolution", "Method", "SolverOptions", "WeightSet",
+               "balance_residuals", "dual_objective", "solve_att", "solve_ebal", "solve_et_calibration",
+               "solve_extended", "solve_two_step"),
+}
+
+
+def test_import_genbal_cli_leaves_simulation_and_oracle_unloaded():
+    # estimate and weights never run them; simulate and oracle import them
+    code = (
+        "import sys, genbal.cli; "
+        f"print(sorted(m for m in {LAZY_MODULES!r} if 'genbal.' + m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gb.__file__))},
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_every_public_name_resolves_to_its_module_binding():
+    import importlib
+
+    for module_name, names in PUBLIC_NAMES.items():
+        module = importlib.import_module(f"genbal.{module_name}")
+        assert getattr(gb, module_name) is module
+        for name in names:
+            assert getattr(gb, name) is getattr(module, name), name
+    assert {*PUBLIC_NAMES, *(n for names in PUBLIC_NAMES.values() for n in names)} <= set(dir(gb))
+
+
+@pytest.mark.parametrize("module_name, name", [("simulation", "run_grid"), ("models", "CATE_MODELS"),
+                                               ("oracle", "asymptotic_variance")])
+def test_lazy_name_reads_the_current_module_binding(monkeypatch, module_name, name):
+    # tracers rebind functions in the submodule and undo it; nothing is cached in genbal
+    module = getattr(gb, module_name)
+    original, stand_in = getattr(module, name), object()
+    monkeypatch.setattr(module, name, stand_in)
+    assert getattr(gb, name) is stand_in
+    monkeypatch.undo()
+    assert getattr(gb, name) is original
+
+
+def test_unknown_genbal_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'genbal' has no attribute 'no_such_name'"):
+        gb.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from genbal import no_such_name  # noqa: F401
