@@ -2,16 +2,17 @@
 
 Rectangular data travels as CSV, summaries and configs as JSON. Loaders
 fail with typed errors naming the offending cell; nothing is imputed or
-silently dropped. A source CSV with no categorical column is read in one
-np.loadtxt call. If that fails (an error, no rows, a width other than the
-header's, a non-finite cell, a non-0/1 treatment, or a cell like ``1_0``
-that only float() reads), one column-wise pass reads the file again and
-reports any error: blank rows are skipped (they still count in line
-numbers), the other rows are transposed, each numeric column is converted
-with one float() map, and row lengths, finiteness and 0/1 treatment are
-checked on whole columns. Only when a check fails are the rows walked in
-file order, so the error names the first bad cell: the earliest line, and
-within a line the treatment, the outcome, then the covariates in schema order.
+silently dropped. A source CSV with no categorical column is read by one
+np.loadtxt call, which converts every column. A file it cannot take whole
+(an empty, non-numeric or ``1_0``-like cell in any column, no rows, a wrong
+width, a non-finite schema cell, a non-0/1 treatment) is parsed again by
+one column-wise pass, which reports any error: blank rows are skipped (they
+still count in line numbers), the other rows are transposed, each numeric
+column is converted with one float() map, and row lengths, finiteness and
+0/1 treatment are checked on whole columns. Only when a check fails are the
+rows walked in file order, so the error names the first bad cell: the
+earliest line, and within a line the treatment, the outcome, then the
+covariates in schema order.
 
 Writers build the full output in memory first and write it to a
 temporary file beside the destination, which then replaces the
@@ -179,11 +180,12 @@ def _read_plain(path, schema: ColumnSchema):
             data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except ValueError:  # a used column is missing, or loadtxt cannot read a cell: the pass decides
         return None
-    a = data[:, cols[0]]
-    if (not len(data) or data.shape[1] != len(header) or any(header.count(c) > 1 for c in needed)
-            or not np.isfinite(data).all() or not ((a == 0.0) | (a == 1.0)).all()):
+    if not len(data) or data.shape[1] != len(header) or any(header.count(c) > 1 for c in needed):
         return None
-    return np.asfortranarray(data[:, cols[2:]]), a, data[:, cols[1]]
+    X, a, y = np.asfortranarray(data[:, cols[2:]]), data[:, cols[0]], data[:, cols[1]]
+    if not (np.isfinite(X).all() and np.isfinite(y).all() and ((a == 0.0) | (a == 1.0)).all()):
+        return None  # the pass, like this check, reads only the schema's columns
+    return X, a, y
 
 
 def load_source_csv(path, schema: ColumnSchema):

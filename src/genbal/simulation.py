@@ -307,9 +307,12 @@ def _draw_batch(config: ScenarioConfig, reps) -> list:
         if done.any():
             if not done[alive].all():
                 Xs, A, Y = (np.take(v, np.flatnonzero(np.repeat(done[alive], k)), axis=0) for v in (Xs, A, Y))
-            if not np.isfinite(Y).all():  # the models are finite, so their sum or the noise overflowed
-                raise ValidationError(f"scenario {config.name!r}: the outcomes overflow with noise_sd="
-                                      f"{config.noise_sd:g}", code="NON_FINITE_CELL")
+            if not np.isfinite(Y).all():  # each model is finite, so their sum or the noise overflowed
+                with np.errstate(over="ignore"):
+                    mu = _model(config, "baseline", Xs) + (A - 0.5) * _model(config, "cate", Xs)
+                cause = f"with noise_sd={config.noise_sd:g}" if np.isfinite(mu).all() else "in baseline + (A-0.5)*cate"
+                raise ValidationError(f"scenario {config.name!r}: the outcomes overflow {cause}",
+                                      code="NON_FINITE_CELL")
             Xt, n_t = np.take(X, np.flatnonzero(~inside & done[:, None]), axis=0), n - n_s[done]
             H = config.basis().evaluate_h(Xt)
             samples = _source_samples(Xs, A, Y, n_s[done])

@@ -611,11 +611,17 @@ def test_cli_scenario_that_cannot_be_drawn_is_one_validation_error(tmp_path, cap
         assert info.value.code == "NON_FINITE_CELL"
 
 
-def test_cli_scenario_whose_outcomes_overflow_names_noise_sd(tmp_path, capsys):
+@pytest.mark.parametrize("cell, cause", [
+    ({"noise_sd": 1e308}, "with noise_sd=1e+308"),
+    ({"baseline": {"terms": [{"kind": "const", "coef": 1.5e308}]},
+      "cate": {"terms": [{"kind": "const", "coef": 1e308}]}}, "in baseline + (A-0.5)*cate"),
+], ids=["noise", "baseline-plus-cate"])
+def test_cli_scenario_whose_outcomes_overflow_names_the_cause(tmp_path, capsys, cell, cause):
+    # the treated rows' 1.5e308 + 0.5 * 1e308 overflows although each model and noise_sd=1 are finite
     scen = tmp_path / "scen.json"
-    scen.write_text(json.dumps({"scenarios": [{**CELL, "n": 200, "noise_sd": 1e308}]}))
+    scen.write_text(json.dumps({"scenarios": [{**CELL, "n": 200, **cell}]}))
     assert main(["simulate", "--scenario", str(scen)]) == 2
-    assert "scenario 'cell': the outcomes overflow with noise_sd=1e+308" in _validation_error(capsys)
+    assert f"scenario 'cell': the outcomes overflow {cause}" in _validation_error(capsys)
     with pytest.raises(ValidationError) as info:
         gb.run_grid(load_scenarios_json(scen))
     assert info.value.code == "NON_FINITE_CELL"

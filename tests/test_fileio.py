@@ -190,6 +190,10 @@ def test_plain_csv_takes_the_fast_path_and_cells_only_float_reads_fall_back(tmp_
         path.write_text(f"a,y,x1\n1,0.5,{cell}\n0,1.5,2\n", encoding="utf-8")
         assert fileio._read_plain(path, schema) is None
         assert load_source_csv(path, schema)[0].X[0, 0] == value
+    # a non-finite cell outside the schema's columns is read as the column-wise pass reads it
+    path.write_text("a,y,x1,z\n1,0.5,1,nan\n0,1.5,2,-inf\n")
+    assert fileio._read_plain(path, schema) is not None
+    _assert_paths_agree(path, schema)
     # rows wider than the header, and a used column twice, fall back to their errors
     for text in ("a,y,x1\n1,0.5,1,9\n0,1.5,2,9\n", "a,y,x1,x1\n1,0.5,1,1\n0,1.5,2,2\n"):
         path.write_text(text)
