@@ -2,10 +2,10 @@
 
 A basis declares two ordered sets of scalar covariate functions: H-side
 terms (whose means are known for the target sample, constant first) and
-G-side terms (balanced between arms within the source sample). Designs
-are standardized column by column for solver conditioning; the constant
-column is never touched, and target summaries supplied in raw units are
-mapped into the same coordinates by :func:`align_target_summary`. A
+G-side terms (balanced between arms within the source sample). Every
+design column but the constant is centred and scaled, for solver
+conditioning, as the treatment logit's are; target summaries in raw units
+are mapped into the same coordinates by :func:`align_target_summary`. A
 batch of samples is evaluated in one pass, each sample's moments taken
 over its own rows after an exact power-of-two rescaling that keeps huge
 and tiny covariates finite: its design is the one it gets alone.
@@ -326,7 +326,6 @@ class DesignMatrices:
     h_scale: np.ndarray
     g_center: np.ndarray
     g_scale: np.ndarray
-    standardized: bool = True
     rows: np.ndarray | None = dataclasses.field(default=None, repr=False, compare=False)
     first: int = dataclasses.field(default=1, repr=False, compare=False)
 
@@ -368,17 +367,17 @@ class TargetSummary:
         object.__setattr__(self, "values", values)
 
 
-def evaluate_basis(spec: BasisSpec, sample: SourceSample, standardize: bool = True) -> DesignMatrices:
+def evaluate_basis(spec: BasisSpec, sample: SourceSample) -> DesignMatrices:
     """Materialize H(X_i) and G(X_i) for every source row.
 
     Non-constant columns are standardized (subtract mean, divide by the
     uncorrected divide-by-n standard deviation) and the parameters are
     recorded so target summaries can be mapped into the same coordinates.
     """
-    return _one(_design_batch(spec, [sample], standardize)[0])
+    return _one(_design_batch(spec, [sample])[0])
 
 
-def _design_batch(spec: BasisSpec, samples, standardize: bool = True) -> list:
+def _design_batch(spec: BasisSpec, samples) -> list:
     """Each sample's DesignMatrices, or the ValidationError that stops it,
     from one evaluation of every term over all the samples' rows, laid back
     to back with a zero row before each sample's. Centers and scales are
@@ -413,12 +412,10 @@ def _design_batch(spec: BasisSpec, samples, standardize: bool = True) -> list:
             v -= np.repeat(center[j], n + 1)
             v[start] = 0.0
             sd[j] = np.sqrt(np.add.reduceat(v * v, start) / n)
-            rows[:, j] = v / np.repeat(sd[j], n + 1) if standardize else raw
+            rows[:, j] = v / np.repeat(sd[j], n + 1)
     rows[start] = 0.0
     sd[0], finite = 1.0, np.isfinite(center).all(axis=0)  # a non-finite value makes its sum non-finite
-    shape = (len(ok), len(terms))
-    center, scale = ((np.ldexp(center, e).T, np.ldexp(sd, e).T) if standardize
-                     else (np.zeros(shape), np.ones(shape)))
+    center, scale = np.ldexp(center, e).T, np.ldexp(sd, e).T
     degenerate, kh = sd == 0, len(spec.h_terms)
     for r, (i, j, a) in enumerate(zip(ok, degenerate.argmax(axis=0).tolist(), (start + 1).tolist())):
         if not finite[r]:
@@ -429,7 +426,7 @@ def _design_batch(spec: BasisSpec, samples, standardize: bool = True) -> list:
         else:
             block = rows[a:a + n[r]]
             out[i] = DesignMatrices(spec, block[:, :kh], block[:, kh:], center[r, :kh], scale[r, :kh],
-                                    center[r, kh:], scale[r, kh:], standardize, rows, a)
+                                    center[r, kh:], scale[r, kh:], rows, a)
     return out
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .basis import BasisSpec, SourceSample, _align_batch, _design_batch
 from .errors import GenbalError, NonConvergenceError, SeparationError, ValidationError, _attempt, _one
 from .solver import (CalibrationSolution, Method, SolverOptions, WeightSet, _et_weights, _joint_weights,
-                     _JointDual, _normalize_arms, _solve_dual)
+                     _JointDual, _normalize_arms, _raw_h, _solve_dual)
 
 __all__ = [
     "ESTIMATORS",
@@ -49,8 +49,8 @@ COEF_NORM_LIMIT = 1e3
 @dataclasses.dataclass(frozen=True)
 class LogisticModel:
     """Logistic fit of treatment: ``coefficients`` on the raw Z = [1 | X], ``iterations``
-    damped Newton steps, ``score_norm`` the raw score sup-norm max |Z'(A - p)|; an
-    unconverged fit is only seen as a NonConvergenceError's ``solution``."""
+    damped Newton steps, ``score_norm`` the raw score sup-norm max |Z'(A - p)| (the stop
+    reads it centred); an unconverged fit is only seen as a NonConvergenceError's ``solution``."""
 
     coefficients: np.ndarray
     propensities: np.ndarray
@@ -105,10 +105,10 @@ class _Logit:
 
 def _fit_logistic(samples, columns=None, tol=1e-8, max_iter=100):
     """Logistic fits of samples sharing the regressor columns, per member a
-    LogisticModel or its error, from one ``_solve_dual``. Each column of
-    [1 | X] is scaled by a power of two to a largest magnitude in [1, 2);
-    ``tol`` bounds the scaled score, and a scaled coefficient past
-    COEF_NORM_LIMIT is a SeparationError."""
+    LogisticModel or its error, from one ``_solve_dual``. As in a basis design,
+    each column of [1 | X] but the constant is scaled by a power of two, centred
+    on the member's mean and scaled again. ``tol`` bounds the score in these
+    coordinates; a coefficient past COEF_NORM_LIMIT is a SeparationError naming its column."""
     cols = list(range(samples[0].p)) if columns is None else list(columns)
     n = [sample.n_s for sample in samples]
     Z = np.zeros((len(n), len(cols) + 1, max(n))).swapaxes(1, 2)  # [1 | X] zero-padded, column-major
@@ -117,18 +117,25 @@ def _fit_logistic(samples, columns=None, tol=1e-8, max_iter=100):
         z[:sample.n_s, 0], z[:sample.n_s, 1:], a[:sample.n_s] = 1.0, sample.X[:, cols], sample.A
     shift = 1 - np.maximum(np.frexp(np.maximum(Z.max(axis=1), -Z.min(axis=1)))[1], -1021)
     Z *= np.ldexp(1.0, shift)[:, None, :]
-    problem = _Logit(Z, A, np.arange(Z.shape[1]) < np.array(n)[:, None])
+    real = np.arange(Z.shape[1]) < np.array(n)[:, None]  # a member is centred on its own rows, summed as alone
+    center = np.array([z[:k].sum(axis=0) / k for z, k in zip(Z, n)]) * (np.arange(Z.shape[2]) > 0)
+    np.subtract(Z, center[:, None], out=Z, where=real[..., None])
+    spread = 1 - np.maximum(np.frexp(np.maximum(Z.max(axis=1), -Z.min(axis=1)))[1], -1021)
+    Z *= np.ldexp(1.0, spread)[:, None, :]
+    problem = _Logit(Z, A, real)
     outcomes, w = _solve_dual(problem, "logit [1 | X]", SolverOptions(tol, max_iter, np.inf), CalibrationSolution)
     fits = [getattr(out, "solution", out) for out in outcomes]  # no fit in a RankDeficiencyError
     if not all(getattr(fit, "converged", True) for fit in fits):  # a stalled fit's tilt is of a rejected step
         w, _ = problem.tilt(np.array([getattr(fit, "beta", np.zeros(problem.dim)) for fit in fits]))
-    score = np.abs(np.ldexp(problem.gradient(w), -shift)).max(axis=1).tolist()
+    g = problem.gradient(w)  # raw score: a centred column's entry gives back its centre times the constant's
+    score = np.abs(np.ldexp(np.ldexp(g, -spread) + center * g[:, :1], -shift)).max(axis=1).tolist()
     for r, (out, fit) in enumerate(zip(outcomes, fits)):
         if isinstance(fit, CalibrationSolution):
-            model = LogisticModel(np.ldexp(fit.beta, shift[r]), w[0][r, :n[r]], fit.iterations, fit.converged,
-                                  score[r])
-            outcomes[r] = (SeparationError(f"logistic coefficients diverged past {COEF_NORM_LIMIT:g}; treatment "
-                                           "looks perfectly separated") if np.abs(fit.beta).max() > COEF_NORM_LIMIT
+            model = LogisticModel(np.ldexp(_raw_h(fit.beta, center[r], np.ldexp(1.0, -spread[r])), shift[r]),
+                                  w[0][r, :n[r]], fit.iterations, fit.converged, score[r])
+            name = ["intercept", *(f"x{c + 1}" for c in cols)][j := np.abs(fit.beta).argmax()]
+            outcomes[r] = (SeparationError(f"logistic coefficient of {name} diverged past {COEF_NORM_LIMIT:g}; "
+                                           "treatment looks perfectly separated") if abs(fit.beta[j]) > COEF_NORM_LIMIT
                            else model if fit is out else NonConvergenceError(str(out), model, out.residuals))
     return outcomes
 

@@ -35,9 +35,9 @@ eigenvalues are the rank check: a design collinear within one arm, or a
 rank-deficient logit, is rejected before the first step. The
 dual gradient equals the primal balance residuals, which is what the
 convergence test monitors. All solves run in the coordinates of the
-supplied design (standardized by default); weights are invariant to that
-choice and :meth:`DualSolution.unstandardized` maps parameters back to
-raw coordinates.
+supplied design, each column but the constant centred and scaled;
+:meth:`DualSolution.unstandardized` maps parameters back to raw
+coordinates through ``_raw_h``, the one map the treatment logit uses too.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ class DualSolution:
         between arms.
         """
         g_shift = float(self.gamma @ (design.g_center / design.g_scale))
-        l1 = _raw_h(self.lambda1, design)
-        l0 = _raw_h(self.lambda0, design)
+        l1 = _raw_h(self.lambda1, design.h_center, design.h_scale)
+        l0 = _raw_h(self.lambda0, design.h_center, design.h_scale)
         l1[0] -= g_shift
         l0[0] += g_shift
         return l1, l0, self.gamma / design.g_scale
@@ -156,15 +156,14 @@ class CalibrationSolution:
 
     def unstandardized(self, design: DesignMatrices) -> np.ndarray:
         """Equivalent coefficients over the raw (unscaled) H columns."""
-        return _raw_h(self.beta, design)
+        return _raw_h(self.beta, design.h_center, design.h_scale)
 
 
-def _raw_h(theta, design: DesignMatrices) -> np.ndarray:
-    """Coefficients ``theta`` of the scaled H columns mapped onto the raw
-    ones: the constant coefficient absorbs the centering of every column."""
-    hc, hs = design.h_center, design.h_scale
-    b = theta / hs
-    b[0] = theta[0] - float(theta[1:] @ (hc[1:] / hs[1:]))
+def _raw_h(theta, center, scale) -> np.ndarray:
+    """Coefficients ``theta`` of columns (raw - center) / scale mapped onto the raw
+    ones, column 0 the constant: its coefficient absorbs the centering of every column."""
+    b = theta / scale
+    b[0] = theta[0] - float(theta[1:] @ (center[1:] / scale[1:]))
     return b
 
 

@@ -117,10 +117,9 @@ def test_constant_column_untouched_by_standardization():
     rng = np.random.default_rng(2)
     sample = _sample(rng.normal(size=(25, 3)))
     spec = gb.BasisSpec.from_names(["const", "x1", "x2"], ["x3"])
-    for standardize in (True, False):
-        design = gb.evaluate_basis(spec, sample, standardize=standardize)
-        np.testing.assert_array_equal(design.h[:, 0], 1.0)
-        assert design.h_center[0] == 0.0 and design.h_scale[0] == 1.0
+    design = gb.evaluate_basis(spec, sample)
+    np.testing.assert_array_equal(design.h[:, 0], 1.0)
+    assert design.h_center[0] == 0.0 and design.h_scale[0] == 1.0
 
 
 def test_zero_variance_column_rejected():
@@ -195,20 +194,29 @@ def test_source_sample_non_numeric_input_is_a_typed_error_naming_the_array(X, A,
     assert info.value.code == "NON_FINITE_CELL"
 
 
-def test_standardize_then_align_commutes_with_raw_solve():
-    # same weights and raw-unit balance residuals either way
+def test_affine_map_of_covariates_commutes_with_align_and_solve():
+    # a location and scale of each covariate, the target means mapped alike:
+    # the same weights, and so the same balance residuals in the raw units
     rng = np.random.default_rng(3)
     from helpers import random_instance
 
     sample, spec, design, target, raw_target = random_instance(rng, n_s=50, k_h=2, k_g=1)
-    design_raw = gb.evaluate_basis(spec, sample, standardize=False)
-    target_raw_aligned = gb.align_target_summary(spec, raw_target, design_raw)
-    _, ws_std = gb.solve_extended(design, target, sample.treated)
-    _, ws_raw = gb.solve_extended(design_raw, target_raw_aligned, sample.treated)
-    np.testing.assert_allclose(ws_std.w, ws_raw.w, atol=1e-10)
-    res_std = gb.balance_residuals(design_raw, target_raw_aligned, sample.treated, ws_std.w)
-    res_raw = gb.balance_residuals(design_raw, target_raw_aligned, sample.treated, ws_raw.w)
-    np.testing.assert_allclose(res_std.stacked(), res_raw.stacked(), atol=1e-12)
+    a, b = np.array([3.0, -0.7, 1.9]), np.array([1e3, -2.0, 0.5])
+    moved = gb.SourceSample(sample.X * a + b, sample.A, sample.Y)
+    moved_raw_target = np.r_[1.0, raw_target[1:] * a[:2] + b[:2]]
+    moved_design = gb.evaluate_basis(spec, moved)
+    _, ws = gb.solve_extended(design, target, sample.treated)
+    _, ws_moved = gb.solve_extended(moved_design, gb.align_target_summary(spec, moved_raw_target, moved_design),
+                                    sample.treated)
+    np.testing.assert_allclose(ws_moved.w, ws.w, atol=1e-10)
+
+    t, h, g = sample.treated, spec.evaluate_h(sample.X), spec.evaluate_g(sample.X)
+
+    def raw_residuals(w):
+        return np.r_[h[t].T @ w[t] - raw_target * sample.n_s, h[~t].T @ w[~t] - raw_target * sample.n_s,
+                     g[t].T @ w[t] - g[~t].T @ w[~t]] / sample.n_s
+
+    np.testing.assert_allclose(raw_residuals(ws_moved.w), raw_residuals(ws.w), atol=1e-12)
 
 
 def test_rank_wide_matrix_reports_infinite_condition_number():

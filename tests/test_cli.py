@@ -731,3 +731,24 @@ def test_cli_negative_seed_flag_is_validation_error(tmp_path, capsys):
     scen.write_text(json.dumps({"scenarios": [CELL]}))
     assert main(["simulate", "--scenario", str(scen), "--seed", "-1"]) == 2
     assert "scenario 'cell': seed=-1 must be >= 0" in _validation_error(capsys)
+
+
+def test_cli_estimate_with_a_covariate_far_from_zero_fits_the_treatment_logit(tmp_path):
+    # x5 + 2,000, as a calendar year sits: a location, not a separated
+    # treatment; x5 is a G term, so the target's H means do not move
+    draw = gb.draw_replicate(gb.builtin_scenario("P2", "T1", "M1", n=800, seed=3), 0)
+    schema = ColumnSchema("a", "y", ("x1", "x2", "x3", "x4", "x5"))
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps({"h": ["const", "x1", "x2", "x3"], "g": ["x4", "x5"]}))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"const": 1, **dict(zip(("x1", "x2", "x3"), draw.target_means[1:].tolist()))}))
+    tau = {}
+    for shift in (0.0, 2000.0):
+        X = draw.sample.X + np.array([0, 0, 0, 0, shift])
+        source, out = tmp_path / f"source{shift:g}.csv", tmp_path / f"est{shift:g}.json"
+        write_source_csv(source, gb.SourceSample(X, draw.sample.A, draw.sample.Y), schema)
+        assert main(["estimate", "--source", str(source), "--basis", str(basis), "--target-summary", str(target),
+                     "--methods", "ipw,extended", "--format", "json", "--out", str(out)]) == 0
+        tau[shift] = {e["method"]: e["tau_hat"] for e in json.loads(out.read_text())["estimates"]}
+    assert set(tau[2000.0]) == {"ipw", "extended"}
+    assert tau[2000.0]["ipw"] == pytest.approx(tau[0.0]["ipw"], rel=1e-9, abs=0)

@@ -84,6 +84,17 @@ def test_logistic_separation_detected():
         gb.fit_logistic_irls(sample)
 
 
+def test_separation_error_names_the_diverging_regressor():
+    # the sample above; then its column as x3, the one regressor, 1-based as in basis term names
+    x = np.concatenate([np.linspace(-1, -0.001, 10), np.linspace(0.001, 1, 10)])
+    A = (x > 0).astype(int)
+    with pytest.raises(SeparationError, match="coefficient of x1 diverged past 1000"):
+        gb.fit_logistic_irls(gb.SourceSample(x.reshape(-1, 1), A, np.zeros(20)))
+    X = np.column_stack([np.random.default_rng(15).normal(size=(20, 2)), x])
+    with pytest.raises(SeparationError, match="coefficient of x3 diverged past 1000"):
+        gb.fit_logistic_irls(gb.SourceSample(X, A, np.zeros(20)), columns=[2])
+
+
 def _unconverged_fit(sample, max_iter):
     with pytest.raises(NonConvergenceError) as info:
         gb.fit_logistic_irls(sample, max_iter=max_iter)
@@ -97,10 +108,12 @@ def test_logit_is_scale_safe(scale):
     U = rng.uniform(-1, 1, (200, 3))
     A = (rng.random(200) < sigmoid(0.8 * U[:, 0] - 0.5 * U[:, 1])).astype(int)
     Y = U[:, 0] + A + rng.standard_normal(200)
+    # and a positive column near the float limit, whose plain sum overflows
+    near_max = (1.5 + 0.1 * rng.uniform(size=200)) * 1e307
     spec = gb.BasisSpec.from_names(["const", "x1"], ["x2"])
 
     def estimates(c):
-        sample = gb.SourceSample(U * c, A, Y)
+        sample = gb.SourceSample(np.column_stack([U * c, near_max]), A, Y)
         return [gb.estimate_ipw(sample).tau_hat,
                 gb.estimate_ipw_et(sample, spec, [1.0, 0.1 * c]).tau_hat]
 

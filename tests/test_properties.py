@@ -214,3 +214,105 @@ def test_weights_and_estimates_are_bit_identical_under_power_of_two_covariate_sc
         return out
 
     assert outcomes(scaled, raw_scaled) == outcomes(gb.SourceSample(X, A, Y), raw)
+
+
+# the five `genbal weights` methods, each as (design, target, treated) -> WeightSet
+WEIGHT_METHODS = {
+    "extended": lambda design, target, treated: gb.solve_extended(design, target, treated)[1],
+    "ebal": lambda design, target, treated: gb.solve_ebal(design, target, treated)[1],
+    "two_step": gb.solve_two_step,
+    "et": lambda design, target, treated: gb.solve_et_calibration(design, target)[1],
+    "att": lambda design, target, treated: gb.solve_att(design, treated),
+}
+
+
+def _reports(sample, spec, raw_target):
+    """Each estimator's EstimateReport, or its GenbalError, on one data set."""
+    shared = _SharedWork([sample], spec, [raw_target])
+    return {name: estimate(shared, None)[0] for name, estimate in ESTIMATORS.items()}
+
+
+def _assert_each_estimator(before, after, check):
+    """``check(before, after)`` for every estimator that succeeds; one that
+    fails must fail alike on the changed data."""
+    for name, report in before.items():
+        if isinstance(report, GenbalError):
+            assert type(after[name]) is type(report), name
+        else:
+            assert not isinstance(after[name], GenbalError), (name, after[name])
+            check(report, after[name])
+
+
+INVARIANCE = settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                      suppress_health_check=[HealthCheck.too_slow])
+
+
+@INVARIANCE
+@given(instance=instances, perm_seed=st.integers(0, 2**32 - 1))
+def test_a_row_permutation_permutes_every_methods_weights(instance, perm_seed):
+    sample, spec, design, target, raw_target = instance
+    perm = np.random.default_rng(perm_seed).permutation(sample.n_s)
+    permuted = gb.SourceSample(sample.X[perm], sample.A[perm], sample.Y[perm])
+    moved_design = gb.evaluate_basis(spec, permuted)
+    moved_target = gb.align_target_summary(spec, raw_target, moved_design)
+    for name, solve in WEIGHT_METHODS.items():
+        w = solve(design, target, sample.treated).w
+        np.testing.assert_allclose(solve(moved_design, moved_target, permuted.treated).w, w[perm],
+                                   rtol=1e-9, atol=0, err_msg=name)
+
+    def same_weights(report, moved):  # the reports read the weights as a multiset
+        assert (moved.tau_hat, moved.weight_min, moved.weight_max, moved.ess_treated, moved.ess_control) \
+            == pytest.approx((report.tau_hat, report.weight_min, report.weight_max, report.ess_treated,
+                              report.ess_control), rel=1e-9, abs=1e-10)
+
+    _assert_each_estimator(_reports(sample, spec, raw_target), _reports(permuted, spec, raw_target), same_weights)
+
+
+@INVARIANCE
+@given(instance=instances)
+def test_listing_every_row_twice_keeps_each_rows_weight_and_the_estimate(instance):
+    # the balance means are unchanged; the logit's score doubles, so it may
+    # stop one iteration apart, at a score under its tol of 1e-8
+    sample, spec, _, _, raw_target = instance
+    twice = gb.SourceSample(*(np.repeat(v, 2, axis=0) for v in (sample.X, sample.A, sample.Y)))
+
+    def same_weights(report, moved):  # weights normalized to sum to n_s per arm, so the ESS doubles
+        assert (moved.tau_hat, moved.weight_min, moved.weight_max, moved.ess_treated / 2, moved.ess_control / 2) \
+            == pytest.approx((report.tau_hat, report.weight_min, report.weight_max, report.ess_treated,
+                              report.ess_control), rel=1e-8, abs=1e-8)
+
+    _assert_each_estimator(_reports(sample, spec, raw_target), _reports(twice, spec, raw_target), same_weights)
+
+
+@INVARIANCE
+@given(instance=instances)
+def test_swapping_the_arms_negates_every_estimate(instance):
+    sample, spec, _, _, raw_target = instance
+    swapped = gb.SourceSample(sample.X, 1 - sample.A, sample.Y)
+
+    def negated(report, moved):
+        assert moved.tau_hat == pytest.approx(-report.tau_hat, rel=0, abs=1e-10)
+
+    _assert_each_estimator(_reports(sample, spec, raw_target), _reports(swapped, spec, raw_target), negated)
+
+
+@INVARIANCE
+@given(instance=instances, map_seed=st.integers(0, 2**32 - 1), location=st.floats(0.0, 1e6))
+@example(instance=random_instance(np.random.default_rng(5), n_s=80, k_h=3, k_g=2), map_seed=6, location=1e6)
+def test_an_affine_map_of_the_covariates_keeps_every_estimate(instance, map_seed, location):
+    # x -> a x + b per covariate, |a| in [0.1, 10], |b| up to 1e6, the target
+    # means mapped alike: every design and the treatment logit centre and
+    # scale their columns, so only rounding moves the estimate; a location
+    # of 1e6 over a spread of 0.1 costs about 7 digits of a covariate
+    sample, spec, _, _, raw_target = instance
+    rng = np.random.default_rng(map_seed)
+    a = rng.uniform(0.1, 10.0, sample.p) * rng.choice([-1.0, 1.0], sample.p)
+    b = rng.uniform(-location, location, sample.p)
+    k = len(spec.h_terms) - 1
+    moved = gb.SourceSample(sample.X * a + b, sample.A, sample.Y)
+
+    def kept(report, after):
+        assert after.tau_hat == pytest.approx(report.tau_hat, rel=0, abs=1e-8)
+
+    _assert_each_estimator(_reports(sample, spec, raw_target),
+                           _reports(moved, spec, np.r_[1.0, raw_target[1:] * a[:k] + b[:k]]), kept)

@@ -297,12 +297,15 @@ def test_balance_residuals_within_tolerance_at_convergence():
 def test_weights_reparameterization_invariance():
     rng = np.random.default_rng(19)
     for _ in range(5):
+        # each covariate mapped to a x + b, a of either sign, |b| up to 1e4, the target means alike
         sample, spec, design, target, raw_target = random_instance(rng, n_s=60, k_h=2, k_g=2)
-        design_raw = gb.evaluate_basis(spec, sample, standardize=False)
-        target_raw = gb.align_target_summary(spec, raw_target, design_raw)
-        _, ws_std = gb.solve_extended(design, target, sample.treated)
-        _, ws_raw = gb.solve_extended(design_raw, target_raw, sample.treated)
-        assert np.abs(ws_std.w - ws_raw.w).max() <= 1e-10
+        a = rng.uniform(0.1, 10.0, 4) * rng.choice([-1.0, 1.0], 4)
+        b = rng.uniform(-1e4, 1e4, 4)
+        moved = gb.evaluate_basis(spec, gb.SourceSample(sample.X * a + b, sample.A, sample.Y))
+        moved_target = gb.align_target_summary(spec, np.r_[1.0, raw_target[1:] * a[:2] + b[:2]], moved)
+        _, ws = gb.solve_extended(design, target, sample.treated)
+        _, ws_moved = gb.solve_extended(moved, moved_target, sample.treated)
+        assert np.abs(ws.w - ws_moved.w).max() <= 1e-10
 
 
 def test_tilting_structure_reconstructs_from_raw_parameters():
