@@ -14,18 +14,18 @@ participation, and outcome-mean functions), this module evaluates:
 All expectations run over a deterministic quadrature grid for the
 covariate law, so results are exact up to quadrature error; the
 companion Monte Carlo harness provides the stochastic cross-check.
-Every sum over the grid reads it through ``grid.blocks()``, which a
-``gauss_legendre_box`` grid builds block by block on request, so the
-working set does not grow with the grid. The first pass sums the
-limiting dual's base and target weights; the second, given lambda0*,
-the Gram matrices and moments of the H and G⊥ projections, for
-``project_h``, ``project_g_perp`` and ``asymptotic_variance`` alike;
-the report's third, given the projection coefficients, the variance
-sums. The limiting dual runs on the sub-grid of the covariates H reads:
-on a tensor grid (one with a ``shape``) H is constant along every other
-axis, so the dual's base and target weights are summed over those axes,
-and H = (const, x1, x2, x3) on a grid over x1..x5 solves over nodes**3
-rows, not nodes**5. A grid without a shape keeps one dual row per row.
+Every sum reads the grid through ``grid.blocks()``, block by block, so
+the working set does not grow with the grid. Each block's H, G and
+truth columns are stacked term by term as C-contiguous (k, rows)
+arrays, so every Gram matrix and moment is one (k, rows) @ (rows, k')
+product. The first pass sums the limiting dual's base and target
+weights on the sub-grid of the covariates H reads (on a tensor grid H
+is constant along the other axes; ``grid._nodes`` gives each row's node
+from one tile per pass), so H = (const, x1, x2, x3) on a grid over
+x1..x5 solves over nodes**3 rows; the second, given lambda0*, the Gram
+matrices and moments of the H and G⊥ projections, for the projections
+and the report alike; the report's third the variance sums. A truth
+value or propensity outside what the formulas need fails typed.
 """
 
 from __future__ import annotations
@@ -119,10 +119,11 @@ def _require_decomposition(truth: TruthFunctions):
         )
 
 
-def _tilt_base(truth, H, G):
-    """q = exp(G'gamma_pi / 2) / (1 + exp(H'lambda_pi + G'gamma_pi)) per row."""
-    den = 1.0 + np.exp(H @ truth.lambda_pi + G @ truth.gamma_pi)
-    return np.exp(G @ (truth.gamma_pi / 2.0)) / den
+def _tilt(truth, H, G, lam0):
+    """r = exp(H'lam0 + G'gamma_pi / 2) / (1 + exp(H'lambda_pi + G'gamma_pi))
+    per column of the (k, rows) arrays H and G; lam0 = 0 gives the base q."""
+    den = 1.0 + np.exp(truth.lambda_pi @ H + truth.gamma_pi @ G)
+    return np.exp(lam0 @ H + (truth.gamma_pi / 2.0) @ G) / den
 
 
 def _check_dimension(spec, grid):
@@ -134,15 +135,35 @@ def _check_dimension(spec, grid):
         )
 
 
-def _chunks(truth, spec, grid, lam0=None):
-    """One pass over the grid: per block of rows, (rows, X, w, H, G, rho,
-    tilt), with tilt the base q, or r = q exp(H'lam0) given lam0."""
-    for start, stop, X, w in grid.blocks():
-        H, G = spec.evaluate_h(X), spec.evaluate_g(X)
-        tilt = _tilt_base(truth, H, G)
-        if lam0 is not None:
-            tilt *= np.exp(H @ lam0)
-        yield range(start, stop), X, w, H, G, truth.participation(X), tilt
+def _point(x):
+    return "(" + ", ".join(f"x{j + 1}={v:.6g}" for j, v in enumerate(x)) + ")"
+
+
+def _stack(fns, X, w=None):
+    """f(X) for each f of the dict ``fns`` as the rows of one C-contiguous (k, rows) array. Given
+    the weights w, a value that is not finite raises ValidationError naming its key and the row
+    if the row has weight, and reads as 0 if not."""
+    if w is None:
+        return np.array([f(X) for f in fns.values()]).reshape(len(fns), len(X))
+    with np.errstate(all="ignore"):  # a value that is not finite is named below
+        out = _stack(fns, X)
+        finite = np.isfinite(out @ w).all()
+    for name, row in zip(fns, () if finite else out):
+        if (bad := ~np.isfinite(row) & (w > 0)).any():
+            raise ValidationError(f"{name} is {row[bad.argmax()]} at the grid point {_point(X[bad.argmax()])}",
+                                  code="NON_FINITE_CELL")
+        row[~np.isfinite(row)] = 0.0  # on rows of zero weight, which add nothing
+    return out
+
+
+def _chunks(truth, spec, grid, lam0, fns):
+    """One pass over the grid: per block of rows, (X, w, H, G, T, r): H, G and
+    T (k, rows) arrays, T the participation rho then the truth functions
+    ``fns``, checked, and r the tilt at lam0."""
+    h, g = ({t.name: t.evaluate for t in terms} for terms in (spec.h_terms, spec.g_terms))
+    for _, _, X, w in grid.blocks():
+        H, G = _stack(h, X), _stack(g, X)
+        yield X, w, H, G, _stack({"participation": truth.participation, **fns}, X, w), _tilt(truth, H, G, lam0)
 
 
 def _limiting_dual(truth, spec, grid, tol=1e-8, max_iter=100):
@@ -156,17 +177,12 @@ def _limiting_dual(truth, spec, grid, tol=1e-8, max_iter=100):
     """
     _check_dimension(spec, grid)
     _require_decomposition(truth)
-    shape, read = (grid.size,), {0}
-    if grid.shape is not None:
-        shape, read = grid.shape, frozenset().union(*(t.indices() for t in spec.h_terms))
-    n_sub = math.prod(n for j, n in enumerate(shape) if j in read)
-    Hs, base, wt, w_rho = np.empty((n_sub, len(spec.h_terms))), np.zeros(n_sub), np.zeros(n_sub), 0.0
-    for rows, _, w, H, G, rho, q in _chunks(truth, spec, grid):
-        i = np.arange(rows.start, rows.stop)
-        node = np.zeros_like(i)
-        for j in sorted(read):
-            node = node * shape[j] + i // math.prod(shape[j + 1:]) % shape[j]
-        Hs[node] = H  # the rows of one node share their H row
+    read = {0} if grid.shape is None else frozenset().union(*(t.indices() for t in spec.h_terms))
+    n_sub, kh = math.prod(n for j, n in enumerate(grid.shape or (grid.size,)) if j in read), len(spec.h_terms)
+    Hs, base, wt, w_rho = np.empty((n_sub, kh)), np.zeros(n_sub), np.zeros(n_sub), 0.0
+    for (_, w, H, _, (rho,), q), node in zip(_chunks(truth, spec, grid, np.zeros(kh), {}), grid._nodes(read)):
+        first = np.flatnonzero(np.diff(node, prepend=-1))  # a run of rows on one node shares its H row
+        Hs[node[first]] = H.T[first]
         base += np.bincount(node, w * rho * q, n_sub)
         wt += np.bincount(node, w * (1.0 - rho), n_sub)
         w_rho += float(w @ rho)
@@ -203,8 +219,7 @@ def tilde_r(truth: TruthFunctions, spec: BasisSpec, lambda0_star: np.ndarray) ->
     _require_decomposition(truth)
 
     def r(X):
-        H = spec.evaluate_h(X)
-        return _tilt_base(truth, H, spec.evaluate_g(X)) * np.exp(H @ lambda0_star)
+        return _tilt(truth, spec.evaluate_h(X).T, spec.evaluate_g(X).T, lambda0_star)
 
     return r
 
@@ -237,27 +252,28 @@ def _solve_gram(gram, rhs, span, names):
 _G_PERP = "G⊥ (G residualised on H)"
 
 
-def _second_pass(truth, spec, grid, lam0, columns, mix=None):
-    """Under the tilted source law w rho r, the H coefficients of the k
-    columns F that ``columns(X, w, rho)`` gives per block and of G, as one
-    (kh, k + kg) array, and given ``mix`` the G⊥ coefficients of F @ mix.
+def _second_pass(truth, spec, grid, lam0, fns, mix=None):
+    """Under the tilted source law w rho r, the H coefficients of the k truth
+    columns F of the dict ``fns`` and of G, as one (kh, k + kg) array, the
+    sums of F under the target law w (1 - rho), and given ``mix`` the G⊥
+    coefficients of F'mix (else None).
     G⊥ = G - H C, so G⊥'G⊥ = G'G - G'H C and G⊥'f = G'f - C'H'f."""
-    kh, kg = len(spec.h_terms), len(spec.g_terms)
-    hh, hm, gg, gm = np.zeros((kh, kh)), 0.0, np.zeros((kg, kg)), np.zeros(kg)
-    for _, X, w, H, G, rho, r in _chunks(truth, spec, grid, lam0):
-        F, measure = np.column_stack(columns(X, w, rho)), w * rho * r
-        Hm, Gm = H * measure[:, None], G * measure[:, None]
-        hh += H.T @ Hm
-        hm += Hm.T @ np.column_stack((F, G))
-        gg += G.T @ Gm
-        if mix is not None:
-            gm += Gm.T @ (F @ mix)
+    kh, kg, k = len(spec.h_terms), len(spec.g_terms), len(fns)
+    hh, hm, gg, gm, tgt = np.zeros((kh, kh)), np.zeros((kh, k + kg)), np.zeros((kg, kg)), np.zeros((kg, k)), 0.0
+    for X, w, H, G, T, r in _chunks(truth, spec, grid, lam0, fns):
+        rho, F, measure = T[0], T[1:], w * T[0] * r
+        Hm, Gm = H * measure, G * measure
+        hh += Hm @ H.T
+        hm[:, :k] += Hm @ F.T
+        hm[:, k:] += Hm @ G.T
+        gg += Gm @ G.T
+        gm += Gm @ F.T
+        tgt += (w * (1.0 - rho)) @ F.T
     coef = _solve_gram(hh, hm, "H", spec.h_names)
     if mix is None:
-        return coef, None
-    k = len(mix)
+        return coef, tgt, None
     C = coef[:, k:]
-    return coef, _solve_gram(gg - hm[:, k:].T @ C, gm - C.T @ (hm[:, :k] @ mix), _G_PERP, spec.g_names)
+    return coef, tgt, _solve_gram(gg - hm[:, k:].T @ C, (gm - C.T @ hm[:, :k]) @ mix, _G_PERP, spec.g_names)
 
 
 def project_h(
@@ -265,7 +281,7 @@ def project_h(
 ) -> ProjectedFunction:
     """Project f onto span{H} under the limiting tilted source covariate law."""
     lam0 = _limiting_dual(truth, spec, grid)[0]
-    coef, _ = _second_pass(truth, spec, grid, lam0, lambda X, w, rho: (f(X),))
+    coef = _second_pass(truth, spec, grid, lam0, {"f": f})[0]
     return ProjectedFunction(coef[:, 0], spec.evaluate_h)
 
 
@@ -274,7 +290,7 @@ def project_g_perp(
 ) -> ProjectedFunction:
     """Project f onto the H-orthogonalized G span under the limiting tilted law."""
     lam0 = _limiting_dual(truth, spec, grid)[0]
-    coef, b = _second_pass(truth, spec, grid, lam0, lambda X, w, rho: (f(X),), np.ones(1))
+    coef, _, b = _second_pass(truth, spec, grid, lam0, {"f": f}, np.ones(1))
     C = coef[:, 1:]
     return ProjectedFunction(b, lambda X: spec.evaluate_g(X) - spec.evaluate_h(X) @ C)
 
@@ -333,32 +349,30 @@ def asymptotic_variance(
     are reported alongside.
     """
     lam0, rho_bar, not_bar = _limiting_dual(truth, spec, grid)
-    tau_sum = 0.0
-
-    def columns(X, w, rho):
-        nonlocal tau_sum
-        mu1, mu0 = truth.mu1(X), truth.mu0(X)
-        tau_sum += float(w @ ((1.0 - rho) * (mu1 - mu0)))
-        return mu1 - mu0, mu1, mu0
-
-    # G⊥ projects m: the halves are exact, so F @ mix is 0.5 * (mu1 + mu0) bit for bit
-    coef, b = _second_pass(truth, spec, grid, lam0, columns, np.array([0.0, 0.5, 0.5]))
-    C = coef[:, 3:]
-    tau_star = tau_sum / not_bar
+    mu = {"mu1": truth.mu1, "mu0": truth.mu0}
+    # G⊥ projects m = (mu1 + mu0) / 2; tau = mu1 - mu0 gets mu1's H coefficients and target sum minus mu0's
+    coef, tgt, b = _second_pass(truth, spec, grid, lam0, mu, np.array([0.5, 0.5]))
+    C = coef[:, 2:]
+    tau_star = float(tgt[0] - tgt[1]) / not_bar
     # third pass: the variance sums, with pi_H tau = H a0 and the residuals
     # mu1 - pi_H mu1 - pi_G⊥ m = mu1 - H a1 - G b (a2 for mu0)
-    a = np.column_stack((coef[:, 0], coef[:, 1] - C @ b, coef[:, 2] - C @ b))
+    a = np.array((coef[:, 0] - coef[:, 1], coef[:, 0] - C @ b, coef[:, 1] - C @ b))
     sums = np.zeros(5)
-    for _, X, w, H, G, rho, r in _chunks(truth, spec, grid, lam0):
-        mu1, mu0, pi = truth.mu1(X), truth.mu0(X), truth.propensity(X)
+    for X, w, H, G, (rho, mu1, mu0, pi), r in _chunks(truth, spec, grid, lam0, {**mu, "propensity": truth.propensity}):
+        for name, v, hit in (("propensity", pi, (pi == 0.0) | (pi == 1.0)), ("participation", rho, rho == 0.0)):
+            if (bad := hit & (w > 0)).any():
+                raise HypothesisViolationError(
+                    f"{name} reaches {v[bad.argmax()]:g} at the grid point {_point(X[bad.argmax()])}; the variance "
+                    "needs 0 < propensity < 1 and participation > 0 wherever the grid has weight")
+            v[hit] = 0.5  # on rows of zero weight, which add nothing
         noise = truth.sigma2_1(X) / pi + truth.sigma2_0(X) / (1.0 - pi)
-        fit, pi_gp_m = H @ a, G @ b
-        res1, res0 = mu1 - fit[:, 1] - pi_gp_m, mu0 - fit[:, 2] - pi_gp_m
+        fit, pi_gp_m = a @ H, b @ G
+        res1, res0 = mu1 - fit[1] - pi_gp_m, mu0 - fit[2] - pi_gp_m
         tilt2, out = rho * r ** 2, 1.0 - rho
         sums += (
             w @ (tilt2 * noise),
             w @ (tilt2 * (res1 ** 2 / pi + res0 ** 2 / (1.0 - pi))),
-            w @ (out * (fit[:, 0] - tau_star) ** 2),
+            w @ (out * (fit[0] - tau_star) ** 2),
             w @ (out ** 2 / rho * noise),
             w @ (out * (mu1 - mu0 - tau_star) ** 2),
         )

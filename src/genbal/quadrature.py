@@ -55,6 +55,8 @@ class QuadratureGrid:
             )
         if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
             raise ValidationError("grid weights must be finite and non-negative")
+        if not weights.sum() > 0.0:
+            raise ValidationError(f"grid weights must have a positive sum, got 0 over {len(weights)} points")
         self.shape, (self.size, self.dim) = None, points.shape
         self._axes, self._arrays = None, (points, weights)
         for a in self._arrays:
@@ -97,6 +99,26 @@ class QuadratureGrid:
             tile[1, j - t] = self._axes[j][1].reshape(along)
         return t, block, tile.reshape(2, p - t, math.prod(tiled))
 
+    def _nodes(self, read):
+        """For each block of blocks(), each row's node on the sub-grid of the
+        axes in ``read``, the first slowest (a grid without a shape is one
+        axis). Built as blocks() builds X: one tile of the nodes of the rows
+        of _tile's trailing axes, and per block one repeat of its runs' nodes."""
+        chunk, shape = _CHUNK_ROWS, (self.size,) if self.shape is None else self.shape
+        block = next(b for j in range(len(shape) + 1) if (b := math.prod(shape[j:])) <= chunk)
+        axes = range(len(shape))
+        div, radix = (np.array(v, dtype=np.intp) for v in ([math.prod(shape[j + 1:]) for j in axes], shape))
+        stride = np.array([math.prod(shape[i] for i in read if i > j) * (j in read) for j in axes], dtype=np.intp)
+
+        def nodes(rows):  # each row's digit on each axis, weighted by its stride on the sub-grid
+            return (rows[:, None] // div % radix) @ stride
+
+        tile = np.tile(nodes(np.arange(block)), chunk // block + 2)
+        for start in range(0, self.size, chunk):
+            stop = min(start + chunk, self.size)
+            lead, runs = _runs(start, stop, block)
+            yield np.repeat(nodes(lead * block), runs) + tile[start % block:start % block + stop - start]
+
     def blocks(self):
         """(start, stop, X, w) for each block of _CHUNK_ROWS rows in order,
         the last one shorter, (X, w) equal bit for bit to
@@ -114,9 +136,7 @@ class QuadratureGrid:
             t, block, tile = tiled
             XT, o = np.empty((self.dim, stop - start)), start % block
             XT[t:] = tile[0, :, o:o + stop - start]
-            # runs of rows that share their nodes on axes 0..t-1
-            lead = np.arange(start // block, (stop - 1) // block + 1)
-            runs = np.minimum(lead * block + block, stop) - np.maximum(lead * block, start)
+            lead, runs = _runs(start, stop, block)
             lead_w = np.ones(len(lead))
             for j in range(t):
                 digit = lead // math.prod(self.shape[j + 1:t]) % self.shape[j]
@@ -126,6 +146,12 @@ class QuadratureGrid:
             for w_axis in tile[1]:
                 w *= w_axis[o:o + stop - start]
             yield start, stop, XT.T, w
+
+
+def _runs(start, stop, block):
+    """Index and length of each run of rows start..stop-1 that share their nodes on the axes before ``block``."""
+    lead = np.arange(start // block, (stop - 1) // block + 1)
+    return lead, np.minimum(lead * block + block, stop) - np.maximum(lead * block, start)
 
 
 def _is_int(value) -> bool:

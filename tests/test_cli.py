@@ -399,6 +399,40 @@ def test_cli_oracle_over_quadrature_budget_is_validation_error(tmp_path, capsys)
     assert "p=9, nodes=16" in capsys.readouterr().err
 
 
+def test_cli_oracle_on_a_non_finite_outcome_mean_fails_as_simulate_does(tmp_path, capsys):
+    scen = tmp_path / "hot.json"
+    hot = {"terms": [{"kind": "expaffine", "coef": 1.0, "slopes": {"x1": 400.0}}]}
+    scen.write_text(json.dumps({"scenarios": [{**CELL, "baseline": hot}]}))
+    assert main(["oracle", "--scenario", str(scen), "--nodes", "6"]) == 2
+    assert "mu1 is inf at the grid point (x1=1.8" in _validation_error(capsys)
+    config, = load_scenarios_json(scen)
+    with pytest.raises(ValidationError) as info:
+        gb.asymptotic_variance(gb.TruthFunctions.from_scenario(config), config.basis(),
+                               gb.gauss_legendre_box(config.p, config.low, config.high, 6))
+    assert info.value.code == "NON_FINITE_CELL"
+    assert main(["simulate", "--scenario", str(scen)]) == 2
+    assert "scenario 'cell': the baseline model gives a non-finite value" in _validation_error(capsys)
+
+
+def test_cli_oracle_on_a_saturated_propensity_writes_no_infinity(tmp_path, capsys):
+    scen, out = tmp_path / "wide.json", tmp_path / "oracle.json"
+    cell = {"name": "wide", "propensity": "P2", "cate": "T1", "baseline": "M1"}
+    scen.write_text(json.dumps({"scenarios": [{**cell, "low": -50, "high": 50}]}))
+    args = ["--nodes", "8", "--format", "json", "--out", str(out)]
+    assert main(["oracle", "--scenario", str(scen), *args]) == 2
+    assert "propensity reaches 1 at the grid point (x1=" in _validation_error(capsys)
+    assert not out.exists()
+    # the ±20 box stays finite: a strict JSON reader takes its report
+    scen.write_text(json.dumps({"scenarios": [{**cell, "low": -20, "high": 20}]}))
+    assert main(["oracle", "--scenario", str(scen), *args]) == 0
+
+    def no_constant(name):
+        raise AssertionError(f"{name} in the oracle report")
+
+    report = json.loads(out.read_text(), parse_constant=no_constant)
+    assert all(np.isfinite(report[k]) for k in ("v1", "v2", "v3", "total", "efficiency_bound", "gap"))
+
+
 @pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "nan"), ("--max-iter", "-3")])
 def test_cli_invalid_solver_option_is_validation_error(tmp_path, capsys, flag, value):
     _, _, source, basis, target = _write_inputs(tmp_path)

@@ -380,19 +380,23 @@ def test_variance_evaluates_each_grid_function_once_per_pass_that_reads_it(
     monkeypatch, grid5, p2_truth
 ):
     # pass 1 (the dual) reads H, G and rho; pass 2 (the projections) also
-    # mu1 and mu0; pass 3 (the variance sums) every function
-    rows = dict.fromkeys(
-        ["evaluate_h", "evaluate_g", "participation", "propensity", "mu1", "mu0",
-         "sigma2_1", "sigma2_0"], 0
-    )
-    for name in ("evaluate_h", "evaluate_g"):
-        monkeypatch.setattr(gb.BasisSpec, name, _counting(getattr(gb.BasisSpec, name), rows, name))
+    # mu1 and mu0; pass 3 (the variance sums) every function. The passes
+    # stack H and G term by term, so each basis term is counted.
+    terms = [t.name for t in _SPEC5.terms]
     truths = ("participation", "propensity", "mu1", "mu0", "sigma2_1", "sigma2_0")
+    rows = dict.fromkeys([*terms, *truths], 0)
+    evaluate = gb.BasisTerm.evaluate
+
+    def counted(term, X):
+        rows[term.name] += len(X)
+        return evaluate(term, X)
+
+    monkeypatch.setattr(gb.BasisTerm, "evaluate", counted)
     truth = dataclasses.replace(
         p2_truth, **{n: _counting(getattr(p2_truth, n), rows, n) for n in truths}
     )
     gb.asymptotic_variance(truth, _SPEC5, grid5)
-    passes = {"evaluate_h": 3, "evaluate_g": 3, "participation": 3, "mu1": 2, "mu0": 2}
+    passes = {**dict.fromkeys(terms, 3), "participation": 3, "mu1": 2, "mu0": 2}
     assert rows == {name: passes.get(name, 1) * grid5.size for name in rows}
 
 
@@ -610,3 +614,54 @@ def test_oracle_rejects_a_basis_reading_past_the_grids_dimension(p2_truth, entry
     with pytest.raises(ValidationError, match="x5 but the grid has p=3") as info:
         entry(p2_truth, gb.gauss_legendre_box(3, -2.0, 2.0, 4))
     assert info.value.code == "INDEX_OUT_OF_RANGE"
+
+
+def _hot(value):
+    # value on the rows with x1 > 1.5, 0.5 elsewhere
+    return lambda X: np.where(X[:, 0] > 1.5, value, 0.5)
+
+
+@pytest.mark.parametrize(
+    "field, value, entry",
+    [
+        ("mu1", np.inf, "asymptotic_variance"),
+        ("mu0", np.nan, "asymptotic_variance"),
+        ("propensity", np.nan, "asymptotic_variance"),
+        ("participation", np.nan, "asymptotic_variance"),
+        ("participation", np.nan, "solve_limiting_dual"),
+        ("f", np.nan, "project_h"),
+        ("f", -np.inf, "project_g_perp"),
+    ],
+)
+def test_non_finite_truth_value_names_the_function_and_a_grid_point(p2_truth, field, value, entry):
+    truth = p2_truth if field == "f" else dataclasses.replace(p2_truth, **{field: _hot(value)})
+    grid = gb.gauss_legendre_box(5, -2.0, 2.0, 4)
+    args = (_hot(value), truth) if entry.startswith("project") else (truth,)
+    with pytest.raises(ValidationError, match=rf"^{field} is {value} at the grid point \(x1=1\.7\d+, ") as info:
+        getattr(gb, entry)(*args, _SPEC5, grid)
+    assert info.value.code == "NON_FINITE_CELL"
+
+
+@pytest.mark.parametrize("field, value", [("mu1", np.nan), ("propensity", 1.0), ("participation", 0.0)])
+def test_truth_value_on_a_zero_weight_row_is_not_read(p2_truth, field, value):
+    grid = gb.gauss_legendre_box(5, -2.0, 2.0, 4)
+    weights = np.where(grid.points[:, 0] > 1.5, 0.0, grid.weights)
+    zeroed = gb.QuadratureGrid(grid.points, weights / weights.sum())
+    want = gb.asymptotic_variance(dataclasses.replace(p2_truth, **{field: _hot(0.5)}), _SPEC5, zeroed)
+    report = gb.asymptotic_variance(dataclasses.replace(p2_truth, **{field: _hot(value)}), _SPEC5, zeroed)
+    np.testing.assert_array_equal(_values(report), _values(want))
+
+
+@pytest.mark.parametrize("field, value", [("propensity", 1.0), ("propensity", 0.0), ("participation", 0.0)])
+def test_saturated_propensity_or_participation_fails_typed(p2_truth, field, value):
+    truth = dataclasses.replace(p2_truth, **{field: _hot(value)})
+    grid = gb.gauss_legendre_box(5, -2.0, 2.0, 4)
+    with pytest.raises(HypothesisViolationError, match=rf"^{field} reaches {value:g} at the grid point \(x1=1\.7"):
+        gb.asymptotic_variance(truth, _SPEC5, grid)
+
+
+@pytest.mark.parametrize("points, weights", [(np.zeros((0, 5)), np.zeros(0)), (np.zeros((3, 5)), np.zeros(3))],
+                         ids=["no-rows", "zero-weights"])
+def test_variance_on_a_grid_without_mass_is_a_validation_error(p2_truth, points, weights):
+    with pytest.raises(ValidationError, match="grid weights must have a positive sum"):
+        gb.asymptotic_variance(p2_truth, _SPEC5, gb.QuadratureGrid(points, weights))

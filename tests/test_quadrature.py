@@ -1,5 +1,6 @@
 """Tensor Gauss-Legendre grids: shape, exactness, guards; import footprint."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -94,6 +95,8 @@ def test_hand_built_grid_is_coerced_and_read_only():
         (np.zeros((2, 1)), [[0.5, 0.5]], None, r"got shape \(1, 2\)"),
         (np.zeros((2, 1)), [1.5, -0.5], None, "finite and non-negative"),
         (np.zeros((2, 1)), [np.nan, 1.0], None, "finite and non-negative"),
+        (np.zeros((0, 2)), np.zeros(0), None, "positive sum, got 0 over 0 points"),
+        (np.zeros((2, 1)), [0.0, 0.0], None, "positive sum, got 0 over 2 points"),
     ],
 )
 def test_grid_construction_rejects_inconsistent_parts(points, weights, _none, message):
@@ -150,6 +153,32 @@ def test_row_blocks_are_the_whole_grids_rows_bit_for_bit(monkeypatch, p, nodes, 
     assert tensor.points.flags.c_contiguous
     assert not tensor.points.flags.writeable and not tensor.weights.flags.writeable
     assert tensor.points is tensor.points
+
+
+@pytest.mark.parametrize("chunk", ["1", "7", "size-1", "size", "size+1", "default"])
+@pytest.mark.parametrize("shape", [(3, 4, 5), (12,) * 5, (5, 1, 2), (1,), (), None],
+                         ids=["3x4x5", "12^5", "5x1x2", "one-point", "p=0", "shapeless"])
+def test_sub_grid_nodes_are_the_read_axes_digits_of_each_row(monkeypatch, shape, chunk):
+    if shape is None:
+        grid, axes = gb.QuadratureGrid(np.zeros((11, 2)), np.full(11, 1 / 11)), (11,)
+    else:
+        grid, axes = quadrature.QuadratureGrid._tensor(tuple((np.arange(n), np.ones(n)) for n in shape)), shape
+    size = grid.size
+    rows = {"1": 1, "7": 7, "size-1": max(size - 1, 1), "size": size, "size+1": size + 1,
+            "default": quadrature._CHUNK_ROWS}[chunk]
+    monkeypatch.setattr(quadrature, "_CHUNK_ROWS", rows)
+    lengths = [b - a for a, b, _, _ in itertools.islice(grid.blocks(), 300)]
+    for k in range(len(axes) + 1):
+        for read in itertools.combinations(range(len(axes)), k):
+            # the first 300 blocks: all of them but for 12^5 in blocks of 1 or 7 rows
+            got = list(itertools.islice(grid._nodes(set(read)), 300))
+            assert [len(n) for n in got] == lengths
+            i = np.arange(sum(lengths))
+            want = np.zeros_like(i)
+            if read:
+                digits = np.unravel_index(i, axes)
+                want = np.ravel_multi_index([digits[j] for j in read], [axes[j] for j in read])
+            assert np.array_equal(np.concatenate(got), want), read
 
 
 def test_one_grid_reads_the_same_rows_as_the_block_size_changes(monkeypatch):
