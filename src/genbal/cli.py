@@ -24,6 +24,7 @@ from .errors import (
 from .estimators import ESTIMATOR_NAMES, ESTIMATORS, _SharedWork, check_methods
 from .fileio import (
     ColumnSchema,
+    _read_header,
     emit_report,
     load_basis_json,
     load_scenarios_json,
@@ -139,16 +140,10 @@ def _schema_from_args(args, header_path) -> ColumnSchema:
     if args.covariates:
         covariates = tuple(c.strip() for c in args.covariates.split(",") if c.strip())
     else:
-        import csv as _csv
-
         with open(header_path, newline="") as fh:
-            header = next(_csv.reader(fh), [])  # the loader rejects an empty file
+            header = _read_header(fh, header_path)
         # a repeated header column is listed once, so the loader names the file
-        covariates = tuple(dict.fromkeys(
-            c.strip()
-            for c in header
-            if c.strip() not in (args.treatment, args.outcome)
-        ))
+        covariates = tuple(dict.fromkeys(c for c in header if c not in (args.treatment, args.outcome)))
     categorical = tuple(c.strip() for c in args.categorical.split(",") if c.strip())
     return ColumnSchema(args.treatment, args.outcome, covariates, categorical)
 

@@ -2,17 +2,18 @@
 
 Rectangular data travels as CSV, summaries and configs as JSON. Loaders
 fail with typed errors naming the offending cell; nothing is imputed or
-silently dropped. A source CSV with no categorical column is read by one
-np.loadtxt call, which converts every column. A file it cannot take whole
-(an empty, non-numeric or ``1_0``-like cell in any column, no rows, a wrong
-width, a non-finite schema cell, a non-0/1 treatment) is parsed again by
-one column-wise pass, which reports any error: blank rows are skipped (they
-still count in line numbers), the other rows are transposed, each numeric
-column is converted with one float() map, and row lengths, finiteness and
-0/1 treatment are checked on whole columns. Only when a check fails are the
-rows walked in file order, so the error names the first bad cell: the
-earliest line, and within a line the treatment, the outcome, then the
-covariates in schema order.
+silently dropped. A source CSV is opened once, its header checked once,
+and its lines read in blocks of _BLOCK_ROWS; a block that csv.reader
+reads is that many records, so it ends on a record where quoted records
+span lines. One np.loadtxt call converts a block of a schema with no
+categorical column when every cell is a number at the header's width,
+the used ones finite with a 0/1 treatment. Any other block goes through
+one column-wise pass over its csv records (blank rows are skipped but
+counted in line numbers); only if that pass rejects it are its rows
+walked in order, so the error names the first bad cell: the earliest
+line, then the treatment, the outcome and the covariates in schema
+order. Categorical labels are coded once, at the end, by their sorted
+order.
 
 Writers build the full output in memory first and write it to a
 temporary file beside the destination, which then replaces the
@@ -24,6 +25,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -35,6 +37,8 @@ import numpy as np
 from .basis import BasisSpec, SourceSample
 from .errors import ValidationError
 from .estimators import EstimateReport
+
+_BLOCK_ROWS = 8_192  # data lines per block, more only to close a quoted record
 
 __all__ = [
     "ColumnSchema",
@@ -79,113 +83,98 @@ def _no_repeats(names, what: str) -> None:
 
 def _parse_float(text: str, line: int, column: str) -> float:
     text = text.strip()
-    if not text:
-        raise ValidationError(
-            f"empty cell at line {line}, column {column!r}", code="NON_FINITE_CELL"
-        )
     try:
         value = float(text)
     except ValueError:
-        raise ValidationError(
-            f"non-numeric value {text!r} at line {line}, column {column!r}",
-            code="NON_FINITE_CELL",
-        ) from None
-    if not math.isfinite(value):
-        raise ValidationError(
-            f"non-finite value {text!r} at line {line}, column {column!r}",
-            code="NON_FINITE_CELL",
-        )
-    return value
+        value = None
+    if value is not None and math.isfinite(value):
+        return value
+    what = f"non-{'numeric' if value is None else 'finite'} value {text!r}" if text else "empty cell"
+    raise ValidationError(f"{what} at line {line}, column {column!r}", code="NON_FINITE_CELL")
 
 
 def _float_column(cells):
-    """The cells as a float array, or None if one is not a finite number."""
-    try:
-        values = np.fromiter(map(float, cells), float, len(cells))
-    except ValueError:
-        # float() strips less than str.strip() does (not \x1c-\x1f), so
-        # retry on exactly what _parse_float converts before giving up
+    """The cells as a float array, or NaN if one is not a number."""
+    for texts in (cells, map(str.strip, cells)):  # float() strips less than str.strip() (not \x1c-\x1f)
         try:
-            values = np.fromiter(map(float, map(str.strip, cells)), float, len(cells))
+            return np.fromiter(map(float, texts), float, len(cells))
         except ValueError:
-            return None
-    return values if np.isfinite(values).all() else None
+            pass
+    return np.nan
 
 
-def _parse_columns(data, width, idx, schema: ColumnSchema):
-    """Treatment, outcome, covariate columns and category codes from the
-    non-blank data rows in one column-wise pass, or None if a check fails."""
+def _checked(part):
+    """The (k, rows) part if its cells are finite and its treatments (row 0) 0 or 1, else None."""
+    return part if np.isfinite(part).all() and ((part[0] == 0.0) | (part[0] == 1.0)).all() else None
+
+
+def _loadtxt_block(lines, width, cols):
+    """The used cells of a block's lines as a (k, rows) array from one
+    np.loadtxt call, or None if loadtxt cannot read them at the header's
+    width or _checked rejects them."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns when it finds no rows
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return _checked(data.T[cols]) if data.shape[1] == width else None
+
+
+def _parse_columns(rows, width, idx, seen):
+    """The used cells of a block's csv records as a (k, rows) array from one
+    column-wise pass over the non-blank rows, or None if a row length or
+    _checked rejects them; a label is coded as its index in ``seen[column]``
+    (labels in the order met), and an unconverted column or empty label is NaN."""
+    data = [row for row in rows if "".join(row).strip()]
     if any(len(row) != width for row in data):
         return None
-    cells = list(zip(*data))
-    a = _float_column(cells[idx[schema.treatment]])
-    if a is None or not ((a == 0.0) | (a == 1.0)).all():
-        return None
-    y = _float_column(cells[idx[schema.outcome]])
-    if y is None:
-        return None
-    codes = {}
-    columns = []
-    for c in schema.covariates:
-        if c in schema.categorical:
-            labels = [cell.strip() for cell in cells[idx[c]]]
-            if "" in labels:
-                return None
-            mapping = {label: float(code) for code, label in enumerate(sorted(set(labels)))}
-            codes[c] = mapping
-            column = [mapping[v] for v in labels]
-        else:
-            column = _float_column(cells[idx[c]])
-            if column is None:
-                return None
-        columns.append(column)
-    return a, y, columns, codes
+    cells = list(zip(*data)) or [()] * width
+    part = np.empty((len(idx), len(data)))
+    for j, (c, i) in enumerate(idx.items()):
+        if c not in seen:
+            part[j] = _float_column(cells[i])
+            continue
+        labels = [cell.strip() for cell in cells[i]]
+        part[j] = np.nan if "" in labels else [seen[c].setdefault(v, len(seen[c])) for v in labels]
+    return _checked(part)
 
 
-def _raise_first_bad_cell(rows, idx, schema: ColumnSchema):
-    """Walk the data rows in file order and raise the first bad cell's
-    error. Within a row: length, treatment, outcome, then covariates in
-    schema order."""
-    width = len(rows[0])
-    for line, row in enumerate(rows[1:], start=2):
+def _raise_first_bad_cell(rows, width, first, idx, schema: ColumnSchema):
+    """Walk a block's csv records, the first at line ``first``, in file order
+    and raise the first bad cell's error. Within a row: length, then the
+    columns of ``idx`` in order: treatment, outcome, covariates."""
+    for line, row in enumerate(rows, start=first):
         if not "".join(row).strip():
             continue
         if len(row) != width:
             raise ValidationError(f"line {line} has {len(row)} cells, header has {width}")
-        a = _parse_float(row[idx[schema.treatment]], line, schema.treatment)
-        if a not in (0.0, 1.0):
-            raise ValidationError(
-                f"non-binary treatment value {a:g} at line {line}, "
-                f"column {schema.treatment!r}",
-                code="NON_BINARY_TREATMENT",
-            )
-        _parse_float(row[idx[schema.outcome]], line, schema.outcome)
-        for c in schema.covariates:
-            if c not in schema.categorical:
-                _parse_float(row[idx[c]], line, c)
-            elif not row[idx[c]].strip():
+        for c, i in idx.items():
+            if c in schema.categorical and row[i].strip():
+                continue
+            value = _parse_float(row[i], line, c)  # an empty label is an empty cell
+            if c == schema.treatment and value not in (0.0, 1.0):
                 raise ValidationError(
-                    f"empty cell at line {line}, column {c!r}", code="NON_FINITE_CELL"
+                    f"non-binary treatment value {value:g} at line {line}, column {c!r}",
+                    code="NON_BINARY_TREATMENT",
                 )
 
 
-def _read_plain(path, schema: ColumnSchema):
-    """(X, A, Y) from one np.loadtxt call, or None if the column-wise pass must read the file."""
-    needed = (schema.treatment, schema.outcome, *schema.covariates)
-    try:
-        with open(path, newline="") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # loadtxt warns when it finds no rows
-            header = [c.strip() for c in next(csv.reader(fh), [])]
-            cols = [header.index(c) for c in needed]
-            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    except ValueError:  # a used column is missing, or loadtxt cannot read a cell: the pass decides
-        return None
-    if not len(data) or data.shape[1] != len(header) or any(header.count(c) > 1 for c in needed):
-        return None
-    X, a, y = np.asfortranarray(data[:, cols[2:]]), data[:, cols[0]], data[:, cols[1]]
-    if not (np.isfinite(X).all() and np.isfinite(y).all() and ((a == 0.0) | (a == 1.0)).all()):
-        return None  # the pass, like this check, reads only the schema's columns
-    return X, a, y
+def _read_header(fh, path, needed=()):
+    """The stripped cells of the first record of the open source CSV ``fh``,
+    which must hold each ``needed`` column once."""
+    header = next(csv.reader(fh), None)
+    if header is None:
+        raise ValidationError(f"{path}: empty file")
+    header = [c.strip() for c in header]
+    missing = [c for c in needed if c not in header]
+    if missing:
+        raise ValidationError(
+            f"{path}: missing column(s) {missing}; header has {header}",
+            code="MISSING_COLUMN",
+        )
+    _no_repeats([c for c in header if c in needed], f"in the header of {path} more than once")
+    return header
 
 
 def load_source_csv(path, schema: ColumnSchema):
@@ -194,33 +183,34 @@ def load_source_csv(path, schema: ColumnSchema):
     Metadata records the covariate column order and, for categorical
     columns, the label-to-code mapping used to build the numeric matrix.
     """
-    plain = None if schema.categorical else _read_plain(path, schema)
-    if plain is not None:
-        return SourceSample(*plain), {"columns": list(schema.covariates), "category_codes": {}}
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValidationError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
     needed = (schema.treatment, schema.outcome, *schema.covariates)
-    missing = [c for c in needed if c not in header]
-    if missing:
-        raise ValidationError(
-            f"{path}: missing column(s) {missing}; header has {header}",
-            code="MISSING_COLUMN",
-        )
-    wanted = set(needed)
-    _no_repeats([c for c in header if c in wanted], f"in the header of {path} more than once")
-    idx = {c: header.index(c) for c in needed}
-    data = [row for row in rows[1:] if "".join(row).strip()]
-    if not data:
+    with open(path, newline="") as fh:
+        header = _read_header(fh, path, needed)
+        idx = {c: header.index(c) for c in needed}
+        seen = {c: {} for c in needed if c in schema.categorical}
+        parts, line = [], 2
+        while block := list(itertools.islice(fh, _BLOCK_ROWS)):
+            part = None if seen else _loadtxt_block(block, len(header), list(idx.values()))
+            if part is None:  # as many records as lines, read on from fh if quoted records span lines
+                block = list(itertools.islice(csv.reader(itertools.chain(block, fh)), len(block)))
+                part = _parse_columns(block, len(header), idx, seen)
+                if part is None:
+                    _raise_first_bad_cell(block, len(header), line, idx, schema)
+            parts.append(part)
+            line += len(block)
+    out = np.empty((len(needed), sum(part.shape[1] for part in parts)))
+    if not out.size:
         raise ValidationError(f"{path}: no data rows")
-    parsed = _parse_columns(data, len(header), idx, schema)
-    if parsed is None:
-        _raise_first_bad_cell(rows, idx, schema)
-    a, y, columns, codes = parsed
-    X = np.array(columns, dtype=float).T
-    sample = SourceSample(X, a, y)
+    end = out.shape[1]
+    while parts:  # copied back to front, each dropped at once, so the heap shrinks from its top
+        part = parts.pop()
+        end -= part.shape[1]
+        out[:, end:end + part.shape[1]] = part
+    codes = {c: {label: float(code) for code, label in enumerate(sorted(labels))} for c, labels in seen.items()}
+    for j, c in enumerate(needed):
+        if c in seen:  # each label's code is its rank among its column's labels
+            out[j] = np.array([codes[c][label] for label in seen[c]])[out[j].astype(np.intp)]
+    sample = SourceSample(out[2:].T, out[0], out[1])
     return sample, {"columns": list(schema.covariates), "category_codes": codes}
 
 

@@ -92,7 +92,7 @@ class TruthFunctions:
         rho_logit = config.participation_logit
         cate = config.cate
         base = config.baseline
-        noise_var = float(config.noise_sd) ** 2
+        noise_var = float(config.noise_sd) * float(config.noise_sd)  # inf past 1.3e154, where ** raises
         decomp = basis_coefficients(pi_logit, spec)
         lam_pi, gam_pi = decomp if decomp is not None else (None, None)
         tau_h = in_h_span(cate, spec)
@@ -144,7 +144,10 @@ def _stack(fns, X, w=None):
     the weights w, a value that is not finite raises ValidationError naming its key and the row
     if the row has weight, and reads as 0 if not."""
     if w is None:
-        return np.array([f(X) for f in fns.values()]).reshape(len(fns), len(X))
+        out = np.empty((len(fns), len(X)))
+        for row, f in zip(out, fns.values()):
+            row[...] = f(X)  # one term's values at a time, no list of k temporaries
+        return out
     with np.errstate(all="ignore"):  # a value that is not finite is named below
         out = _stack(fns, X)
         finite = np.isfinite(out @ w).all()
@@ -358,14 +361,15 @@ def asymptotic_variance(
     # mu1 - pi_H mu1 - pi_G⊥ m = mu1 - H a1 - G b (a2 for mu0)
     a = np.array((coef[:, 0] - coef[:, 1], coef[:, 0] - C @ b, coef[:, 1] - C @ b))
     sums = np.zeros(5)
-    for X, w, H, G, (rho, mu1, mu0, pi), r in _chunks(truth, spec, grid, lam0, {**mu, "propensity": truth.propensity}):
+    fns = {**mu, "propensity": truth.propensity, "sigma2_1": truth.sigma2_1, "sigma2_0": truth.sigma2_0}
+    for X, w, H, G, (rho, mu1, mu0, pi, s1, s0), r in _chunks(truth, spec, grid, lam0, fns):
         for name, v, hit in (("propensity", pi, (pi == 0.0) | (pi == 1.0)), ("participation", rho, rho == 0.0)):
             if (bad := hit & (w > 0)).any():
                 raise HypothesisViolationError(
                     f"{name} reaches {v[bad.argmax()]:g} at the grid point {_point(X[bad.argmax()])}; the variance "
                     "needs 0 < propensity < 1 and participation > 0 wherever the grid has weight")
             v[hit] = 0.5  # on rows of zero weight, which add nothing
-        noise = truth.sigma2_1(X) / pi + truth.sigma2_0(X) / (1.0 - pi)
+        noise = s1 / pi + s0 / (1.0 - pi)
         fit, pi_gp_m = a @ H, b @ G
         res1, res0 = mu1 - fit[1] - pi_gp_m, mu0 - fit[2] - pi_gp_m
         tilt2, out = rho * r ** 2, 1.0 - rho
@@ -376,6 +380,7 @@ def asymptotic_variance(
             w @ (out ** 2 / rho * noise),
             w @ (out * (mu1 - mu0 - tau_star) ** 2),
         )
+        del noise, fit, pi_gp_m, res1, res0, tilt2, out  # freed before the next block is built
     v1, v3 = (float(s) / rho_bar ** 2 for s in sums[:2])
     v2, bound = (float(s) / (1.0 - rho_bar) ** 2 for s in (sums[2], sums[3] + sums[4]))
 

@@ -319,11 +319,11 @@ def _rowdot(a, b):
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _JointDual(designs, targets, treateds, score_cap, with_g=True, extended=None):
+def _JointDual(designs, targets, treateds, score_cap, with_g=True, extended=None, base=1.0):
     """The joint problem of each member as a two-block group dual: the
     treated rows over [H | G] and the control rows over [H | -G], with
     block columns (lambda1, gamma) and (lambda0, gamma) of theta =
-    (lambda1, lambda0, gamma), base 1 and target (hbar, hbar, 0); G is
+    (lambda1, lambda0, gamma), ``base`` and target (hbar, hbar, 0); G is
     dropped when ``with_g`` is false. The rows are gathered with the arm
     as block label, and the control G columns are negated once, here, or
     taken from the ``extended`` problem of the same members (ebal copies H)."""
@@ -337,7 +337,7 @@ def _JointDual(designs, targets, treateds, score_cap, with_g=True, extended=None
         return _GroupDual(np.ascontiguousarray(extended.E[..., :kh + kg]), extended.base, cols, extended.rows,
                           target, extended.n_s, score_cap)
     arm = np.where(np.concatenate(treateds), 0, 1)  # block 0 treated, block 1 control
-    problem = _GroupDual.gather(designs, arm, cols, target, score_cap)
+    problem = _GroupDual.gather(designs, arm, cols, target, score_cap, base)
     problem.E[:, 1, :, kh:] *= -1.0
     return problem
 
@@ -477,12 +477,13 @@ def _solve_dual(problem, what, opts, make_solution, arms=None):
     return outcomes, w
 
 
-def _joint_weights(method, designs, targets, treateds, options=None, extended=None):
-    """The extended (or, dropping G, the ebal) solve of each member:
-    DualSolution or its error, and the members' weights back to back in
-    source order; ``extended`` lends its rows as _JointDual says."""
+def _joint_weights(method, designs, targets, treateds, options=None, extended=None, base=1.0):
+    """The extended (or, dropping G, the ebal) solve of each member over
+    base weights ``base`` (1 or one per row): DualSolution or its error, and
+    the members' weights back to back in source order; ``extended`` lends
+    its rows as _JointDual says."""
     opts = options or SolverOptions()
-    problem = _JointDual(designs, targets, treateds, opts.score_cap, method is not Method.EBAL, extended)
+    problem = _JointDual(designs, targets, treateds, opts.score_cap, method is not Method.EBAL, extended, base)
     kh = designs[0].h.shape[1]
     what = "block design [H 1{A=1} | H 1{A=0}" + (" | +-G]" if problem.dim > 2 * kh else "]")
     outcomes, w = _solve_dual(
@@ -542,20 +543,18 @@ def solve_two_step(design, target, treated, options=None, normalize=False):
     then re-balance each arm relative to that tilt.
 
     The first step's weights q are ``solve_et_calibration``'s. The second
-    step minimizes sum(w log(w / q)) per arm. Its constraint right-hand
+    step minimizes sum(w log(w / q)) per arm: ebal's two-arm dual over base
+    weights q, in one solve. Its constraint right-hand
     sides are the q-weighted source averages, which at the exact
     first-step solution coincide with the target summary; they are
     anchored at the target here so the identity is exact rather than
     holding only to solver tolerance.
     """
     opts = options or SolverOptions()
-    t = np.asarray(treated, dtype=bool)
     q = solve_et_calibration(design, target, opts)[1].w
-    w = np.empty(design.n)
-    for arm, label in ((t, "treated arm"), (~t, "control arm")):
-        (solution,), w[arm] = _calibrate_groups([design], np.where(arm, 0, -1), q, [target.values], opts, label)
-        _one(solution)
-    return _weight_set(w, t, Method.TWO_STEP, normalize)
+    (solution,), w = _joint_weights(Method.EBAL, [design], [target], [treated], opts, base=q)
+    _one(solution)
+    return _weight_set(w, treated, Method.TWO_STEP, normalize)
 
 
 def solve_att(design, treated, options=None, normalize=False):

@@ -414,6 +414,13 @@ def test_cli_oracle_on_a_non_finite_outcome_mean_fails_as_simulate_does(tmp_path
     assert "scenario 'cell': the baseline model gives a non-finite value" in _validation_error(capsys)
 
 
+def test_cli_oracle_on_a_noise_sd_whose_square_overflows_fails_typed(tmp_path, capsys):
+    scen = tmp_path / "loud.json"
+    scen.write_text(json.dumps({"scenarios": [{**CELL, "propensity": "P2", "noise_sd": 1e200}]}))
+    assert main(["oracle", "--scenario", str(scen), "--nodes", "6"]) == 2
+    assert "sigma2_1 is inf at the grid point (x1=" in _validation_error(capsys)
+
+
 def test_cli_oracle_on_a_saturated_propensity_writes_no_infinity(tmp_path, capsys):
     scen, out = tmp_path / "wide.json", tmp_path / "oracle.json"
     cell = {"name": "wide", "propensity": "P2", "cate": "T1", "baseline": "M1"}

@@ -1,5 +1,7 @@
 """Source CSV loader errors and writer round trips, byte for byte."""
 
+import csv
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -158,14 +160,30 @@ BLANK_LINES = ["", "   ", ",,", " , ,\t", "\t"]
 
 
 def _load(path, schema, fast=True):
-    """What load_source_csv returns or raises, with the np.loadtxt fast path on or off."""
-    read_plain = fileio._read_plain if fast else lambda path, schema: None
-    with mock.patch.object(fileio, "_read_plain", read_plain):
+    """What load_source_csv returns or raises, with the np.loadtxt block converter on or off."""
+    loadtxt = fileio._loadtxt_block if fast else lambda lines, width, cols: None
+    with mock.patch.object(fileio, "_loadtxt_block", loadtxt):
         try:
             sample, meta = load_source_csv(path, schema)
         except Exception as exc:
             return type(exc), getattr(exc, "code", None), str(exc)
     return [(v.dtype, v.shape, v.strides, v.tobytes()) for v in (sample.X, sample.A, sample.Y)], meta
+
+
+def _loadtxt_reads(path, schema):
+    """Whether load_source_csv reads at least one block of the file and np.loadtxt converts every one."""
+    parts, loadtxt = [], fileio._loadtxt_block
+
+    def spy(*args):
+        parts.append(loadtxt(*args))
+        return parts[-1]
+
+    with mock.patch.object(fileio, "_loadtxt_block", spy):
+        try:
+            load_source_csv(path, schema)
+        except ValidationError:
+            pass
+    return bool(parts) and all(part is not None for part in parts)
 
 
 def _assert_paths_agree(path, schema):
@@ -184,25 +202,26 @@ def test_plain_csv_takes_the_fast_path_and_cells_only_float_reads_fall_back(tmp_
     path = tmp_path / "source.csv"
     schema = ColumnSchema("a", "y", ("x1",))
     path.write_text("a,y,x1\n1,0.5,\x1c1.0\n0,1.5,2\n")
-    X, A, Y = fileio._read_plain(path, schema)
-    assert X.tolist() == [[1.0], [2.0]] and A.tolist() == [1.0, 0.0] and Y.tolist() == [0.5, 1.5]
+    assert _loadtxt_reads(path, schema)
+    sample = load_source_csv(path, schema)[0]
+    assert sample.X.tolist() == [[1.0], [2.0]] and sample.A.tolist() == [1, 0] and sample.Y.tolist() == [0.5, 1.5]
     for cell, value in (("1_0", 10.0), ("\u0661", 1.0), ("\uff11", 1.0)):
         path.write_text(f"a,y,x1\n1,0.5,{cell}\n0,1.5,2\n", encoding="utf-8")
-        assert fileio._read_plain(path, schema) is None
+        assert not _loadtxt_reads(path, schema)
         assert load_source_csv(path, schema)[0].X[0, 0] == value
     # a non-finite cell outside the schema's columns is read as the column-wise pass reads it
     path.write_text("a,y,x1,z\n1,0.5,1,nan\n0,1.5,2,-inf\n")
-    assert fileio._read_plain(path, schema) is not None
+    assert _loadtxt_reads(path, schema)
     _assert_paths_agree(path, schema)
     # rows wider than the header, and a used column twice, fall back to their errors
     for text in ("a,y,x1\n1,0.5,1,9\n0,1.5,2,9\n", "a,y,x1,x1\n1,0.5,1,1\n0,1.5,2,2\n"):
         path.write_text(text)
-        assert fileio._read_plain(path, schema) is None
+        assert not _loadtxt_reads(path, schema)
         _assert_paths_agree(path, schema)
     path.write_text("a,y,x1\n\n")
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        assert fileio._read_plain(path, schema) is None
+        assert not _loadtxt_reads(path, schema)
     assert seen == []
 
 
@@ -246,5 +265,104 @@ def test_fast_path_reads_what_the_column_wise_pass_reads(tmp_path_factory, data)
     path.write_bytes((eol.join(lines) + draw(st.sampled_from(["", eol]))).encode("utf-8"))
     schema = ColumnSchema("a", "y", tuple(draw(st.permutations([f"x{j + 1}" for j in range(p)]))))
     _assert_paths_agree(path, schema)
-    if plain and eol != "\r":  # np.loadtxt splits lines on \n only
-        assert fileio._read_plain(path, schema) is not None
+    if plain:
+        assert _loadtxt_reads(path, schema)
+
+
+# block sizes that put a block boundary on every line, every other line and so on
+BLOCK_SIZES = (1, 2, 3, fileio._BLOCK_ROWS)
+
+
+@pytest.mark.parametrize("rows", BLOCK_SIZES[:-1])
+def test_loader_errors_are_the_same_at_every_block_size(tmp_path, rows):
+    path = tmp_path / "source.csv"
+    for _, text, _, _ in LOADER_ERRORS:
+        path.write_text(text)
+        for schema in (SCHEMA, ColumnSchema("a", "y", ("x1", "x2"))):
+            want = _load(path, schema)
+            with mock.patch.object(fileio, "_BLOCK_ROWS", rows):
+                assert _load(path, schema) == want
+                assert _load(path, schema, fast=False) == want
+
+
+@pytest.mark.parametrize("rows", BLOCK_SIZES)
+def test_categorical_codes_are_the_same_at_every_block_size(tmp_path, rows):
+    path = tmp_path / "cat.csv"
+    labels = ["boston", "chicago", "boston", "ann-arbor", " chicago ", "zurich", "ann-arbor"]
+    path.write_text("a,y,site\n" + "".join(f"{i % 2},{i}.5,{label}\n" for i, label in enumerate(labels)))
+    with mock.patch.object(fileio, "_BLOCK_ROWS", rows):
+        sample, meta = load_source_csv(path, ColumnSchema("a", "y", ("site",), categorical=("site",)))
+    assert meta["category_codes"] == {"site": {"ann-arbor": 0.0, "boston": 1.0, "chicago": 2.0, "zurich": 3.0}}
+    assert sample.X[:, 0].tolist() == [1.0, 2.0, 1.0, 0.0, 2.0, 3.0, 0.0]
+
+
+@pytest.mark.parametrize("rows", BLOCK_SIZES[:-1])
+def test_round_trip_is_bit_exact_at_every_block_size(tmp_path_factory, rows):
+    with mock.patch.object(fileio, "_BLOCK_ROWS", rows):
+        test_source_csv_round_trip_is_bit_exact(tmp_path_factory=tmp_path_factory)
+
+
+@pytest.mark.parametrize("rows", BLOCK_SIZES)
+def test_quoted_records_across_block_boundaries_load_whole(tmp_path, rows):
+    path = tmp_path / "source.csv"
+    text = ('a,y,x1,note,site\n1,0.5,1,"two\nlines",bos\n0,1.5,"2",pl"ain,"new\nyork"\n\n'
+            '1,2.5,3,"a ""quoted""\n\nword",bos\n0,3.5,4,,bos\n')
+    path.write_text(text)
+    categorical = ColumnSchema("a", "y", ("x1", "site"), categorical=("site",))
+    with mock.patch.object(fileio, "_BLOCK_ROWS", rows):
+        sample, meta = load_source_csv(path, categorical)
+        assert sample.X.tolist() == [[1.0, 0.0], [2.0, 1.0], [3.0, 0.0], [4.0, 0.0]]
+        assert sample.A.tolist() == [1, 0, 1, 0] and sample.Y.tolist() == [0.5, 1.5, 2.5, 3.5]
+        assert meta["category_codes"] == {"site": {"bos": 0.0, "new\nyork": 1.0}}
+        assert load_source_csv(path, ColumnSchema("a", "y", ("x1",)))[0].X.tolist() == [[1.0], [2.0], [3.0], [4.0]]
+        # a quoted record counts as one line
+        path.write_text(text + "2,1,1,x,bos\n")
+        with pytest.raises(ValidationError, match="^non-binary treatment value 2 at line 7, column 'a'$"):
+            load_source_csv(path, categorical)
+
+
+def test_load_source_csv_opens_its_path_once(tmp_path):
+    path = tmp_path / "source.csv"
+    for text in (f"{HEADER}\n" + f"{GOOD}\n" * 5, f"{HEADER}\n{GOOD}\n0,1.5,1,2,\n"):
+        path.write_text(text)
+        with mock.patch.object(fileio, "_BLOCK_ROWS", 2), \
+                mock.patch.object(fileio, "open", wraps=open, create=True) as spy:
+            for schema in (SCHEMA, ColumnSchema("a", "y", ("x1", "x2"))):
+                _load(path, schema)
+        assert spy.call_count == 2
+
+
+def test_only_a_block_loadtxt_refuses_is_parsed_by_csv_reader(tmp_path):
+    path = tmp_path / "source.csv"
+    path.write_text("a,y,x1\n1,0.5,1\n0,1.5,2\n1,2.5,1_0\n0,3.5,4\n1,4.5,5\n")
+    parsed, reader = [], csv.reader
+
+    def spy(lines, *args, **kwargs):  # records the lines each reader takes
+        parsed.append([])
+        return reader((parsed[-1].append(line) or line for line in lines), *args, **kwargs)
+
+    with mock.patch.object(fileio, "_BLOCK_ROWS", 2), mock.patch.object(fileio.csv, "reader", spy):
+        sample, _ = load_source_csv(path, ColumnSchema("a", "y", ("x1",)))
+    assert parsed == [["a,y,x1\n"], ["1,2.5,1_0\n", "0,3.5,4\n"]]
+    assert sample.X[:, 0].tolist() == [1.0, 2.0, 10.0, 4.0, 5.0]
+
+
+@pytest.mark.parametrize("kind", ["fallback", "categorical"])
+def test_a_file_loadtxt_refuses_loads_in_memory_bounded_by_its_output(tmp_path, kind):
+    # the whole file is never held as csv records: the traced peak stays within
+    # four times the loaded arrays, where a whole-file list of records took twelve to fifteen
+    n, path = 100_000, tmp_path / "source.csv"
+    rows = [f"{i},{i % 2},{i * 0.25!r},{(i % 7) * 1.5 - 3!r},{i % 11 - 5},{('bos', 'chi', 'nyc')[i % 3]}"
+            for i in range(n)]
+    rows[-1] = "," + rows[-1].split(",", 1)[1]  # an empty cell in the unused id column
+    path.write_text("id,a,y,x1,x2,site\n" + "\n".join(rows) + "\n")
+    covariates = ("x1", "x2", "site") if kind == "categorical" else ("x1", "x2")
+    schema = ColumnSchema("a", "y", covariates, categorical=covariates[2:])
+    tracemalloc.start()
+    try:
+        sample, _ = load_source_csv(path, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.n_s == n
+    assert peak < 4 * n * (2 + len(covariates)) * 8

@@ -629,6 +629,8 @@ def _hot(value):
         ("propensity", np.nan, "asymptotic_variance"),
         ("participation", np.nan, "asymptotic_variance"),
         ("participation", np.nan, "solve_limiting_dual"),
+        ("sigma2_1", np.inf, "asymptotic_variance"),
+        ("sigma2_0", np.nan, "asymptotic_variance"),
         ("f", np.nan, "project_h"),
         ("f", -np.inf, "project_g_perp"),
     ],
@@ -642,7 +644,8 @@ def test_non_finite_truth_value_names_the_function_and_a_grid_point(p2_truth, fi
     assert info.value.code == "NON_FINITE_CELL"
 
 
-@pytest.mark.parametrize("field, value", [("mu1", np.nan), ("propensity", 1.0), ("participation", 0.0)])
+@pytest.mark.parametrize("field, value", [("mu1", np.nan), ("propensity", 1.0), ("participation", 0.0),
+                                          ("sigma2_1", np.inf)])
 def test_truth_value_on_a_zero_weight_row_is_not_read(p2_truth, field, value):
     grid = gb.gauss_legendre_box(5, -2.0, 2.0, 4)
     weights = np.where(grid.points[:, 0] > 1.5, 0.0, grid.weights)
@@ -665,3 +668,11 @@ def test_saturated_propensity_or_participation_fails_typed(p2_truth, field, valu
 def test_variance_on_a_grid_without_mass_is_a_validation_error(p2_truth, points, weights):
     with pytest.raises(ValidationError, match="grid weights must have a positive sum"):
         gb.asymptotic_variance(p2_truth, _SPEC5, gb.QuadratureGrid(points, weights))
+
+
+def test_noise_sd_whose_square_overflows_fails_typed():
+    config = gb.builtin_scenario("P2", "T1", "M1", noise_sd=1e200)
+    truth = gb.TruthFunctions.from_scenario(config)
+    with pytest.raises(ValidationError, match=r"^sigma2_1 is inf at the grid point \(x1=") as info:
+        gb.asymptotic_variance(truth, config.basis(), gb.gauss_legendre_box(config.p, config.low, config.high, 4))
+    assert info.value.code == "NON_FINITE_CELL"
